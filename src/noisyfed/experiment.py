@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import fedavg
 from .channel import NoiseSchedule, variance_at
 from .config import ExperimentConfig, with_schedules
 from .data import (Dataset, ClientPartition, SyntheticRegressionSpec,
@@ -127,13 +128,19 @@ def bound_inputs(cfg: ExperimentConfig, dataset: Dataset, model: LossModel,
                  trials: int = 20) -> TheoryParams:
     """Measured TheoryParams for the configured run (no simulation).
 
-    f0 is the loss at the zero start; sigma2 is the Monte-Carlo variance
-    estimate at the probe points (defaults to the start alone).
+    f0 is the loss at the zero start, from the run metrics' evaluation
+    (called through the fedavg module, so a wrapper installed on
+    ``fedavg._global_metrics`` sees this call too); sigma2 is the
+    Monte-Carlo variance estimate at the probe points (defaults to the start
+    alone).
     """
     fb = cfg.fedavg
     w0 = np.zeros(model.dim)
     probes = [w0] if probe_params is None else probe_params
-    f0, _ = _global_loss(model, dataset, partition, w0)
+    shards = partition.shards
+    inputs = fedavg._metric_inputs(model, [dataset.X[s] for s in shards],
+                                   [dataset.y[s] for s in shards])
+    f0, _ = fedavg._global_metrics(model, inputs, w0)
     sigma2 = empirical_sigma2(model, dataset, partition, probes, fb.batch_size,
                               trials, cfg.data.seed)
     sum_u2, sum_n2 = schedule_power_sums(cfg, model.dim)
@@ -143,12 +150,6 @@ def bound_inputs(cfg: ExperimentConfig, dataset: Dataset, model: LossModel,
     return TheoryParams(n=fb.n, r=fb.r, E=fb.E, K=fb.K, gamma=fb.gamma,
                         L=model.smoothness, eta=eta, sigma2=sigma2, f0=f0,
                         sum_U2=sum_u2, sum_N2=sum_n2)
-
-
-def _global_loss(model, dataset, partition, w):
-    from .fedavg import _global_metrics
-
-    return _global_metrics(model, dataset, partition, w)
 
 
 def run_experiment(cfg: ExperimentConfig, out_prefix: str | None = None,

@@ -13,6 +13,11 @@ Randomness is drawn from independent streams keyed by
 channel on/off toggles never perturb unrelated draws; two runs with equal
 configs and seeds are bit-identical, and paired runs differing only in one
 channel share every other draw.
+
+The reported train loss and gradient norm never feed back into training.
+For ``mse_linear`` both loops evaluate them in O(d^2) from per-client
+sufficient statistics built once per run, so they can differ from a
+row-by-row evaluation in the last digits; other kinds evaluate row by row.
 """
 
 from __future__ import annotations
@@ -140,23 +145,45 @@ class RunResult:
     final_loss: float               # loss at the final global model
 
 
-def _global_metrics(loss_model, dataset, partition, w):
-    """Client-averaged train loss and squared norm of the mean full gradient."""
+def _metric_inputs(loss_model, shard_X, shard_y):
+    """What _global_metrics evaluates from, built once per run.
+
+    For mse_linear: the client means A = mean_i X_i^T X_i / m_i,
+    b = mean_i X_i^T y_i / m_i and c = mean_i y_i^T y_i / m_i. They are
+    unweighted over clients, like the metrics, so ragged shards need no
+    special care. Other kinds keep the shards themselves.
+    """
+    if loss_model.kind != "mse_linear":
+        return shard_X, shard_y
+    d = loss_model.dim
+    A, b, c = np.zeros((d, d)), np.zeros(d), 0.0
+    for X, y in zip(shard_X, shard_y):
+        m = y.shape[0]
+        A += (X.T @ X) / m
+        b += (X.T @ y) / m
+        c += float(y @ y) / m
+    n = len(shard_y)
+    return A / n, b / n, c / n
+
+
+def _global_metrics(loss_model, inputs, w):
+    """Client-averaged train loss and squared norm of the mean full gradient.
+
+    ``inputs`` comes from _metric_inputs. For mse_linear both are quadratic
+    forms in w: loss = (w^T A w - 2 b^T w + c) / 2 and gradient A w - b, an
+    O(d^2) evaluation that can differ from a row-by-row one in the last
+    digits. Other kinds average model.loss and model.full_gradient over the
+    shards.
+    """
     if loss_model.kind == "mse_linear":
-        resid = dataset.X @ w - dataset.y
-        losses = []
-        grads = []
-        for shard in partition.shards:
-            rs = resid[shard]
-            losses.append(0.5 * float(rs @ rs) / shard.size)
-            grads.append((dataset.X[shard].T @ rs) / shard.size)
-        g = np.mean(np.stack(grads), axis=0)
-        return float(np.mean(losses)), float(g @ g)
+        A, b, c = inputs
+        Aw = A @ w
+        g = Aw - b
+        return 0.5 * (float(w @ Aw) - 2.0 * float(b @ w) + c), float(g @ g)
     from .model import full_gradient  # local import keeps module load light
     losses = []
     grads = []
-    for shard in partition.shards:
-        Xs, ys = dataset.X[shard], dataset.y[shard]
+    for Xs, ys in zip(*inputs):
         losses.append(loss(loss_model, w, Xs, ys))
         grads.append(full_gradient(loss_model, w, Xs, ys))
     g = np.mean(np.stack(grads), axis=0)
@@ -194,13 +221,14 @@ def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
 
     shard_X = [np.ascontiguousarray(dataset.X[s]) for s in partition.shards]
     shard_y = [np.ascontiguousarray(dataset.y[s]) for s in partition.shards]
+    inputs = _metric_inputs(loss_model, shard_X, shard_y)
 
     w = np.zeros(d)
     metrics: list[RoundMetrics] = []
     status, div_at = "completed", None
 
     for k in range(K):
-        train_loss, gns = _global_metrics(loss_model, dataset, partition, w)
+        train_loss, gns = _global_metrics(loss_model, inputs, w)
         v_up = variance_at(config.uplink, k, E)
         v_dn = variance_at(config.downlink, k, E)
         snr_down = float(w @ w) / (d * v_dn) if v_dn > 0 else None
@@ -256,7 +284,7 @@ def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
         z = zeta(eta, L, E, n, r)
         k_star = sample_kstar(z, K, _stream(seed, 0, 0, _KSTAR))
 
-    fl, _ = _global_metrics(loss_model, dataset, partition, w)
+    fl, _ = _global_metrics(loss_model, inputs, w)
     return RunResult(metrics=metrics, final_params=w, k_star=k_star,
                      status=status, diverged_at=div_at, eta=eta, final_loss=fl)
 
@@ -270,7 +298,7 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
     The downlink draw perturbs the point where the stochastic gradient is
     evaluated; the uplink draw rides on the gradient itself inside the step.
     Warns when eta exceeds 1/L. Metrics are measured at w_t over the whole
-    dataset.
+    dataset, taken as one shard of the federated loop's evaluation.
     """
     if T < 1:
         raise ValueError("need T >= 1")
@@ -288,11 +316,10 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
     metrics: list[RoundMetrics] = []
     status, div_at = "completed", None
 
+    inputs = _metric_inputs(loss_model, [dataset.X], [dataset.y])
+
     for t in range(T):
-        train_loss = loss(loss_model, w, dataset.X, dataset.y)
-        from .model import full_gradient
-        g_full = full_gradient(loss_model, w, dataset.X, dataset.y)
-        gns = float(g_full @ g_full)
+        train_loss, gns = _global_metrics(loss_model, inputs, w)
         v_up = variance_at(uplink, t)
         v_dn = variance_at(downlink, t)
 
@@ -328,6 +355,6 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
     k_star = None
     if status == "completed":
         k_star = sample_kstar(0.0, T, _stream(seed, 0, 0, _KSTAR))
+    fl, _ = _global_metrics(loss_model, inputs, w)
     return RunResult(metrics=metrics, final_params=w, k_star=k_star,
-                     status=status, diverged_at=div_at, eta=eta,
-                     final_loss=loss(loss_model, w, dataset.X, dataset.y))
+                     status=status, diverged_at=div_at, eta=eta, final_loss=fl)

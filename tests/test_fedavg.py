@@ -4,14 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisyfed import backend
 from noisyfed.channel import NoiseSchedule
 from noisyfed.config import preset
 from noisyfed.data import SyntheticRegressionSpec, generate_regression, partition_iid
 from noisyfed.experiment import build_task, run_one_seed
-from noisyfed.fedavg import (FedAvgConfig, client_sample, learning_rate, local_update,
-                             min_rounds, run_noisy_fedavg, run_noisy_sgd, sample_kstar)
+from noisyfed.fedavg import (FedAvgConfig, _global_metrics, _metric_inputs, client_sample,
+                             learning_rate, local_update, min_rounds, run_noisy_fedavg,
+                             run_noisy_sgd, sample_kstar)
 from noisyfed.model import LossModel, full_gradient, loss, smoothness_constant
 
 
@@ -229,6 +231,71 @@ class TestRunNoisyFedavg:
         assert res.metrics[1].mean_snr_down > 0.0
 
 
+def row_metrics(model, dataset, partition, w):
+    """Oracle: per-shard model.loss and model.full_gradient, averaged over clients."""
+    shards = [(dataset.X[s], dataset.y[s]) for s in partition.shards]
+    f = np.mean([loss(model, w, X, y) for X, y in shards])
+    g = np.mean([full_gradient(model, w, X, y) for X, y in shards], axis=0)
+    return float(f), float(g @ g)
+
+
+def assert_metrics_match(model, dataset, partition, w):
+    inputs = _metric_inputs(model, [dataset.X[s] for s in partition.shards],
+                            [dataset.y[s] for s in partition.shards])
+    f, g2 = _global_metrics(model, inputs, w)
+    f_ref, g2_ref = row_metrics(model, dataset, partition, w)
+    assert f == pytest.approx(f_ref, rel=1e-10, abs=0.0)
+    assert g2 == pytest.approx(g2_ref, rel=1e-10, abs=0.0)
+
+
+class TestQuadraticMetrics:
+    """The mse_linear closed form against the row-by-row evaluation, rel 1e-10."""
+
+    def test_reference_task_points(self, v5a_task):
+        dataset, model, partition = v5a_task
+        rng = np.random.default_rng(3)
+        theta = dataset.theta_eff
+        for w in (np.zeros(model.dim), theta,
+                  theta + 0.01 * rng.standard_normal(model.dim),
+                  rng.standard_normal(model.dim)):
+            assert_metrics_match(model, dataset, partition, w)
+
+    def test_ragged_shards(self):
+        dataset = generate_regression(SyntheticRegressionSpec(m=1003, d=7), seed=4)
+        model = LossModel("mse_linear", dim=7)
+        partition = partition_iid(1003, 16, seed=5)  # 1003 = 17 * 59 would split evenly
+        assert {s.size for s in partition.shards} == {62, 63}
+        w = np.random.default_rng(6).standard_normal(7)
+        assert_metrics_match(model, dataset, partition, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 10), extra=st.integers(0, 110), n=st.integers(1, 12),
+           log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_row_path(self, d, extra, n, log_scale, seed):
+        m = d + extra
+        n = min(n, m)
+        rng = np.random.default_rng(seed)
+        spec = SyntheticRegressionSpec(m=m, d=d, label_noise_variance=0.1,
+                                       normalize_hessian=False)
+        dataset = generate_regression(spec, seed=seed)
+        model = LossModel("mse_linear", dim=d)
+        w = 10.0 ** log_scale * rng.standard_normal(d)
+        assert_metrics_match(model, dataset, partition_iid(m, n, seed), w)
+
+    def test_run_final_loss(self):
+        dataset = generate_regression(SyntheticRegressionSpec(m=1003, d=7), seed=4)
+        model = LossModel("mse_linear", dim=7,
+                          smoothness=smoothness_constant(LossModel("mse_linear", dim=7),
+                                                         dataset.X))
+        partition = partition_iid(1003, 16, seed=5)
+        cfg = FedAvgConfig(n=16, r=5, E=3, K=20, gamma=18.0, batch_size=8, seed=2,
+                           uplink=NoiseSchedule("uplink", "constant", 0.1),
+                           downlink=NoiseSchedule("downlink", "constant", 0.1))
+        res = run_noisy_fedavg(cfg, model, partition, dataset)
+        f_ref, _ = row_metrics(model, dataset, partition, res.final_params)
+        assert res.final_loss == pytest.approx(f_ref, rel=1e-10, abs=0.0)
+
+
 class TestRunNoisySgd:
     def _task(self):
         ds = generate_regression(SyntheticRegressionSpec(m=2000, d=30,
@@ -271,6 +338,13 @@ class TestRunNoisySgd:
         t_dn = tail(run_noisy_sgd(model, ds, 0.05, T, 16, off_u, dn, seed=3))
         assert t_up > t_nf
         assert t_dn - t_nf > 1.3 * (t_up - t_nf)
+
+    def test_final_loss_matches_row_path(self):
+        ds, model = self._task()
+        res = run_noisy_sgd(model, ds, 0.05, 20, 32, NoiseSchedule("uplink"),
+                            NoiseSchedule("downlink", "constant", 0.1), seed=4)
+        f_ref = loss(model, res.final_params, ds.X, ds.y)
+        assert res.final_loss == pytest.approx(f_ref, rel=1e-10, abs=0.0)
 
     def test_warns_above_inverse_smoothness(self):
         ds, model = self._task()
