@@ -5,7 +5,7 @@ bounds for studying how channel noise on each communication direction
 degrades federated training.
 """
 
-from .backend import active_backend, set_backend
+from .backend import active_backend
 from .channel import (InfiniteBudgetError, NoiseSchedule, PolicyComparison,
                       UndefinedSnrError, compare_policies, measured_snr,
                       perturb, power_budget, variance_at)
@@ -13,8 +13,8 @@ from .data import (ClientPartition, Dataset, SyntheticRegressionSpec,
                    generate_classification, generate_regression,
                    partition_iid, partition_label_shard, sample_batch)
 from .fedavg import (FedAvgConfig, RoundMetrics, RunResult, client_sample,
-                     learning_rate, local_update, min_rounds,
-                     run_noisy_fedavg, run_noisy_sgd, sample_kstar)
+                     learning_rate, min_rounds, run_noisy_fedavg,
+                     run_noisy_sgd, sample_kstar)
 from .model import (LossModel, finite_difference_gradient, full_gradient,
                     gradient, loss, smoothness_constant)
 from .theory import (BoundReport, TheoryParams, bcd_gap, bcd_witness,

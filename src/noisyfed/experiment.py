@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -87,24 +86,6 @@ def metrics_csv_text(metrics) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _thread_count(n_jobs: int) -> int:
-    cap = os.environ.get("NOISYFED_THREADS", "1")
-    try:
-        cap = max(1, int(cap))
-    except ValueError:
-        cap = 1
-    return min(cap, n_jobs)
-
-
-def _run_seeds(cfg, dataset, model, partition, seeds):
-    workers = _thread_count(len(seeds))
-    if workers == 1:
-        return [run_one_seed(cfg, dataset, model, partition, s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(run_one_seed, cfg, dataset, model, partition, s) for s in seeds]
-        return [f.result() for f in futs]
-
-
 def _pweighted_grad(result: RunResult, zeta_value: float, K: int) -> float | None:
     if result.status != "completed":
         return None
@@ -161,7 +142,7 @@ def run_experiment(cfg: ExperimentConfig, out_prefix: str | None = None,
     prefix = out_prefix or cfg.out_prefix
     seeds = [seed_override] if seed_override is not None else list(cfg.repeat_seeds)
     dataset, model, partition = build_task(cfg)
-    results = _run_seeds(cfg, dataset, model, partition, seeds)
+    results = [run_one_seed(cfg, dataset, model, partition, s) for s in seeds]
 
     outdir = os.path.dirname(prefix)
     if outdir:
@@ -275,8 +256,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
         base = dataclasses.replace(cfg, fedavg=fed)
         means = {}
         for name, variant_cfg in sweep_variants(base).items():
-            results = _run_seeds(variant_cfg, dataset, model, partition,
-                                 list(cfg.repeat_seeds))
+            results = [run_one_seed(variant_cfg, dataset, model, partition, s)
+                       for s in cfg.repeat_seeds]
             means[name] = float(np.mean([r.final_loss for r in results]))
         for name in SWEEP_VARIANTS:
             rows.append((v, name, means[name], means[name] - means["noise_free"]))

@@ -9,10 +9,10 @@ E = 1, full participation, and full batches, the loop reduces bit-exactly
 to centralized gradient descent.
 
 Randomness is drawn from independent streams keyed by
-(master seed, round, client, purpose), so client order, threading, and
-channel on/off toggles never perturb unrelated draws; two runs with equal
-configs and seeds are bit-identical, and paired runs differing only in one
-channel share every other draw.
+(master seed, round, client, purpose), so client order and channel on/off
+toggles never perturb unrelated draws; two runs with equal configs and
+seeds are bit-identical, and paired runs differing only in one channel
+share every other draw.
 
 The reported train loss and gradient norm never feed back into training.
 For ``mse_linear`` both loops evaluate them in O(d^2) from per-client
@@ -81,21 +81,6 @@ def sample_kstar(zeta_value: float, K: int, rng: np.random.Generator) -> int:
     logw = (K - 1 - np.arange(K)) * np.log1p(zeta_value)
     w = np.exp(logw - logw.max())
     return int(rng.choice(K, p=w / w.sum()))
-
-
-def local_update(loss_model: LossModel, X_shard, y_shard, w_start, eta: float,
-                 E: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-    """E sequential mini-batch SGD steps from w_start, fresh batch each step."""
-    if E < 1:
-        raise ValueError("need E >= 1")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    local = np.arange(len(y_shard), dtype=np.int64)
-    batches = np.stack([np.sort(sample_batch(local, batch_size, rng)) for _ in range(E)])
-    w_end, _ = backend.local_steps(loss_model.kind, np.asarray(X_shard, dtype=np.float64),
-                                   y_shard, np.asarray(w_start, dtype=np.float64),
-                                   eta, batches, loss_model.n_classes)
-    return w_end
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ def loss(model: LossModel, params, X, y) -> float:
 
 
 def gradient(model: LossModel, params, X, y) -> np.ndarray:
-    """Mean gradient over the batch (one arithmetic path per backend)."""
+    """Mean gradient over the batch, through backend.batch_gradient."""
     params, X, y = _check_batch(model, params, X, y)
     idx = np.arange(X.shape[0], dtype=np.int64)
     return backend.batch_gradient(model.kind, X, y, params, idx, model.n_classes)

@@ -94,17 +94,6 @@ class TestRunCommand:
         second = {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()}
         assert first == second
 
-    def test_thread_pool_matches_sequential(self, tmp_path, monkeypatch):
-        cfgp = write_doc(tmp_path, tiny_doc())
-        out = str(tmp_path / "t" / "run")
-        monkeypatch.setenv("NOISYFED_THREADS", "1")
-        main(["run", "--config", cfgp, "--out", out])
-        sequential = {p.name: p.read_bytes() for p in (tmp_path / "t").iterdir()}
-        monkeypatch.setenv("NOISYFED_THREADS", "2")
-        main(["run", "--config", cfgp, "--out", out])
-        threaded = {p.name: p.read_bytes() for p in (tmp_path / "t").iterdir()}
-        assert sequential == threaded
-
     def test_seed_override_runs_single_seed(self, tmp_path):
         cfgp = write_doc(tmp_path, tiny_doc())
         out = str(tmp_path / "s" / "run")

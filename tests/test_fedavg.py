@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from noisyfed import backend
 from noisyfed.channel import NoiseSchedule
 from noisyfed.config import preset
-from noisyfed.data import SyntheticRegressionSpec, generate_regression, partition_iid
+from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
+                           generate_regression, partition_iid, sample_batch)
 from noisyfed.experiment import build_task, run_one_seed
 from noisyfed.fedavg import (FedAvgConfig, _global_metrics, _metric_inputs, client_sample,
-                             learning_rate, local_update, min_rounds, run_noisy_fedavg,
-                             run_noisy_sgd, sample_kstar)
+                             learning_rate, min_rounds, run_noisy_fedavg, run_noisy_sgd,
+                             sample_kstar)
 from noisyfed.model import LossModel, full_gradient, loss, smoothness_constant
 
 
@@ -102,7 +103,15 @@ class TestSampleKstar:
             sample_kstar(-0.1, 5, np.random.default_rng(0))
 
 
+def client_batches(m, batch_size, E, rng):
+    """E sorted mini-batches of a size-m shard, drawn as run_noisy_fedavg draws them."""
+    local = np.arange(m, dtype=np.int64)
+    return np.stack([np.sort(sample_batch(local, batch_size, rng)) for _ in range(E)])
+
+
 class TestLocalUpdate:
+    """A client's E local SGD steps, as run_noisy_fedavg runs them."""
+
     def _shard(self, m=60, d=4, seed=0):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((m, d))
@@ -112,17 +121,17 @@ class TestLocalUpdate:
         return model, X, y
 
     def test_rejects_degenerate_args(self):
-        model, X, y = self._shard()
-        rng = np.random.default_rng(0)
+        # E and eta reach the local steps only through a validated FedAvgConfig
         with pytest.raises(ValueError):
-            local_update(model, X, y, np.zeros(4), 0.1, 0, 10, rng)
+            tiny_config(E=0)
         with pytest.raises(ValueError):
-            local_update(model, X, y, np.zeros(4), 0.0, 1, 10, rng)
+            tiny_config(learning_rate_override=0.0)
 
     def test_tiny_rate_barely_moves(self):
         model, X, y = self._shard()
         w0 = np.ones(4)
-        w1 = local_update(model, X, y, w0, 1e-12, 3, 20, np.random.default_rng(1))
+        batches = client_batches(X.shape[0], 20, 3, np.random.default_rng(1))
+        w1, _ = backend.local_steps(model.kind, X, y, w0, 1e-12, batches)
         assert np.linalg.norm(w1 - w0) < 1e-9
 
     def test_full_batch_descent_lemma(self):
@@ -132,10 +141,38 @@ class TestLocalUpdate:
         rng = np.random.default_rng(2)
         prev = loss(model, w, X, y)
         for _ in range(5):
-            w = local_update(model, X, y, w, eta, 1, X.shape[0], rng)
+            batches = client_batches(X.shape[0], X.shape[0], 1, rng)
+            w, _ = backend.local_steps(model.kind, X, y, w, eta, batches)
             cur = loss(model, w, X, y)
             assert cur <= prev + 1e-12
             prev = cur
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["mse_linear", "softmax_linear"]), m=st.integers(1, 40),
+           d=st.integers(1, 6), n_classes=st.integers(2, 5), E=st.integers(1, 3),
+           batch_frac=st.floats(0.0, 1.0), eta=st.floats(1e-4, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_steps_are_gradient_steps_on_the_batch_rows(self, kind, m, d, n_classes, E,
+                                                        batch_frac, eta, seed):
+        # bitwise: the step loop and model.full_gradient share one arithmetic path
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((m, d))
+        if kind == "mse_linear":
+            model = LossModel(kind, dim=d)
+            y = rng.standard_normal(m)
+        else:
+            model = LossModel(kind, dim=n_classes * d, n_classes=n_classes)
+            y = rng.integers(0, n_classes, size=m)
+        w0 = rng.standard_normal(model.dim)
+        batches = client_batches(m, max(1, round(batch_frac * m)), E, rng)
+        w1, acc = backend.local_steps(kind, X, y, w0, eta, batches, model.n_classes)
+        w, acc_ref = w0, np.zeros(model.dim)
+        for rows in batches:
+            g = full_gradient(model, w, X[rows], y[rows])
+            acc_ref = acc_ref + g
+            w = w - eta * g
+        assert np.array_equal(acc, acc_ref)
+        assert np.array_equal(w1, w)
 
 
 def tiny_config(**overrides):
@@ -153,13 +190,25 @@ def tiny_task():
     return ds, model, partition_iid(300, 6, seed=21)
 
 
+@pytest.fixture(scope="module")
+def tiny_softmax_task():
+    ds = generate_classification(240, 5, 3, 3.0, 4)
+    probe = LossModel("softmax_linear", dim=15, n_classes=3)
+    model = LossModel("softmax_linear", dim=15, n_classes=3,
+                      smoothness=smoothness_constant(probe, ds.X))
+    return ds, model, partition_iid(240, 6, 4)
+
+
 class TestRunNoisyFedavg:
-    def test_degenerates_to_gradient_descent_bitwise(self, tiny_task):
-        ds, model, partition = tiny_task
-        cfg = tiny_config()
+    @pytest.mark.parametrize("task, batch_size", [("tiny_task", 50),
+                                                  ("tiny_softmax_task", 40)],
+                             ids=["mse_linear", "softmax_linear"])
+    def test_degenerates_to_gradient_descent_bitwise(self, task, batch_size, request):
+        ds, model, partition = request.getfixturevalue(task)
+        cfg = tiny_config(batch_size=batch_size)
         res = run_noisy_fedavg(cfg, model, partition, ds)
         eta = res.eta
-        w = np.zeros(5)
+        w = np.zeros(model.dim)
         for _ in range(cfg.K):
             grads = [full_gradient(model, w, ds.X[s], ds.y[s]) for s in partition.shards]
             w = w - eta * np.mean(np.stack(grads), axis=0)
@@ -186,22 +235,6 @@ class TestRunNoisyFedavg:
         b = run_noisy_fedavg(noisy, model, partition, ds)
         assert a.metrics[0].train_loss == b.metrics[0].train_loss
         assert not np.array_equal(a.final_params, b.final_params)
-
-    def test_backends_agree(self, tiny_task):
-        ds, model, partition = tiny_task
-        cfg = tiny_config(r=4, E=3, batch_size=20,
-                          downlink=NoiseSchedule("downlink", "constant", 0.2))
-        current = backend.active_backend()
-        try:
-            backend.set_backend("numpy")
-            a = run_noisy_fedavg(cfg, model, partition, ds)
-            backend.set_backend("numba")
-            b = run_noisy_fedavg(cfg, model, partition, ds)
-        except ValueError:
-            pytest.skip("numba backend unavailable")
-        finally:
-            backend.set_backend(current)
-        np.testing.assert_allclose(a.final_params, b.final_params, rtol=1e-9, atol=1e-12)
 
     def test_divergence_is_recorded_not_raised(self, tiny_task):
         ds, model, partition = tiny_task
