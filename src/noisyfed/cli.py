@@ -29,6 +29,8 @@ def _fmt(x) -> str:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
+    if args.seed_override is not None and args.seed_override < 0:
+        raise ConfigError(f"--seed-override must be >= 0, got {args.seed_override}")
     summary = run_experiment(cfg, out_prefix=args.out, seed_override=args.seed_override)
     fl = summary["final_loss"]
     print(f"wrote {summary['summary_file']}")
@@ -42,7 +44,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    values = [int(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [int(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--values must be comma-separated integers, "
+                          f"got {args.values!r}") from exc
     try:
         out = run_sweep(cfg, args.axis, values, out_prefix=args.out)
     except ValueError as exc:
@@ -92,6 +98,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    if args.K < 1 or args.E < 1:
+        raise ConfigError(f"power: need K >= 1 and E >= 1, got K={args.K} E={args.E}")
     cmp = compare_policies(args.K, args.E)
     rows = [
         ("uplink", cmp.uplink_budget, cmp.prior_uplink_budget, cmp.uplink_ratio),

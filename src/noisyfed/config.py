@@ -150,6 +150,8 @@ def parse_config(text: str, source: str = "config") -> ExperimentConfig:
                           "non-empty list of integers")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{source}:{_line_of(text, 'repeat_seeds')}: repeat_seeds must be distinct")
+    if min(seeds) < 0:
+        raise ConfigError(f"{source}:{_line_of(text, 'repeat_seeds')}: repeat_seeds must be >= 0")
 
     dvals = _take(dict(top["data"]), {
         "m": (int, True, None),
@@ -162,6 +164,8 @@ def parse_config(text: str, source: str = "config") -> ExperimentConfig:
         "partition": (str, False, "iid"),
         "labels_per_client": (int, False, 2),
     }, "data", text, source)
+    if dvals["seed"] < 0:
+        raise ConfigError(f"{source}:{_line_of(text, 'seed')}: data.seed must be >= 0")
     if dvals["partition"] not in PARTITIONS:
         raise ConfigError(f"{source}:{_line_of(text, 'partition')}: partition must be one of {PARTITIONS}")
     if top["task"] == "regression_v5a":

@@ -61,12 +61,16 @@ def build_task(cfg: ExperimentConfig):
 
 
 def run_one_seed(cfg: ExperimentConfig, dataset: Dataset, model: LossModel,
-                 partition: ClientPartition, seed: int) -> RunResult:
+                 partition: ClientPartition, seed: int,
+                 draws: fedavg.RoundDraws | None = None) -> RunResult:
+    """One repeat seed's run; fedavg runs may take shared ``draws``."""
     if cfg.mode == "sgd":
+        if draws is not None:
+            raise ValueError("shared draws apply to fedavg mode")
         s = cfg.sgd
         return run_noisy_sgd(model, dataset, s.eta, s.T, s.batch_size,
                              cfg.uplink, cfg.downlink, seed)
-    return run_noisy_fedavg(cfg.fedavg_config(seed), model, partition, dataset)
+    return run_noisy_fedavg(cfg.fedavg_config(seed), model, partition, dataset, draws=draws)
 
 
 def _fmt(x) -> str:
@@ -226,7 +230,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
 
     axis is "r" or "E"; emits ``{prefix}_sweep_{axis}.csv`` with one row per
     (value, variant): the seed-mean final loss and its excess over the
-    noise-free mean at the same value.
+    noise-free mean at the same value. Each (value, seed) draws its cohorts
+    and batch rows once, and the three variants run on those shared draws.
     """
     import dataclasses
 
@@ -254,11 +259,15 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
     for v in values:
         fed = dataclasses.replace(cfg.fedavg, **{axis: v})
         base = dataclasses.replace(cfg, fedavg=fed)
-        means = {}
-        for name, variant_cfg in sweep_variants(base).items():
-            results = [run_one_seed(variant_cfg, dataset, model, partition, s)
-                       for s in cfg.repeat_seeds]
-            means[name] = float(np.mean([r.final_loss for r in results]))
+        variants = sweep_variants(base)
+        finals = {name: [] for name in variants}
+        for s in cfg.repeat_seeds:
+            draws = fedavg.round_draws(base.fedavg_config(s), partition)
+            for name, variant_cfg in variants.items():
+                res = run_one_seed(variant_cfg, dataset, model, partition, s, draws=draws)
+                finals[name].append(res.final_loss)
+            del draws  # hold one (value, seed)'s draws at a time
+        means = {name: float(np.mean(fl)) for name, fl in finals.items()}
         for name in SWEEP_VARIANTS:
             rows.append((v, name, means[name], means[name] - means["noise_free"]))
         table[v] = means

@@ -12,7 +12,10 @@ Randomness is drawn from independent streams keyed by
 (master seed, round, client, purpose), so client order and channel on/off
 toggles never perturb unrelated draws; two runs with equal configs and
 seeds are bit-identical, and paired runs differing only in one channel
-share every other draw.
+share every other draw. A run draws each round's cohort and batch rows as
+it goes, or takes them from ``round_draws``: a sweep builds those once per
+(axis value, seed) and shares them across its three channel variants, with
+results identical to runs that draw their own.
 
 The reported train loss and gradient norm never feed back into training.
 For ``mse_linear`` both loops evaluate them in O(d^2) from per-client
@@ -103,6 +106,8 @@ class FedAvgConfig:
             raise ValueError("need E >= 1, K >= 1, batch_size >= 1")
         if self.gamma <= 4:
             raise ValueError("gamma must exceed 4")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.learning_rate_override is not None and self.learning_rate_override <= 0:
             raise ValueError("learning_rate_override must be positive")
 
@@ -128,6 +133,58 @@ class RunResult:
     diverged_at: int | None
     eta: float
     final_loss: float               # loss at the final global model
+
+
+@dataclass(frozen=True)
+class RoundDraws:
+    """Every round's cohort and local batch rows of one run, drawn up front.
+
+    ``cohorts`` is (K, r) and ``batches`` (K, r, E, b), both int64; batch
+    rows index the client's shard and are sorted within each step. ``key``
+    names the runs the draws fit: any run with an equal _draws_key.
+    """
+    key: tuple
+    cohorts: np.ndarray
+    batches: np.ndarray
+
+
+def _draws_key(config: FedAvgConfig, partition: ClientPartition) -> tuple:
+    return (config.seed, config.n, config.r, config.E, config.K, config.batch_size,
+            tuple(len(s) for s in partition.shards))
+
+
+def _local_rows(partition: ClientPartition) -> list:
+    return [np.arange(len(s), dtype=np.int64) for s in partition.shards]
+
+
+def _draw_round(config: FedAvgConfig, local_rows: list, k: int):
+    """Round k's cohort and its (r, E, b) sorted local batch rows, from the keyed streams."""
+    seed, E = config.seed, config.E
+    selected = client_sample(config.n, config.r, _stream(seed, k, 0, _SAMPLE))
+    batches = np.empty((config.r, E, config.batch_size), dtype=np.int64)
+    for j, i in enumerate(selected):
+        rng_b = _stream(seed, k, int(i), _BATCH)
+        for e in range(E):
+            batches[j, e] = sample_batch(local_rows[i], config.batch_size, rng_b)
+    batches.sort(axis=2)
+    return selected, batches
+
+
+def round_draws(config: FedAvgConfig, partition: ClientPartition) -> RoundDraws:
+    """All K rounds' draws of the runs keyed like ``config`` on ``partition``.
+
+    Channel schedules and the learning rate do not enter: runs that differ
+    only in those consume the same draws.
+    """
+    if partition.n_clients != config.n:
+        raise ValueError("partition must have exactly n shards")
+    local_rows = _local_rows(partition)
+    cohorts = np.empty((config.K, config.r), dtype=np.int64)
+    batches = np.empty((config.K, config.r, config.E, config.batch_size), dtype=np.int64)
+    for k in range(config.K):
+        cohorts[k], batches[k] = _draw_round(config, local_rows, k)
+    cohorts.flags.writeable = batches.flags.writeable = False  # shared by several runs
+    return RoundDraws(_draws_key(config, partition), cohorts, batches)
 
 
 def _metric_inputs(loss_model, shard_X, shard_y):
@@ -176,7 +233,8 @@ def _global_metrics(loss_model, inputs, w):
 
 
 def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
-                     partition: ClientPartition, dataset: Dataset) -> RunResult:
+                     partition: ClientPartition, dataset: Dataset,
+                     draws: RoundDraws | None = None) -> RunResult:
     """Run K communication rounds of noisy federated averaging.
 
     Metrics row k is measured at the round-k starting model over all n
@@ -184,10 +242,14 @@ def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
     steps so that full-batch degenerate runs match full-gradient arithmetic
     bit for bit. The run halts with status "diverged" when the loss goes
     non-finite or the parameter norm exceeds 1e12; the offending round's row
-    carries the diverged flag.
+    carries the diverged flag. Cohorts and batch rows come from ``draws``
+    when given (see round_draws), else are drawn round by round; the result
+    is the same.
     """
     if partition.n_clients != config.n:
         raise ValueError("partition must have exactly n shards")
+    if draws is not None and draws.key != _draws_key(config, partition):
+        raise ValueError("draws were built for a different seed, shape or partition")
     if not partition.covers(len(dataset)):
         raise ValueError("partition must cover the dataset")
     if loss_model.smoothness is None:
@@ -207,6 +269,7 @@ def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
     shard_X = [np.ascontiguousarray(dataset.X[s]) for s in partition.shards]
     shard_y = [np.ascontiguousarray(dataset.y[s]) for s in partition.shards]
     inputs = _metric_inputs(loss_model, shard_X, shard_y)
+    local_rows = _local_rows(partition)
 
     w = np.zeros(d)
     metrics: list[RoundMetrics] = []
@@ -226,7 +289,10 @@ def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
             status, div_at = "diverged", k
             break
 
-        selected = client_sample(n, r, _stream(seed, k, 0, _SAMPLE))
+        if draws is None:
+            selected, batches = _draw_round(config, local_rows, k)
+        else:
+            selected, batches = draws.cohorts[k], draws.batches[k]
         if v_dn > 0:
             nu = _stream(seed, k, 0, _DOWNLINK).standard_normal(d) * np.sqrt(v_dn)
             w_recv = w + nu
@@ -236,15 +302,10 @@ def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
         accs = []
         noises = []
         up_snrs = []
-        for i in selected:
+        for j, i in enumerate(selected):
             i = int(i)
-            rng_b = _stream(seed, k, i, _BATCH)
-            m_i = shard_y[i].shape[0]
-            local = np.arange(m_i, dtype=np.int64)
-            batches = np.stack([np.sort(sample_batch(local, config.batch_size, rng_b))
-                                for _ in range(E)])
             w_end, acc = backend.local_steps(loss_model.kind, shard_X[i], shard_y[i],
-                                             w_recv, eta, batches, loss_model.n_classes)
+                                             w_recv, eta, batches[j], loss_model.n_classes)
             accs.append(acc)
             if v_up > 0:
                 noises.append(_stream(seed, k, i, _UPLINK).standard_normal(d) * np.sqrt(v_up))

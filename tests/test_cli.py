@@ -113,6 +113,31 @@ class TestRunCommand:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("where", ["repeat_seeds", "data.seed"])
+    def test_negative_seed_rejected_with_line(self, tmp_path, capsys, where):
+        doc = tiny_doc()
+        if where == "repeat_seeds":
+            doc["repeat_seeds"] = [1, -2]
+        else:
+            doc["data"]["seed"] = -3
+        cfgp = write_doc(tmp_path, doc)
+        out = str(tmp_path / "o" / "run")
+        assert main(["run", "--config", cfgp, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfgp}:")
+        line = int(err.split(":")[2])
+        key = '"repeat_seeds"' if where == "repeat_seeds" else '"seed"'
+        assert key in (tmp_path / "config.json").read_text().splitlines()[line - 1]
+        assert f"{where} must be >= 0" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        cfgp = write_doc(tmp_path, tiny_doc())
+        out = str(tmp_path / "o" / "run")
+        assert main(["run", "--config", cfgp, "--out", out, "--seed-override", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --seed-override must be >= 0")
+        assert not (tmp_path / "o").exists()
+
     def test_divergence_is_still_success(self, tmp_path, capsys):
         doc = tiny_doc()
         doc["fedavg"]["learning_rate_override"] = 5.0
@@ -144,6 +169,14 @@ class TestSweepCommand:
     def test_out_of_range_value_rejected(self, tmp_path):
         cfgp = write_doc(tmp_path, tiny_doc())
         assert main(["sweep", "--config", cfgp, "--axis", "r", "--values", "99"]) == 2
+
+    def test_non_integer_value_rejected(self, tmp_path, capsys):
+        cfgp = write_doc(tmp_path, tiny_doc())
+        out = str(tmp_path / "sw" / "s")
+        assert main(["sweep", "--config", cfgp, "--axis", "r", "--values", "10,x",
+                     "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: --values")
+        assert not (tmp_path / "sw").exists()
 
 
 class TestBoundsCommand:
@@ -181,6 +214,13 @@ class TestPowerCommand:
         rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()]
         table = {r[0]: [float(v) for v in r[1:]] for r in rows[1:]}
         assert table["uplink"] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("K, E", [("0", "5"), ("5", "0"), ("-1", "5")])
+    def test_degenerate_horizon_exits_2(self, capsys, K, E):
+        assert main(["power", K, E]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: power: need K >= 1 and E >= 1")
+        assert captured.out == ""
 
 
 class TestBcdDemoCommand:

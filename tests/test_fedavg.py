@@ -1,6 +1,7 @@
 """Federated loop mechanics: rates, sampling, degeneracy, determinism, SGD."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from noisyfed import backend
 from noisyfed.channel import NoiseSchedule
-from noisyfed.config import preset
+from noisyfed.config import parse_config, preset
 from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
                            generate_regression, partition_iid, sample_batch)
-from noisyfed.experiment import build_task, run_one_seed
-from noisyfed.fedavg import (FedAvgConfig, _global_metrics, _metric_inputs, client_sample,
-                             learning_rate, min_rounds, run_noisy_fedavg, run_noisy_sgd,
-                             sample_kstar)
+from noisyfed.experiment import build_task, run_one_seed, run_sweep, sweep_variants
+from noisyfed.fedavg import (_BATCH, _SAMPLE, FedAvgConfig, _global_metrics, _metric_inputs,
+                             _stream, client_sample, learning_rate, min_rounds, round_draws,
+                             run_noisy_fedavg, run_noisy_sgd, sample_kstar)
 from noisyfed.model import LossModel, full_gradient, loss, smoothness_constant
 
 
@@ -327,6 +328,113 @@ class TestQuadraticMetrics:
         res = run_noisy_fedavg(cfg, model, partition, dataset)
         f_ref, _ = row_metrics(model, dataset, partition, res.final_params)
         assert res.final_loss == pytest.approx(f_ref, rel=1e-10, abs=0.0)
+
+
+def assert_same_run(a, b):
+    assert np.array_equal(a.final_params, b.final_params)
+    assert a.metrics == b.metrics
+    assert (a.k_star, a.status, a.diverged_at, a.final_loss) == \
+        (b.k_star, b.status, b.diverged_at, b.final_loss)
+
+
+def sweep_config(uplink_std=0.2):
+    return parse_config(json.dumps({
+        "task": "regression_v5a",
+        "data": {"m": 603, "d": 6, "seed": 3, "label_noise_variance": 0.05},
+        "fedavg": {"n": 10, "r": 4, "E": 2, "K": 8, "gamma": 18.0, "batch_size": 8},
+        "uplink": {"kind": "constant", "base_std": uplink_std},
+        "downlink": {"kind": "constant", "base_std": 0.2},
+        "repeat_seeds": [1, 2, 5],
+    }))
+
+
+class TestSharedDraws:
+    """Runs given round_draws against runs that draw their own rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["mse_linear", "softmax_linear"]), n=st.integers(2, 8),
+           per=st.integers(3, 12), extra=st.integers(0, 7), d=st.integers(1, 3),
+           r_frac=st.floats(0.0, 1.0), b_frac=st.floats(0.0, 1.0), E=st.integers(1, 3),
+           K=st.integers(1, 4), up=st.booleans(), dn=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_shared_draws_reproduce_own_draws(self, kind, n, per, extra, d, r_frac, b_frac,
+                                              E, K, up, dn, seed):
+        m = n * per + extra % n  # ragged shards of per and per + 1 rows
+        if kind == "mse_linear":
+            ds = generate_regression(SyntheticRegressionSpec(m=m, d=d), seed=seed)
+            probe = LossModel(kind, dim=d)
+        else:
+            ds = generate_classification(m, d, 3, 3.0, seed)
+            probe = LossModel(kind, dim=3 * d, n_classes=3)
+        model = dataclasses.replace(probe, smoothness=smoothness_constant(probe, ds.X))
+        partition = partition_iid(m, n, seed)
+        cfg = FedAvgConfig(n=n, r=1 + round(r_frac * (n - 1)), E=E, K=K, gamma=18.0,
+                           batch_size=1 + round(b_frac * (per - 1)), seed=seed,
+                           uplink=NoiseSchedule("uplink", "constant", 0.1) if up
+                           else NoiseSchedule("uplink"),
+                           downlink=NoiseSchedule("downlink", "constant", 0.1) if dn
+                           else NoiseSchedule("downlink"))
+        # draws built for the noise-free twin, as a sweep builds them
+        quiet = dataclasses.replace(cfg, uplink=NoiseSchedule("uplink"),
+                                    downlink=NoiseSchedule("downlink"))
+        draws = round_draws(quiet, partition)
+        assert draws.cohorts.shape == (K, cfg.r)
+        assert draws.batches.shape == (K, cfg.r, E, cfg.batch_size)
+        assert_same_run(run_noisy_fedavg(cfg, model, partition, ds, draws=draws),
+                        run_noisy_fedavg(cfg, model, partition, ds))
+
+    def test_draws_come_from_the_keyed_streams(self):
+        partition = partition_iid(1003, 16, seed=5)  # ragged: shards of 62 and 63 rows
+        cfg = FedAvgConfig(n=16, r=5, E=3, K=4, gamma=18.0, batch_size=8, seed=9)
+        draws = round_draws(cfg, partition)
+        for k in range(cfg.K):
+            cohort = client_sample(16, 5, _stream(9, k, 0, _SAMPLE))
+            assert np.array_equal(draws.cohorts[k], cohort)
+            for j, i in enumerate(cohort):
+                rows = client_batches(partition.shards[i].size, 8, 3, _stream(9, k, i, _BATCH))
+                assert np.array_equal(draws.batches[k, j], rows)
+
+    @pytest.mark.parametrize("change", [dict(seed=1), dict(r=2), dict(E=2), dict(K=4),
+                                        dict(batch_size=8), "shard sizes"],
+                             ids=["seed", "r", "E", "K", "batch_size", "shard_sizes"])
+    def test_draws_for_another_run_rejected(self, tiny_task, change):
+        ds, model, partition = tiny_task
+        cfg = tiny_config(r=3, E=1, batch_size=10)
+        if change == "shard sizes":
+            draws = round_draws(cfg, partition_iid(301, 6, seed=21))
+        else:
+            draws = round_draws(dataclasses.replace(cfg, **change), partition)
+        with pytest.raises(ValueError, match="draws"):
+            run_noisy_fedavg(cfg, model, partition, ds, draws=draws)
+
+    def test_sweep_table_equals_unshared_runs(self, tmp_path):
+        cfg = sweep_config()
+        out = run_sweep(cfg, "r", [2, 4], out_prefix=str(tmp_path / "s"))
+        dataset, model, partition = build_task(cfg)
+        for v in (2, 4):
+            base = dataclasses.replace(cfg, fedavg=dataclasses.replace(cfg.fedavg, r=v))
+            for name, variant in sweep_variants(base).items():
+                runs = [run_one_seed(variant, dataset, model, partition, s)
+                        for s in cfg.repeat_seeds]
+                assert out["table"][v][name] == float(np.mean([r.final_loss for r in runs]))
+
+    def test_diverging_variant_leaves_the_others_alone(self):
+        cfg = sweep_config(uplink_std=1e13)  # the uplink-only variant blows up at round 0
+        dataset, model, partition = build_task(cfg)
+        seed = cfg.repeat_seeds[0]
+        draws = round_draws(cfg.fedavg_config(seed), partition)
+        shared = {name: run_one_seed(variant, dataset, model, partition, seed, draws=draws)
+                  for name, variant in sweep_variants(cfg).items()}
+        assert shared["uplink_only"].status == "diverged"
+        for name, variant in sweep_variants(cfg).items():
+            assert_same_run(shared[name], run_one_seed(variant, dataset, model, partition, seed))
+
+    def test_sgd_mode_takes_no_draws(self, tiny_task):
+        ds, model, partition = tiny_task
+        sgd_cfg = dataclasses.replace(preset("v5a_noise_free"), mode="sgd")
+        with pytest.raises(ValueError, match="fedavg"):
+            run_one_seed(sgd_cfg, ds, model, partition, 1,
+                         draws=round_draws(tiny_config(), partition))
 
 
 class TestRunNoisySgd:
