@@ -14,7 +14,6 @@ Everything here is a pure function of (spec, seed).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,31 +178,3 @@ def sample_batch(shard: np.ndarray, batch_size: int, rng: np.random.Generator) -
     pick = rng.choice(shard.size, size=batch_size, replace=False)
     return shard[pick]
 
-
-def dump_csv(dataset: Dataset, path) -> None:
-    """Write the dataset as CSV with header f0..f{d-1},target."""
-    d = dataset.dim
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"f{j}" for j in range(d)] + ["target"])
-        for i in range(len(dataset)):
-            row = [f"{v:.12g}" for v in dataset.X[i]]
-            if dataset.kind == "regression":
-                row.append(f"{dataset.y[i]:.12g}")
-            else:
-                row.append(str(int(dataset.y[i])))
-            w.writerow(row)
-
-
-def load_csv(path, kind: str = "regression", n_classes: int = 0) -> Dataset:
-    """Read a dataset written by dump_csv."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    d = len(header) - 1
-    X = np.array([[float(v) for v in r[:d]] for r in body])
-    if kind == "regression":
-        y = np.array([float(r[d]) for r in body])
-    else:
-        y = np.array([int(r[d]) for r in body], dtype=np.int64)
-    return Dataset(kind=kind, X=X, y=y, n_classes=n_classes)

@@ -4,7 +4,10 @@ One communication round: the server broadcasts the model through a noisy
 downlink (a single corrupted transmission per round, heard identically by
 the r sampled clients), each client runs E local mini-batch SGD steps and
 transmits its update through its own noisy uplink, and the server averages
-what it receives against its own copy of the model. With both channels off,
+what it receives against its own copy of the model. The r clients of a
+round step side by side in one ``backend.local_steps`` call, on batch rows
+mapped from each client's shard to dataset rows; each client's result is
+bit-identical to stepping it alone on its shard. With both channels off,
 E = 1, full participation, and full batches, the loop reduces bit-exactly
 to centralized gradient descent.
 
@@ -270,6 +273,9 @@ def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
     shard_y = [np.ascontiguousarray(dataset.y[s]) for s in partition.shards]
     inputs = _metric_inputs(loss_model, shard_X, shard_y)
     local_rows = _local_rows(partition)
+    # client i's local row j is dataset row row_map[offsets[i] + j]
+    row_map = np.concatenate(partition.shards)
+    offsets = np.cumsum([0] + [len(s) for s in partition.shards[:-1]], dtype=np.int64)
 
     w = np.zeros(d)
     metrics: list[RoundMetrics] = []
@@ -299,20 +305,18 @@ def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
         else:
             w_recv = w
 
-        accs = []
+        w_ends, accs = backend.local_steps(loss_model.kind, dataset.X, dataset.y, w_recv, eta,
+                                           row_map[offsets[selected, None, None] + batches],
+                                           loss_model.n_classes)
         noises = []
         up_snrs = []
-        for j, i in enumerate(selected):
-            i = int(i)
-            w_end, acc = backend.local_steps(loss_model.kind, shard_X[i], shard_y[i],
-                                             w_recv, eta, batches[j], loss_model.n_classes)
-            accs.append(acc)
-            if v_up > 0:
-                noises.append(_stream(seed, k, i, _UPLINK).standard_normal(d) * np.sqrt(v_up))
+        if v_up > 0:
+            for i, w_end in zip(selected, w_ends):
+                noises.append(_stream(seed, k, int(i), _UPLINK).standard_normal(d) * np.sqrt(v_up))
                 delta = w_recv - w_end
                 up_snrs.append(float(delta @ delta) / (d * v_up))
 
-        w_next = w_recv - eta * np.mean(np.stack(accs), axis=0)
+        w_next = w_recv - eta * np.mean(accs, axis=0)
         if noises:
             w_next = w_next + np.mean(np.stack(noises), axis=0)
 

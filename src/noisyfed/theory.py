@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import backend
 from .data import Dataset, ClientPartition, sample_batch
-from .model import LossModel, full_gradient, gradient
+from .model import LossModel, full_gradient
 
 
 def zeta(eta: float, L: float, E: float, n: int, r: int) -> float:
@@ -215,12 +216,14 @@ def empirical_sigma2(loss_model: LossModel, dataset: Dataset, partition: ClientP
         Xs, ys = dataset.X[shard], dataset.y[shard]
         local = np.arange(shard.size, dtype=np.int64)
         for w in probe_params:
+            # validates w and the shard, so every trial batch drawn from it
             ref = full_gradient(loss_model, w, Xs, ys)
+            rows = np.stack([sample_batch(local, batch_size, rng) for _ in range(trials)])
+            diffs = backend.stacked_gradient(loss_model.kind, Xs[rows], ys[rows],
+                                             np.asarray(w, dtype=np.float64),
+                                             loss_model.n_classes) - ref
             acc = 0.0
-            for _ in range(trials):
-                b = sample_batch(local, batch_size, rng)
-                gb = gradient(loss_model, w, Xs[b], ys[b])
-                diff = gb - ref
+            for diff in diffs:
                 acc += float(diff @ diff)
             worst = max(worst, acc / trials)
     return 1.5 * worst

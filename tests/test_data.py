@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from noisyfed.data import (ClientPartition, SyntheticRegressionSpec, dump_csv,
-                           generate_classification, generate_regression, load_csv,
+from noisyfed.data import (ClientPartition, SyntheticRegressionSpec,
+                           generate_classification, generate_regression,
                            partition_iid, partition_label_shard, sample_batch)
 from noisyfed.model import LossModel, full_gradient, loss, smoothness_constant
 
@@ -83,6 +83,10 @@ class TestIidPartition:
             assert part.covers(101)
             assert all(s.size > 0 for s in part.shards)
 
+    def test_partition_rejects_overlap(self):
+        with pytest.raises(ValueError):
+            ClientPartition(shards=[np.array([0, 1]), np.array([1, 2])])
+
     def test_too_few_examples_rejected(self):
         with pytest.raises(ValueError):
             partition_iid(3, 5, seed=0)
@@ -143,16 +147,3 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             sample_batch(np.arange(3), 4, np.random.default_rng(0))
 
-
-class TestCsvRoundTrip:
-    def test_regression_round_trip(self, tmp_path):
-        ds = generate_regression(SyntheticRegressionSpec(m=20, d=3), seed=8)
-        path = tmp_path / "ds.csv"
-        dump_csv(ds, path)
-        back = load_csv(path, kind="regression")
-        np.testing.assert_allclose(back.X, ds.X, rtol=1e-11)
-        np.testing.assert_allclose(back.y, ds.y, rtol=1e-11)
-
-    def test_partition_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            ClientPartition(shards=[np.array([0, 1]), np.array([1, 2])])

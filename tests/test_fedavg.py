@@ -11,7 +11,8 @@ from noisyfed import backend
 from noisyfed.channel import NoiseSchedule
 from noisyfed.config import parse_config, preset
 from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
-                           generate_regression, partition_iid, sample_batch)
+                           generate_regression, partition_iid, partition_label_shard,
+                           sample_batch)
 from noisyfed.experiment import build_task, run_one_seed, run_sweep, sweep_variants
 from noisyfed.fedavg import (_BATCH, _SAMPLE, FedAvgConfig, _global_metrics, _metric_inputs,
                              _stream, client_sample, learning_rate, min_rounds, round_draws,
@@ -174,6 +175,42 @@ class TestLocalUpdate:
             w = w - eta * g
         assert np.array_equal(acc, acc_ref)
         assert np.array_equal(w1, w)
+
+
+class TestCohortSteps:
+    """A round's cohort stepped in one local_steps call, as run_noisy_fedavg steps it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["mse_linear", "softmax_linear"]), label_shard=st.booleans(),
+           n=st.integers(2, 8), per=st.integers(3, 12), extra=st.integers(0, 6),
+           d=st.integers(1, 5), r_frac=st.floats(0.0, 1.0), b_frac=st.floats(0.0, 1.0),
+           E=st.integers(1, 3), eta=st.floats(1e-4, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_cohort_equals_clients_stepped_alone(self, kind, label_shard, n, per, extra, d,
+                                                 r_frac, b_frac, E, eta, seed):
+        m = n * per + 1 + extra % (n - 1)  # m % n != 0: ragged iid shards
+        ds = generate_classification(m, d, 3, 3.0, seed)
+        partition = (partition_label_shard(ds, n, 2, seed) if label_shard
+                     else partition_iid(m, n, seed))
+        rng = np.random.default_rng(seed)
+        if kind == "mse_linear":
+            y, n_classes, dim = rng.standard_normal(m), 0, d
+        else:
+            y, n_classes, dim = ds.y, 3, 3 * d
+        w0 = rng.standard_normal(dim)
+        r = 1 + round(r_frac * (n - 1))
+        cohort = np.sort(rng.choice(n, size=r, replace=False))
+        b = 1 + round(b_frac * (min(s.size for s in partition.shards) - 1))
+        local = [client_batches(partition.shards[i].size, b, E, rng) for i in cohort]
+        rows = np.stack([partition.shards[i][loc] for i, loc in zip(cohort, local)])
+        w_ends, accs = backend.local_steps(kind, ds.X, y, w0, eta, rows, n_classes)
+        assert w_ends.shape == accs.shape == (r, dim)
+        for j, i in enumerate(cohort):
+            shard = partition.shards[i]
+            w1, acc = backend.local_steps(kind, np.ascontiguousarray(ds.X[shard]),
+                                          np.ascontiguousarray(y[shard]), w0, eta, local[j],
+                                          n_classes)
+            assert np.array_equal(w_ends[j], w1)
+            assert np.array_equal(accs[j], acc)
 
 
 def tiny_config(**overrides):

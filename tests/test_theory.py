@@ -200,3 +200,34 @@ class TestEmpiricalSigma2:
         v5 = empirical_sigma2(model, ds, part, [np.zeros(5)], 5, trials=600, seed=3)
         v20 = empirical_sigma2(model, ds, part, [np.zeros(5)], 20, trials=600, seed=4)
         assert 3.0 < v5 / v20 < 5.5
+
+    @pytest.mark.parametrize("kind", ["mse_linear", "softmax_linear"])
+    def test_equals_per_trial_gradient_loop_bitwise(self, kind):
+        from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
+                                   generate_regression, sample_batch)
+        from noisyfed.model import LossModel, full_gradient, gradient
+
+        if kind == "mse_linear":
+            ds = generate_regression(SyntheticRegressionSpec(m=103, d=4,
+                                                             label_noise_variance=0.1), 6)
+            model = LossModel(kind, dim=4)
+        else:
+            ds = generate_classification(103, 4, 3, 2.0, 6)
+            model = LossModel(kind, dim=12, n_classes=3)
+        part = partition_iid(103, 5, 6)  # ragged: shards of 20 and 21 rows
+        rng = np.random.default_rng(6)
+        probes = [np.zeros(model.dim), rng.standard_normal(model.dim)]
+        # the loop empirical_sigma2 stacks: one model.gradient call per trial batch
+        oracle = np.random.default_rng([6, 0x516])
+        worst = 0.0
+        for shard in part.shards:
+            Xs, ys = ds.X[shard], ds.y[shard]
+            for w in probes:
+                ref = full_gradient(model, w, Xs, ys)
+                acc = 0.0
+                for _ in range(7):
+                    b = sample_batch(np.arange(shard.size), 9, oracle)
+                    diff = gradient(model, w, Xs[b], ys[b]) - ref
+                    acc += float(diff @ diff)
+                worst = max(worst, acc / 7)
+        assert empirical_sigma2(model, ds, part, probes, 9, trials=7, seed=6) == 1.5 * worst
