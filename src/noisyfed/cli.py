@@ -31,7 +31,10 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed_override is not None and args.seed_override < 0:
         raise ConfigError(f"--seed-override must be >= 0, got {args.seed_override}")
-    summary = run_experiment(cfg, out_prefix=args.out, seed_override=args.seed_override)
+    try:
+        summary = run_experiment(cfg, out_prefix=args.out, seed_override=args.seed_override)
+    except ValueError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from exc
     fl = summary["final_loss"]
     print(f"wrote {summary['summary_file']}")
     print(f"final loss mean={_fmt(fl['mean'])} std={_fmt(fl['std'])} "
@@ -63,8 +66,10 @@ def _cmd_bounds(args) -> int:
     cfg = load_config(args.config)
     if cfg.mode != "fedavg":
         raise ConfigError(f"{args.config}: bounds apply to fedavg mode")
-    dataset, model, partition = build_task(cfg)
-    params = bound_inputs(cfg, dataset, model, partition)
+    try:
+        params = bound_inputs(cfg, *build_task(cfg))
+    except ValueError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from exc
     report = fedavg_error_bound(params)
     mr = min_rounds(cfg.fedavg.r, cfg.fedavg.gamma)
     pairs = [

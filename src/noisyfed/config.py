@@ -180,6 +180,11 @@ def parse_config(text: str, source: str = "config") -> ExperimentConfig:
             raise ConfigError(f"{source}:{_line_of(text, 'n_classes')}: classification needs n_classes >= 2")
         if dvals["m"] < dvals["n_classes"]:
             raise ConfigError(f"{source}:{_line_of(text, 'm')}: need m >= n_classes")
+        if dvals["d"] < 1:
+            raise ConfigError(f"{source}:{_line_of(text, 'd')}: need d >= 1")
+        if dvals["labels_per_client"] < 1:
+            raise ConfigError(f"{source}:{_line_of(text, 'labels_per_client')}: "
+                              "need labels_per_client >= 1")
     data = DataConfig(**dvals)
 
     fvals = _take(dict(top["fedavg"]), {

@@ -23,7 +23,10 @@ results identical to runs that draw their own.
 The reported train loss and gradient norm never feed back into training.
 For ``mse_linear`` both loops evaluate them in O(d^2) from per-client
 sufficient statistics built once per run, so they can differ from a
-row-by-row evaluation in the last digits; other kinds evaluate row by row.
+row-by-row evaluation in the last digits. For ``softmax_linear`` they come
+from one weighted forward pass over every shard's rows, concatenated and
+validated once per run, which can differ from a per-shard evaluation in
+the last digits as well.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ import numpy as np
 from . import backend
 from .channel import NoiseSchedule, variance_at
 from .data import Dataset, ClientPartition, sample_batch
-from .model import LossModel, loss
+from .model import LossModel, check_params, check_rows
+from .model import loss  # noqa: F401 (not called here; perfbench's hook table wraps fedavg.loss)
 from .theory import zeta
 
 DIVERGENCE_NORM = 1e12
@@ -196,10 +200,19 @@ def _metric_inputs(loss_model, shard_X, shard_y):
     For mse_linear: the client means A = mean_i X_i^T X_i / m_i,
     b = mean_i X_i^T y_i / m_i and c = mean_i y_i^T y_i / m_i. They are
     unweighted over clients, like the metrics, so ragged shards need no
-    special care. Other kinds keep the shards themselves.
+    special care.
+
+    For softmax_linear: every shard's rows back to back, their int64 labels
+    and a per-row weight 1/(n m_i), m_i the size of the row's shard, so one
+    weighted pass over all rows gives the unweighted mean over clients. Each
+    shard's shape and label range are checked here, once per run.
     """
     if loss_model.kind != "mse_linear":
-        return shard_X, shard_y
+        shards = [check_rows(loss_model, X, y) for X, y in zip(shard_X, shard_y)]
+        sizes = np.array([y.shape[0] for _, y in shards])
+        weights = np.repeat(1.0 / (len(shards) * sizes), sizes)
+        return (np.concatenate([X for X, _ in shards]),
+                np.concatenate([y for _, y in shards]), weights)
     d = loss_model.dim
     A, b, c = np.zeros((d, d)), np.zeros(d), 0.0
     for X, y in zip(shard_X, shard_y):
@@ -217,22 +230,18 @@ def _global_metrics(loss_model, inputs, w):
     ``inputs`` comes from _metric_inputs. For mse_linear both are quadratic
     forms in w: loss = (w^T A w - 2 b^T w + c) / 2 and gradient A w - b, an
     O(d^2) evaluation that can differ from a row-by-row one in the last
-    digits. Other kinds average model.loss and model.full_gradient over the
-    shards.
+    digits. For softmax_linear one backend.softmax_loss_and_gradient pass
+    over all shard rows, weighted 1/(n m_i); ``w`` must be finite.
     """
     if loss_model.kind == "mse_linear":
         A, b, c = inputs
         Aw = A @ w
         g = Aw - b
         return 0.5 * (float(w @ Aw) - 2.0 * float(b @ w) + c), float(g @ g)
-    from .model import full_gradient  # local import keeps module load light
-    losses = []
-    grads = []
-    for Xs, ys in zip(*inputs):
-        losses.append(loss(loss_model, w, Xs, ys))
-        grads.append(full_gradient(loss_model, w, Xs, ys))
-    g = np.mean(np.stack(grads), axis=0)
-    return float(np.mean(losses)), float(g @ g)
+    X, y, weights = inputs
+    f, g = backend.softmax_loss_and_gradient(X, y, check_params(loss_model, w), weights,
+                                             loss_model.n_classes)
+    return f, float(g @ g)
 
 
 def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
@@ -269,9 +278,8 @@ def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
     d = loss_model.dim
     seed = config.seed
 
-    shard_X = [np.ascontiguousarray(dataset.X[s]) for s in partition.shards]
-    shard_y = [np.ascontiguousarray(dataset.y[s]) for s in partition.shards]
-    inputs = _metric_inputs(loss_model, shard_X, shard_y)
+    inputs = _metric_inputs(loss_model, [dataset.X[s] for s in partition.shards],
+                            [dataset.y[s] for s in partition.shards])
     local_rows = _local_rows(partition)
     # client i's local row j is dataset row row_map[offsets[i] + j]
     row_map = np.concatenate(partition.shards)

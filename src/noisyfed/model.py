@@ -58,13 +58,23 @@ class LossModel:
         return self.dim
 
 
-def _check_batch(model: LossModel, params, X, y):
+def check_params(model: LossModel, params) -> np.ndarray:
+    """params as a float64 vector; ValueError on a wrong length or non-finite entries."""
     params = np.asarray(params, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
     if params.ndim != 1 or params.shape[0] != model.dim:
         raise ValueError(f"params must be a length-{model.dim} vector")
     if not np.isfinite(params).all():
         raise ValueError("params contain non-finite entries")
+    return params
+
+
+def check_rows(model: LossModel, X, y):
+    """(X, y) as float64 rows and float64 targets or int64 labels.
+
+    ValueError unless X is a non-empty (m, n_features) array, y has length
+    m, and every label lies in [0, n_classes).
+    """
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("batch must be a non-empty (m, d) array")
     if X.shape[1] != model.n_features:
@@ -77,26 +87,26 @@ def _check_batch(model: LossModel, params, X, y):
             raise ValueError("class labels out of range")
     if y.shape != (X.shape[0],):
         raise ValueError("targets must match the batch length")
-    return params, X, y
+    return X, y
 
 
 def loss(model: LossModel, params, X, y) -> float:
     """Mean per-sample loss over the batch."""
-    params, X, y = _check_batch(model, params, X, y)
+    params = check_params(model, params)
+    X, y = check_rows(model, X, y)
+    m = X.shape[0]
     if model.kind == "mse_linear":
         r = X @ params - y
-        return 0.5 * float(r @ r) / X.shape[0]
-    W = params.reshape(model.n_classes, model.n_features)
-    z = X @ W.T
-    z -= z.max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(z).sum(axis=1))
-    picked = z[np.arange(X.shape[0]), y]
-    return float(np.mean(logsum - picked))
+        return 0.5 * float(r @ r) / m
+    f, _ = backend.softmax_loss_and_gradient(X, y, params, np.full(m, 1.0 / m),
+                                             model.n_classes)
+    return f
 
 
 def gradient(model: LossModel, params, X, y) -> np.ndarray:
     """Mean gradient over the batch, through backend.batch_gradient."""
-    params, X, y = _check_batch(model, params, X, y)
+    params = check_params(model, params)
+    X, y = check_rows(model, X, y)
     idx = np.arange(X.shape[0], dtype=np.int64)
     return backend.batch_gradient(model.kind, X, y, params, idx, model.n_classes)
 

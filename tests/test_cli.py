@@ -149,6 +149,43 @@ class TestRunCommand:
         assert rows[-1].endswith(",1")  # sentinel row carries the diverged flag
 
 
+def classification_doc(block, key, value):
+    doc = preset_documents()["classification_noniid"]
+    doc[block] = dict(doc[block], **{key: value})
+    return doc
+
+
+class TestBadClassificationInput:
+    """Inputs that used to escape as a traceback: exit 2, an error line, no outputs."""
+
+    @pytest.mark.parametrize("block, key, value, message", [
+        ("data", "d", 0, "need d >= 1"),
+        ("data", "labels_per_client", 0, "need labels_per_client >= 1"),
+        ("data", "labels_per_client", 200, "too few examples to slice"),
+        ("fedavg", "batch_size", 500, "batch_size exceeds a client shard"),
+    ])
+    def test_run_exits_2(self, tmp_path, capsys, block, key, value, message):
+        cfgp = write_doc(tmp_path, classification_doc(block, key, value))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfgp, "--out", str(out / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfgp}:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["d", "labels_per_client"])
+    def test_parse_reports_the_line(self, key):
+        text = json.dumps(classification_doc("data", key, 0), indent=1)
+        with pytest.raises(ConfigError, match=rf"need {key} >= 1") as info:
+            parse_config(text)
+        line = int(str(info.value).split(":")[1])
+        assert f'"{key}"' in text.splitlines()[line - 1]
+
+    def test_bounds_exits_2(self, tmp_path, capsys):
+        cfgp = write_doc(tmp_path, classification_doc("data", "labels_per_client", 200))
+        assert main(["bounds", "--config", cfgp]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfgp}:")
+
+
 class TestSweepCommand:
     def test_single_value_degenerates_to_three_runs(self, tmp_path):
         cfgp = write_doc(tmp_path, tiny_doc())

@@ -367,6 +367,80 @@ class TestQuadraticMetrics:
         assert res.final_loss == pytest.approx(f_ref, rel=1e-10, abs=0.0)
 
 
+def softmax_case(m, d, C, seed):
+    dataset = generate_classification(m, d, C, 2.0, seed)
+    return dataset, LossModel("softmax_linear", dim=C * d, n_classes=C)
+
+
+def shard_inputs(model, dataset, partition):
+    return _metric_inputs(model, [dataset.X[s] for s in partition.shards],
+                          [dataset.y[s] for s in partition.shards])
+
+
+class TestSoftmaxMetrics:
+    """The one-pass softmax metrics against the per-shard row_metrics oracle."""
+
+    @pytest.mark.parametrize("split", ["label_shard", "iid"])
+    def test_ragged_shards(self, split):
+        dataset, model = softmax_case(1003, 5, 4, seed=8)
+        if split == "label_shard":
+            partition = partition_label_shard(dataset, 6, 2, seed=9)
+        else:
+            partition = partition_iid(1003, 16, seed=9)
+        assert len({s.size for s in partition.shards}) > 1
+        inputs = shard_inputs(model, dataset, partition)
+        rng = np.random.default_rng(10)
+        for w in (np.zeros(model.dim), rng.standard_normal(model.dim),
+                  10.0 * rng.standard_normal(model.dim)):
+            f, g2 = _global_metrics(model, inputs, w)
+            f_ref, g2_ref = row_metrics(model, dataset, partition, w)
+            assert f == pytest.approx(f_ref, rel=1e-12, abs=0.0)
+            assert g2 == pytest.approx(g2_ref, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), extra=st.integers(0, 60), d=st.integers(1, 6),
+           C=st.integers(2, 5), log_scale=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_row_path(self, n, extra, d, C, log_scale, seed):
+        m = C + extra
+        n = min(n, m)
+        dataset, model = softmax_case(m, d, C, seed)
+        partition = partition_iid(m, n, seed)
+        w = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal(model.dim)
+        f, g2 = _global_metrics(model, shard_inputs(model, dataset, partition), w)
+        f_ref, g2_ref = row_metrics(model, dataset, partition, w)
+        assert f == pytest.approx(f_ref, rel=1e-12, abs=0.0)
+        # the mean gradient can cancel; |residual| <= 2 bounds every row's term
+        # by 2 |x|, so that bound squared scales the absolute rounding error
+        scale = 4.0 * float(np.max(np.sum(dataset.X ** 2, axis=1)))
+        assert g2 == pytest.approx(g2_ref, rel=1e-12, abs=1e-12 * scale)
+
+    def test_bad_labels_rejected_when_built(self):
+        dataset, model = softmax_case(40, 3, 2, seed=1)
+        y = dataset.y.copy()
+        y[7] = 2
+        with pytest.raises(ValueError, match="labels"):
+            _metric_inputs(model, [dataset.X[:20], dataset.X[20:]], [y[:20], y[20:]])
+        with pytest.raises(ValueError):
+            _metric_inputs(model, [dataset.X[:20, :2]], [dataset.y[:20]])
+
+    def test_bad_params_rejected_when_evaluated(self):
+        dataset, model = softmax_case(40, 3, 2, seed=1)
+        inputs = _metric_inputs(model, [dataset.X], [dataset.y])
+        for w in (np.full(model.dim, np.nan), np.zeros(model.dim + 1)):
+            with pytest.raises(ValueError, match="params"):
+                _global_metrics(model, inputs, w)
+
+    def test_sgd_final_loss(self):
+        dataset, probe = softmax_case(300, 4, 3, seed=2)
+        model = LossModel("softmax_linear", dim=12, n_classes=3,
+                          smoothness=smoothness_constant(probe, dataset.X))
+        res = run_noisy_sgd(model, dataset, 0.1, 15, 20, NoiseSchedule("uplink"),
+                            NoiseSchedule("downlink", "constant", 0.1), seed=3)
+        f_ref = loss(model, res.final_params, dataset.X, dataset.y)
+        assert res.final_loss == pytest.approx(f_ref, rel=1e-12, abs=0.0)
+
+
 def assert_same_run(a, b):
     assert np.array_equal(a.final_params, b.final_params)
     assert a.metrics == b.metrics
