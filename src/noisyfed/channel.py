@@ -1,4 +1,4 @@
-"""Channel noise schedules, Gaussian perturbation, SNR and power accounting.
+"""Channel noise schedules, Gaussian perturbation and power accounting.
 
 A schedule maps a communication round k to a per-coordinate noise variance.
 ``poly_decay`` divides the base variance by (k+1)**p, so round 0 is always
@@ -19,10 +19,6 @@ import numpy as np
 
 DIRECTIONS = ("uplink", "downlink")
 KINDS = ("off", "constant", "poly_decay")
-
-
-class UndefinedSnrError(ValueError):
-    """SNR requested with non-positive noise power."""
 
 
 class InfiniteBudgetError(ValueError):
@@ -78,18 +74,6 @@ def perturb(vector: np.ndarray, variance: float, rng: np.random.Generator) -> np
     if variance == 0.0:
         return vector.copy()
     return vector + rng.standard_normal(vector.shape) * np.sqrt(variance)
-
-
-def measured_snr(signal_power: float, noise_power: float) -> float:
-    """signal_power / noise_power; noise power must be positive.
-
-    Callers supply the expected squared signal norm (the broadcast model for
-    downlink, the transmitted update for uplink) and the expected squared
-    noise norm, i.e. dimension times the per-coordinate variance.
-    """
-    if noise_power <= 0:
-        raise UndefinedSnrError("noise power must be positive")
-    return float(signal_power) / float(noise_power)
 
 
 def power_budget(schedule: NoiseSchedule, K: int, E: int = 1) -> float:

@@ -19,8 +19,7 @@ import sys
 from .config import ConfigError, load_config
 from .channel import compare_policies
 from .experiment import bound_inputs, build_task, run_experiment, run_sweep
-from .fedavg import min_rounds
-from .theory import bcd_gap, bcd_witness, fedavg_error_bound
+from .theory import bcd_gap, bcd_witness, fedavg_error_bound, min_rounds
 
 
 def _fmt(x) -> str:
@@ -67,7 +66,7 @@ def _cmd_bounds(args) -> int:
     if cfg.mode != "fedavg":
         raise ConfigError(f"{args.config}: bounds apply to fedavg mode")
     try:
-        params = bound_inputs(cfg, *build_task(cfg))
+        params = bound_inputs(cfg, build_task(cfg))
     except ValueError as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc
     report = fedavg_error_bound(params)

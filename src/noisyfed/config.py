@@ -89,8 +89,8 @@ def _take(block: dict, allowed: dict, where: str, text: str, source: str) -> dic
             val = block.pop(key)
             if types is float and isinstance(val, int) and not isinstance(val, bool):
                 val = float(val)
-            bad = not isinstance(val, types) or (isinstance(val, bool) and types is int)
-            if bad:
+            kinds = types if isinstance(types, tuple) else (types,)
+            if not isinstance(val, kinds) or (isinstance(val, bool) and bool not in kinds):
                 raise ConfigError(f"{source}:{_line_of(text, key)}: {where}.{key} has wrong type")
             out[key] = val
         elif required:

@@ -20,21 +20,20 @@ import numpy as np
 from . import fedavg
 from .channel import NoiseSchedule, variance_at
 from .config import ExperimentConfig, with_schedules
-from .data import (Dataset, ClientPartition, SyntheticRegressionSpec,
-                   generate_classification, generate_regression,
+from .data import (SyntheticRegressionSpec, generate_classification, generate_regression,
                    partition_iid, partition_label_shard)
-from .fedavg import RunResult, learning_rate, min_rounds, run_noisy_fedavg, run_noisy_sgd, zeta
+from .fedavg import RunResult, Task, kstar_weights, run_noisy_fedavg, run_noisy_sgd, step_size
 from .model import LossModel, loss, smoothness_constant
-from .theory import TheoryParams, empirical_sigma2, fedavg_error_bound
+from .theory import TheoryParams, empirical_sigma2, fedavg_error_bound, min_rounds
 
 SWEEP_VARIANTS = ("noise_free", "uplink_only", "downlink_only")
 
 
-def build_task(cfg: ExperimentConfig):
-    """Materialize (dataset, loss model, partition) for a config.
+def build_task(cfg: ExperimentConfig) -> Task:
+    """Materialize the Task (dataset, loss model, partition) of a config.
 
     The dataset and partition depend only on the data seed, so repeat seeds
-    share them and vary only client sampling, batches, and channel draws.
+    share one Task and vary only client sampling, batches, and channel draws.
     """
     d = cfg.data
     if cfg.task == "regression_v5a":
@@ -57,20 +56,19 @@ def build_task(cfg: ExperimentConfig):
             partition = partition_label_shard(dataset, cfg.fedavg.n, d.labels_per_client, d.seed)
         else:
             partition = partition_iid(d.m, cfg.fedavg.n, d.seed)
-    return dataset, model, partition
+    return Task(dataset, model, partition)
 
 
-def run_one_seed(cfg: ExperimentConfig, dataset: Dataset, model: LossModel,
-                 partition: ClientPartition, seed: int,
+def run_one_seed(cfg: ExperimentConfig, task: Task, seed: int,
                  draws: fedavg.RoundDraws | None = None) -> RunResult:
     """One repeat seed's run; fedavg runs may take shared ``draws``."""
     if cfg.mode == "sgd":
         if draws is not None:
             raise ValueError("shared draws apply to fedavg mode")
         s = cfg.sgd
-        return run_noisy_sgd(model, dataset, s.eta, s.T, s.batch_size,
+        return run_noisy_sgd(task.model, task.dataset, s.eta, s.T, s.batch_size,
                              cfg.uplink, cfg.downlink, seed)
-    return run_noisy_fedavg(cfg.fedavg_config(seed), model, partition, dataset, draws=draws)
+    return run_noisy_fedavg(cfg.fedavg_config(seed), task, draws=draws)
 
 
 def _fmt(x) -> str:
@@ -93,11 +91,8 @@ def metrics_csv_text(metrics) -> str:
 def _pweighted_grad(result: RunResult, zeta_value: float, K: int) -> float | None:
     if result.status != "completed":
         return None
-    logw = (K - 1 - np.arange(K)) * np.log1p(zeta_value)
-    w = np.exp(logw - logw.max())
-    w /= w.sum()
     g2 = np.array([m.grad_norm_sq for m in result.metrics])
-    return float(w @ g2)
+    return float(kstar_weights(zeta_value, K) @ g2)
 
 
 def schedule_power_sums(cfg: ExperimentConfig, dim: int) -> tuple[float, float]:
@@ -108,8 +103,7 @@ def schedule_power_sums(cfg: ExperimentConfig, dim: int) -> tuple[float, float]:
     return sum_u2, sum_n2
 
 
-def bound_inputs(cfg: ExperimentConfig, dataset: Dataset, model: LossModel,
-                 partition: ClientPartition, probe_params=None,
+def bound_inputs(cfg: ExperimentConfig, task: Task, probe_params=None,
                  trials: int = 20) -> TheoryParams:
     """Measured TheoryParams for the configured run (no simulation).
 
@@ -119,22 +113,16 @@ def bound_inputs(cfg: ExperimentConfig, dataset: Dataset, model: LossModel,
     Monte-Carlo variance estimate at the probe points (defaults to the start
     alone).
     """
-    fb = cfg.fedavg
+    fb, model = cfg.fedavg, task.model
     w0 = np.zeros(model.dim)
     probes = [w0] if probe_params is None else probe_params
-    shards = partition.shards
-    inputs = fedavg._metric_inputs(model, [dataset.X[s] for s in shards],
-                                   [dataset.y[s] for s in shards])
-    f0, _ = fedavg._global_metrics(model, inputs, w0)
-    sigma2 = empirical_sigma2(model, dataset, partition, probes, fb.batch_size,
+    f0, _ = fedavg._global_metrics(model, task.metric_inputs, w0)
+    sigma2 = empirical_sigma2(model, task.dataset, task.partition, probes, fb.batch_size,
                               trials, cfg.data.seed)
     sum_u2, sum_n2 = schedule_power_sums(cfg, model.dim)
-    eta = fb.learning_rate_override
-    if eta is None:
-        eta = learning_rate(fb.gamma, model.smoothness, fb.E, fb.r, fb.K)
     return TheoryParams(n=fb.n, r=fb.r, E=fb.E, K=fb.K, gamma=fb.gamma,
-                        L=model.smoothness, eta=eta, sigma2=sigma2, f0=f0,
-                        sum_U2=sum_u2, sum_N2=sum_n2)
+                        L=model.smoothness, eta=step_size(fb, model.smoothness),
+                        sigma2=sigma2, f0=f0, sum_U2=sum_u2, sum_N2=sum_n2)
 
 
 def run_experiment(cfg: ExperimentConfig, out_prefix: str | None = None,
@@ -145,8 +133,8 @@ def run_experiment(cfg: ExperimentConfig, out_prefix: str | None = None,
     """
     prefix = out_prefix or cfg.out_prefix
     seeds = [seed_override] if seed_override is not None else list(cfg.repeat_seeds)
-    dataset, model, partition = build_task(cfg)
-    results = [run_one_seed(cfg, dataset, model, partition, s) for s in seeds]
+    task = build_task(cfg)
+    results = [run_one_seed(cfg, task, s) for s in seeds]
 
     outdir = os.path.dirname(prefix)
     if outdir:
@@ -182,11 +170,10 @@ def run_experiment(cfg: ExperimentConfig, out_prefix: str | None = None,
         summary["min_rounds"] = mr
         summary["K_meets_min_rounds"] = fb.K >= mr
     if theory_eta:
-        probes = [np.zeros(model.dim)] + [r.final_params for r in results]
-        params = bound_inputs(cfg, dataset, model, partition, probes)
+        probes = [np.zeros(task.model.dim)] + [r.final_params for r in results]
+        params = bound_inputs(cfg, task, probes)
         report = fedavg_error_bound(params)
-        z = zeta(results[0].eta, model.smoothness, fb.E, fb.n, fb.r)
-        pweighted = {str(s): _pweighted_grad(r, z, fb.K) for s, r in zip(seeds, results)}
+        pweighted = {str(s): _pweighted_grad(r, report.zeta, fb.K) for s, r in zip(seeds, results)}
         vals = [v for v in pweighted.values() if v is not None]
         summary["bound_report"] = {
             "leading": report.leading,
@@ -210,18 +197,14 @@ def run_experiment(cfg: ExperimentConfig, out_prefix: str | None = None,
     return summary
 
 
-def _off(direction):
-    return NoiseSchedule(direction)
-
-
 def sweep_variants(cfg: ExperimentConfig):
     """The three channel variants a sweep compares."""
     if cfg.uplink.off or cfg.downlink.off:
         raise ValueError("sweep base config must define both channel schedules")
     return {
-        "noise_free": with_schedules(cfg, _off("uplink"), _off("downlink")),
-        "uplink_only": with_schedules(cfg, cfg.uplink, _off("downlink")),
-        "downlink_only": with_schedules(cfg, _off("uplink"), cfg.downlink),
+        "noise_free": with_schedules(cfg, NoiseSchedule("uplink"), NoiseSchedule("downlink")),
+        "uplink_only": with_schedules(cfg, cfg.uplink, NoiseSchedule("downlink")),
+        "downlink_only": with_schedules(cfg, NoiseSchedule("uplink"), cfg.downlink),
     }
 
 
@@ -253,7 +236,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
     if outdir:
         os.makedirs(outdir, exist_ok=True)
 
-    dataset, model, partition = build_task(cfg)
+    task = build_task(cfg)
     rows = []
     table = {}
     for v in values:
@@ -262,9 +245,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
         variants = sweep_variants(base)
         finals = {name: [] for name in variants}
         for s in cfg.repeat_seeds:
-            draws = fedavg.round_draws(base.fedavg_config(s), partition)
+            draws = fedavg.round_draws(base.fedavg_config(s), task)
             for name, variant_cfg in variants.items():
-                res = run_one_seed(variant_cfg, dataset, model, partition, s, draws=draws)
+                res = run_one_seed(variant_cfg, task, s, draws=draws)
                 finals[name].append(res.final_loss)
             del draws  # hold one (value, seed)'s draws at a time
         means = {name: float(np.mean(fl)) for name, fl in finals.items()}

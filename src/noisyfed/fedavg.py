@@ -22,10 +22,10 @@ results identical to runs that draw their own.
 
 The reported train loss and gradient norm never feed back into training.
 For ``mse_linear`` both loops evaluate them in O(d^2) from per-client
-sufficient statistics built once per run, so they can differ from a
+sufficient statistics built once per task, so they can differ from a
 row-by-row evaluation in the last digits. For ``softmax_linear`` they come
 from one weighted forward pass over every shard's rows, concatenated and
-validated once per run, which can differ from a per-shard evaluation in
+validated once per task, which can differ from a per-shard evaluation in
 the last digits as well.
 """
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .channel import NoiseSchedule, variance_at
 from .data import Dataset, ClientPartition, sample_batch
 from .model import LossModel, check_params, check_rows
 from .model import loss  # noqa: F401 (not called here; perfbench's hook table wraps fedavg.loss)
-from .theory import zeta
+from .theory import learning_rate, min_rounds, zeta  # noqa: F401 (min_rounds: re-exported)
 
 DIVERGENCE_NORM = 1e12
 
@@ -54,21 +55,11 @@ def _stream(seed: int, k: int, i: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(k), int(i), int(purpose)])
 
 
-def learning_rate(gamma: float, L: float, E: int, r: int, K: int) -> float:
-    """Prescribed rate (1 / (gamma L E)) * sqrt(r / K)."""
-    if min(gamma, L) <= 0 or min(E, r, K) < 1:
-        raise ValueError("gamma, L must be positive and E, r, K >= 1")
-    return float(np.sqrt(r / K) / (gamma * L * E))
-
-
-def min_rounds(r: int, gamma: float) -> float:
-    """Smallest K for which the guarantee applies; singular at gamma <= 4."""
-    if gamma <= 4:
-        raise ValueError("gamma must exceed 4")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return max((1024.0 * r**3 / (9.0 * gamma**2)) * (1.0 / (gamma**2 - 16.0)) ** 2,
-               4.0 * r / gamma**2)
+def step_size(fb, L: float) -> float:
+    """The override of ``fb`` (a FedAvgConfig or fedavg block) if set, else the prescribed rate."""
+    if fb.learning_rate_override is not None:
+        return fb.learning_rate_override
+    return learning_rate(fb.gamma, L, fb.E, fb.r, fb.K)
 
 
 def client_sample(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -78,19 +69,21 @@ def client_sample(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(n, size=r, replace=False)).astype(np.int64)
 
 
-def sample_kstar(zeta_value: float, K: int, rng: np.random.Generator) -> int:
-    """Draw a round index from the geometric-weight distribution.
-
-    Weight of round k is (1 + zeta)^(K-1-k); computed through log1p with a
-    max shift so large K and zeta stay stable. zeta = 0 is uniform.
-    """
+def kstar_weights(zeta_value: float, K: int) -> np.ndarray:
+    """Round weights (1 + zeta)^(K-1-k) normalized to sum 1, through log1p with a
+    max shift so large K and zeta stay stable; zeta = 0 is uniform."""
     if zeta_value < 0:
         raise ValueError("zeta must be >= 0")
     if K < 1:
         raise ValueError("need K >= 1")
     logw = (K - 1 - np.arange(K)) * np.log1p(zeta_value)
     w = np.exp(logw - logw.max())
-    return int(rng.choice(K, p=w / w.sum()))
+    return w / w.sum()
+
+
+def sample_kstar(zeta_value: float, K: int, rng: np.random.Generator) -> int:
+    """Draw a round index from the kstar_weights distribution."""
+    return int(rng.choice(K, p=kstar_weights(zeta_value, K)))
 
 
 @dataclass(frozen=True)
@@ -142,6 +135,50 @@ class RunResult:
     final_loss: float               # loss at the final global model
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class Task:
+    """The dataset, loss model and covering partition every run of an invocation shares.
+
+    The rest is built on first use and read-only: client i's local rows
+    0..m_i-1 are dataset rows ``row_map[offsets[i] + local_rows[i]]``, and
+    ``metric_inputs`` is what _global_metrics evaluates from.
+    """
+    dataset: Dataset
+    model: LossModel
+    partition: ClientPartition
+
+    def __post_init__(self):
+        if not self.partition.covers(len(self.dataset)):
+            raise ValueError("partition must cover the dataset")
+
+    @cached_property
+    def shard_sizes(self) -> tuple:
+        return tuple(len(s) for s in self.partition.shards)
+
+    @cached_property
+    def local_rows(self) -> tuple:
+        return tuple(_read_only(np.arange(m, dtype=np.int64)) for m in self.shard_sizes)
+
+    @cached_property
+    def row_map(self) -> np.ndarray:
+        return _read_only(np.concatenate(self.partition.shards))
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return _read_only(np.cumsum((0,) + self.shard_sizes[:-1], dtype=np.int64))
+
+    @cached_property
+    def metric_inputs(self) -> tuple:
+        X, y, shards = self.dataset.X, self.dataset.y, self.partition.shards
+        inputs = _metric_inputs(self.model, [X[s] for s in shards], [y[s] for s in shards])
+        return tuple(_read_only(v) if isinstance(v, np.ndarray) else v for v in inputs)
+
+
 @dataclass(frozen=True)
 class RoundDraws:
     """Every round's cohort and local batch rows of one run, drawn up front.
@@ -155,16 +192,12 @@ class RoundDraws:
     batches: np.ndarray
 
 
-def _draws_key(config: FedAvgConfig, partition: ClientPartition) -> tuple:
+def _draws_key(config: FedAvgConfig, task: Task) -> tuple:
     return (config.seed, config.n, config.r, config.E, config.K, config.batch_size,
-            tuple(len(s) for s in partition.shards))
+            task.shard_sizes)
 
 
-def _local_rows(partition: ClientPartition) -> list:
-    return [np.arange(len(s), dtype=np.int64) for s in partition.shards]
-
-
-def _draw_round(config: FedAvgConfig, local_rows: list, k: int):
+def _draw_round(config: FedAvgConfig, local_rows: tuple, k: int):
     """Round k's cohort and its (r, E, b) sorted local batch rows, from the keyed streams."""
     seed, E = config.seed, config.E
     selected = client_sample(config.n, config.r, _stream(seed, k, 0, _SAMPLE))
@@ -177,25 +210,24 @@ def _draw_round(config: FedAvgConfig, local_rows: list, k: int):
     return selected, batches
 
 
-def round_draws(config: FedAvgConfig, partition: ClientPartition) -> RoundDraws:
-    """All K rounds' draws of the runs keyed like ``config`` on ``partition``.
+def round_draws(config: FedAvgConfig, task: Task) -> RoundDraws:
+    """All K rounds' draws of the runs keyed like ``config`` on ``task``.
 
     Channel schedules and the learning rate do not enter: runs that differ
     only in those consume the same draws.
     """
-    if partition.n_clients != config.n:
+    if task.partition.n_clients != config.n:
         raise ValueError("partition must have exactly n shards")
-    local_rows = _local_rows(partition)
     cohorts = np.empty((config.K, config.r), dtype=np.int64)
     batches = np.empty((config.K, config.r, config.E, config.batch_size), dtype=np.int64)
     for k in range(config.K):
-        cohorts[k], batches[k] = _draw_round(config, local_rows, k)
+        cohorts[k], batches[k] = _draw_round(config, task.local_rows, k)
     cohorts.flags.writeable = batches.flags.writeable = False  # shared by several runs
-    return RoundDraws(_draws_key(config, partition), cohorts, batches)
+    return RoundDraws(_draws_key(config, task), cohorts, batches)
 
 
 def _metric_inputs(loss_model, shard_X, shard_y):
-    """What _global_metrics evaluates from, built once per run.
+    """What _global_metrics evaluates from, built once per task.
 
     For mse_linear: the client means A = mean_i X_i^T X_i / m_i,
     b = mean_i X_i^T y_i / m_i and c = mean_i y_i^T y_i / m_i. They are
@@ -205,7 +237,7 @@ def _metric_inputs(loss_model, shard_X, shard_y):
     For softmax_linear: every shard's rows back to back, their int64 labels
     and a per-row weight 1/(n m_i), m_i the size of the row's shard, so one
     weighted pass over all rows gives the unweighted mean over clients. Each
-    shard's shape and label range are checked here, once per run.
+    shard's shape and label range are checked here, once per task.
     """
     if loss_model.kind != "mse_linear":
         shards = [check_rows(loss_model, X, y) for X, y in zip(shard_X, shard_y)]
@@ -244,8 +276,7 @@ def _global_metrics(loss_model, inputs, w):
     return f, float(g @ g)
 
 
-def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
-                     partition: ClientPartition, dataset: Dataset,
+def run_noisy_fedavg(config: FedAvgConfig, task: Task,
                      draws: RoundDraws | None = None) -> RunResult:
     """Run K communication rounds of noisy federated averaging.
 
@@ -258,32 +289,22 @@ def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
     when given (see round_draws), else are drawn round by round; the result
     is the same.
     """
-    if partition.n_clients != config.n:
+    if task.partition.n_clients != config.n:
         raise ValueError("partition must have exactly n shards")
-    if draws is not None and draws.key != _draws_key(config, partition):
+    if draws is not None and draws.key != _draws_key(config, task):
         raise ValueError("draws were built for a different seed, shape or partition")
-    if not partition.covers(len(dataset)):
-        raise ValueError("partition must cover the dataset")
+    loss_model, dataset = task.model, task.dataset
     if loss_model.smoothness is None:
         raise ValueError("loss_model.smoothness must be set (see smoothness_constant)")
-    for shard in partition.shards:
-        if config.batch_size > shard.size:
-            raise ValueError("batch_size exceeds a client shard")
+    if config.batch_size > min(task.shard_sizes):
+        raise ValueError("batch_size exceeds a client shard")
 
     n, r, E, K = config.n, config.r, config.E, config.K
     L = loss_model.smoothness
-    eta = config.learning_rate_override
-    if eta is None:
-        eta = learning_rate(config.gamma, L, E, r, K)
+    eta = step_size(config, L)
     d = loss_model.dim
     seed = config.seed
-
-    inputs = _metric_inputs(loss_model, [dataset.X[s] for s in partition.shards],
-                            [dataset.y[s] for s in partition.shards])
-    local_rows = _local_rows(partition)
-    # client i's local row j is dataset row row_map[offsets[i] + j]
-    row_map = np.concatenate(partition.shards)
-    offsets = np.cumsum([0] + [len(s) for s in partition.shards[:-1]], dtype=np.int64)
+    inputs, row_map, offsets = task.metric_inputs, task.row_map, task.offsets
 
     w = np.zeros(d)
     metrics: list[RoundMetrics] = []
@@ -304,7 +325,7 @@ def run_noisy_fedavg(config: FedAvgConfig, loss_model: LossModel,
             break
 
         if draws is None:
-            selected, batches = _draw_round(config, local_rows, k)
+            selected, batches = _draw_round(config, task.local_rows, k)
         else:
             selected, batches = draws.cohorts[k], draws.batches[k]
         if v_dn > 0:

@@ -24,6 +24,23 @@ from .data import Dataset, ClientPartition, sample_batch
 from .model import LossModel, full_gradient
 
 
+def learning_rate(gamma: float, L: float, E: int, r: int, K: int) -> float:
+    """Prescribed rate (1 / (gamma L E)) * sqrt(r / K)."""
+    if min(gamma, L) <= 0 or min(E, r, K) < 1:
+        raise ValueError("gamma, L must be positive and E, r, K >= 1")
+    return float(np.sqrt(r / K) / (gamma * L * E))
+
+
+def min_rounds(r: int, gamma: float) -> float:
+    """Smallest K for which the guarantee applies; singular at gamma <= 4."""
+    if gamma <= 4:
+        raise ValueError("gamma must exceed 4")
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    return max((1024.0 * r**3 / (9.0 * gamma**2)) * (1.0 / (gamma**2 - 16.0)) ** 2,
+               4.0 * r / gamma**2)
+
+
 def zeta(eta: float, L: float, E: float, n: int, r: int) -> float:
     """Geometric weight rate: 8 eta^2 L^2 E^2 ((n-r)/(r(n-1)) + 2 eta L E / 3)."""
     if n < 2:
@@ -93,10 +110,6 @@ class BoundReport:
         return self.leading + self.term_uplink + self.term_sgd_variance + self.term_downlink
 
 
-def _theory_rate(gamma, L, E, r, K):
-    return np.sqrt(r / K) / (gamma * L * E)
-
-
 def fedavg_error_bound(p: TheoryParams) -> BoundReport:
     """Bound on the expected squared gradient at the sampled round.
 
@@ -112,8 +125,8 @@ def fedavg_error_bound(p: TheoryParams) -> BoundReport:
     eta is not the prescribed rate.
     """
     n, r, E, K, g, L = p.n, p.r, p.E, p.K, p.gamma, p.L
-    eta_star = _theory_rate(g, L, E, r, K)
-    kmin = max((1024.0 * r**3 / (9.0 * g**2)) * (1.0 / (g**2 - 16.0)) ** 2, 4.0 * r / g**2)
+    eta_star = learning_rate(g, L, E, r, K)
+    kmin = min_rounds(r, g)
     if p.K < kmin:
         warnings.warn(f"K={p.K} is below the minimum-round requirement {kmin:.4g}")
     if not np.isclose(p.eta, eta_star, rtol=1e-9):

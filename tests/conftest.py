@@ -13,20 +13,16 @@ V5A_PRESETS = ("v5a_noise_free", "v5a_uplink_only", "v5a_downlink_only",
 @pytest.fixture(scope="session")
 def v5a_task():
     """Shared reference task: dataset, loss model, partition (data seed fixed)."""
-    cfg = preset("v5a_noise_free")
-    dataset, model, partition = build_task(cfg)
-    return dataset, model, partition
+    return build_task(preset("v5a_noise_free"))
 
 
 @pytest.fixture(scope="session")
 def v5a_runs(v5a_task):
     """All reference-preset runs, keyed preset name -> {seed: RunResult}."""
-    dataset, model, partition = v5a_task
     out = {}
     for name in V5A_PRESETS:
         cfg = preset(name)
-        out[name] = {s: run_one_seed(cfg, dataset, model, partition, s)
-                     for s in cfg.repeat_seeds}
+        out[name] = {s: run_one_seed(cfg, v5a_task, s) for s in cfg.repeat_seeds}
     return out
 
 

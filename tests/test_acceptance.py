@@ -23,7 +23,7 @@ from noisyfed.experiment import (_pweighted_grad, bound_inputs, build_task,
                                  run_experiment, run_one_seed, run_sweep,
                                  schedule_power_sums, sweep_variants)
 from noisyfed.fedavg import learning_rate, run_noisy_fedavg, sample_kstar
-from noisyfed.fedavg import FedAvgConfig
+from noisyfed.fedavg import FedAvgConfig, Task
 from noisyfed.model import (LossModel, finite_difference_gradient, full_gradient,
                             gradient, smoothness_constant)
 from noisyfed.theory import (TheoryParams, bcd_gap, bcd_witness, fedavg_error_bound,
@@ -90,11 +90,11 @@ class TestAcceptance:
                       "tolerance 0.25")
 
     def test_04_bound_dominates_measurements(self, v5a_task, v5a_runs):
-        dataset, model, partition = v5a_task
+        model = v5a_task.model
         cfg = preset("v5a_constant_noise")
         runs = v5a_runs["v5a_constant_noise"]
         probes = [np.zeros(model.dim)] + [runs[s].final_params for s in SEEDS]
-        params = bound_inputs(cfg, dataset, model, partition, probes)
+        params = bound_inputs(cfg, v5a_task, probes)
         total = fedavg_error_bound(params).total
         fb = cfg.fedavg
         z = zeta(runs[SEEDS[0]].eta, model.smoothness, fb.E, fb.n, fb.r)
@@ -106,13 +106,12 @@ class TestAcceptance:
                       f"(sigma2={params.sigma2:.2f}, f0={params.f0:.2f})")
 
     def test_05_rate_check(self, v5a_task):
-        dataset, model, partition = v5a_task
         base = preset("v5a_noise_free")
         vals = {}
         for K in (25, 100, 400):
             cfg = dataclasses.replace(base, fedavg=dataclasses.replace(base.fedavg, K=K))
             best = [min(m.grad_norm_sq for m in
-                        run_one_seed(cfg, dataset, model, partition, s).metrics)
+                        run_one_seed(cfg, v5a_task, s).metrics)
                     for s in SEEDS]
             vals[K] = float(np.mean(best))
         r1, r2 = vals[25] / vals[100], vals[100] / vals[400]
@@ -168,7 +167,7 @@ class TestAcceptance:
                       f"gamma_eff in [{g_lo:.1f}, {g_hi:.1f}])")
 
     def test_06a_sweep_slope_uplink_vs_r(self, sweeps, v5a_task):
-        self._check_uplink_slope("6a", sweeps[0], v5a_task[1], 0.3)
+        self._check_uplink_slope("6a", sweeps[0], v5a_task.model, 0.3)
 
     def test_06b_sweep_slope_downlink_vs_r(self, sweeps):
         slope = self._slope(sweeps[0], "downlink_only")
@@ -177,7 +176,7 @@ class TestAcceptance:
                       f"slope={slope:.3f}, window [-0.15, 0.15] (prediction 0)")
 
     def test_06c_sweep_slope_uplink_vs_e(self, sweeps, v5a_task):
-        self._check_uplink_slope("6c", sweeps[1], v5a_task[1], 0.6)
+        self._check_uplink_slope("6c", sweeps[1], v5a_task.model, 0.6)
 
     def test_07_power_budget(self):
         cmp = compare_policies(100, 5)
@@ -239,7 +238,7 @@ class TestAcceptance:
                           smoothness=smoothness_constant(LossModel("mse_linear", dim=4), ds.X))
         partition = partition_iid(200, 5, seed=3)
         cfg = FedAvgConfig(n=5, r=5, E=1, K=3, gamma=18.0, batch_size=40, seed=0)
-        res = run_noisy_fedavg(cfg, model, partition, ds)
+        res = run_noisy_fedavg(cfg, Task(ds, model, partition))
         w = np.zeros(4)
         for _ in range(3):
             grads = [full_gradient(model, w, ds.X[s], ds.y[s]) for s in partition.shards]

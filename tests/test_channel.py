@@ -1,11 +1,10 @@
-"""Noise schedules, perturbation moments, SNR, and power accounting."""
+"""Noise schedules, perturbation moments, and power accounting."""
 
 import numpy as np
 import pytest
 
-from noisyfed.channel import (InfiniteBudgetError, NoiseSchedule, UndefinedSnrError,
-                              compare_policies, measured_snr, perturb, power_budget,
-                              variance_at)
+from noisyfed.channel import (InfiniteBudgetError, NoiseSchedule, compare_policies, perturb,
+                              power_budget, variance_at)
 
 
 def constant(std=0.2, direction="uplink"):
@@ -65,17 +64,6 @@ class TestPerturb:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             perturb(np.zeros(3), -0.1, np.random.default_rng(0))
-
-
-class TestSnr:
-    def test_ratio_examples(self):
-        assert measured_snr(0.04, 0.04) == 1.0
-        assert measured_snr(4.0, 1.0) == 4.0
-        assert measured_snr(8.0, 1.0) == 2 * measured_snr(4.0, 1.0)
-
-    def test_zero_noise_rejected(self):
-        with pytest.raises(UndefinedSnrError):
-            measured_snr(1.0, 0.0)
 
 
 class TestPowerBudget:

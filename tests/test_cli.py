@@ -163,6 +163,8 @@ class TestBadClassificationInput:
         ("data", "labels_per_client", 0, "need labels_per_client >= 1"),
         ("data", "labels_per_client", 200, "too few examples to slice"),
         ("fedavg", "batch_size", 500, "batch_size exceeds a client shard"),
+        ("fedavg", "learning_rate_override", True, "fedavg.learning_rate_override has wrong type"),
+        ("fedavg", "learning_rate_override", False, "fedavg.learning_rate_override has wrong type"),
     ])
     def test_run_exits_2(self, tmp_path, capsys, block, key, value, message):
         cfgp = write_doc(tmp_path, classification_doc(block, key, value))

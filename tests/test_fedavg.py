@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisyfed import backend
+from noisyfed import backend, fedavg
 from noisyfed.channel import NoiseSchedule
 from noisyfed.config import parse_config, preset
 from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
                            generate_regression, partition_iid, partition_label_shard,
                            sample_batch)
-from noisyfed.experiment import build_task, run_one_seed, run_sweep, sweep_variants
-from noisyfed.fedavg import (_BATCH, _SAMPLE, FedAvgConfig, _global_metrics, _metric_inputs,
-                             _stream, client_sample, learning_rate, min_rounds, round_draws,
-                             run_noisy_fedavg, run_noisy_sgd, sample_kstar)
+from noisyfed.experiment import (build_task, run_experiment, run_one_seed, run_sweep,
+                                 sweep_variants)
+from noisyfed.fedavg import (_BATCH, _SAMPLE, FedAvgConfig, Task, _global_metrics,
+                             _metric_inputs, _stream, client_sample, learning_rate, min_rounds,
+                             round_draws, run_noisy_fedavg, run_noisy_sgd, sample_kstar)
 from noisyfed.model import LossModel, full_gradient, loss, smoothness_constant
 
 
@@ -225,7 +226,7 @@ def tiny_task():
                                                      label_noise_variance=0.05), seed=21)
     model = LossModel("mse_linear", dim=5,
                       smoothness=smoothness_constant(LossModel("mse_linear", dim=5), ds.X))
-    return ds, model, partition_iid(300, 6, seed=21)
+    return Task(ds, model, partition_iid(300, 6, seed=21))
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +235,7 @@ def tiny_softmax_task():
     probe = LossModel("softmax_linear", dim=15, n_classes=3)
     model = LossModel("softmax_linear", dim=15, n_classes=3,
                       smoothness=smoothness_constant(probe, ds.X))
-    return ds, model, partition_iid(240, 6, 4)
+    return Task(ds, model, partition_iid(240, 6, 4))
 
 
 class TestRunNoisyFedavg:
@@ -242,9 +243,10 @@ class TestRunNoisyFedavg:
                                                   ("tiny_softmax_task", 40)],
                              ids=["mse_linear", "softmax_linear"])
     def test_degenerates_to_gradient_descent_bitwise(self, task, batch_size, request):
-        ds, model, partition = request.getfixturevalue(task)
+        task = request.getfixturevalue(task)
+        ds, model, partition = task.dataset, task.model, task.partition
         cfg = tiny_config(batch_size=batch_size)
-        res = run_noisy_fedavg(cfg, model, partition, ds)
+        res = run_noisy_fedavg(cfg, task)
         eta = res.eta
         w = np.zeros(model.dim)
         for _ in range(cfg.K):
@@ -253,12 +255,11 @@ class TestRunNoisyFedavg:
         assert np.array_equal(res.final_params, w)
 
     def test_bit_identical_reruns(self, tiny_task):
-        ds, model, partition = tiny_task
         cfg = tiny_config(r=3, E=4, batch_size=10,
                           uplink=NoiseSchedule("uplink", "constant", 0.1),
                           downlink=NoiseSchedule("downlink", "constant", 0.1))
-        a = run_noisy_fedavg(cfg, model, partition, ds)
-        b = run_noisy_fedavg(cfg, model, partition, ds)
+        a = run_noisy_fedavg(cfg, tiny_task)
+        b = run_noisy_fedavg(cfg, tiny_task)
         assert np.array_equal(a.final_params, b.final_params)
         assert [m.train_loss for m in a.metrics] == [m.train_loss for m in b.metrics]
         assert a.k_star == b.k_star
@@ -266,18 +267,16 @@ class TestRunNoisyFedavg:
     def test_channel_toggles_leave_shared_draws_alone(self, tiny_task):
         # paired runs differing only in one channel share batches and cohorts,
         # so the noise-free trajectory is recovered by turning channels off
-        ds, model, partition = tiny_task
         base = tiny_config(r=3, E=2, batch_size=10)
         noisy = dataclasses.replace(base, uplink=NoiseSchedule("uplink", "constant", 0.1))
-        a = run_noisy_fedavg(base, model, partition, ds)
-        b = run_noisy_fedavg(noisy, model, partition, ds)
+        a = run_noisy_fedavg(base, tiny_task)
+        b = run_noisy_fedavg(noisy, tiny_task)
         assert a.metrics[0].train_loss == b.metrics[0].train_loss
         assert not np.array_equal(a.final_params, b.final_params)
 
     def test_divergence_is_recorded_not_raised(self, tiny_task):
-        ds, model, partition = tiny_task
         cfg = tiny_config(K=50, learning_rate_override=5.0)
-        res = run_noisy_fedavg(cfg, model, partition, ds)
+        res = run_noisy_fedavg(cfg, tiny_task)
         assert res.status == "diverged"
         assert res.diverged_at is not None
         assert res.metrics[-1].diverged
@@ -285,15 +284,13 @@ class TestRunNoisyFedavg:
         assert len(res.metrics) <= 50
 
     def test_partition_mismatch_rejected(self, tiny_task):
-        ds, model, partition = tiny_task
         with pytest.raises(ValueError):
-            run_noisy_fedavg(tiny_config(n=7, r=7), model, partition, ds)
+            run_noisy_fedavg(tiny_config(n=7, r=7), tiny_task)
 
     def test_metrics_record_schedule_and_snr(self, tiny_task):
-        ds, model, partition = tiny_task
         cfg = tiny_config(downlink=NoiseSchedule("downlink", "poly_decay", 0.2, 1.0,
                                                  e_squared_scaling=True))
-        res = run_noisy_fedavg(cfg, model, partition, ds)
+        res = run_noisy_fedavg(cfg, tiny_task)
         assert res.metrics[0].downlink_variance == pytest.approx(0.04)
         assert res.metrics[1].downlink_variance == pytest.approx(0.02)
         assert res.metrics[0].mean_snr_up is None  # uplink channel off
@@ -323,7 +320,7 @@ class TestQuadraticMetrics:
     """The mse_linear closed form against the row-by-row evaluation, rel 1e-10."""
 
     def test_reference_task_points(self, v5a_task):
-        dataset, model, partition = v5a_task
+        dataset, model, partition = v5a_task.dataset, v5a_task.model, v5a_task.partition
         rng = np.random.default_rng(3)
         theta = dataset.theta_eff
         for w in (np.zeros(model.dim), theta,
@@ -362,7 +359,7 @@ class TestQuadraticMetrics:
         cfg = FedAvgConfig(n=16, r=5, E=3, K=20, gamma=18.0, batch_size=8, seed=2,
                            uplink=NoiseSchedule("uplink", "constant", 0.1),
                            downlink=NoiseSchedule("downlink", "constant", 0.1))
-        res = run_noisy_fedavg(cfg, model, partition, dataset)
+        res = run_noisy_fedavg(cfg, Task(dataset, model, partition))
         f_ref, _ = row_metrics(model, dataset, partition, res.final_params)
         assert res.final_loss == pytest.approx(f_ref, rel=1e-10, abs=0.0)
 
@@ -488,16 +485,17 @@ class TestSharedDraws:
         # draws built for the noise-free twin, as a sweep builds them
         quiet = dataclasses.replace(cfg, uplink=NoiseSchedule("uplink"),
                                     downlink=NoiseSchedule("downlink"))
-        draws = round_draws(quiet, partition)
+        task = Task(ds, model, partition)
+        draws = round_draws(quiet, task)
         assert draws.cohorts.shape == (K, cfg.r)
         assert draws.batches.shape == (K, cfg.r, E, cfg.batch_size)
-        assert_same_run(run_noisy_fedavg(cfg, model, partition, ds, draws=draws),
-                        run_noisy_fedavg(cfg, model, partition, ds))
+        assert_same_run(run_noisy_fedavg(cfg, task, draws=draws), run_noisy_fedavg(cfg, task))
 
     def test_draws_come_from_the_keyed_streams(self):
         partition = partition_iid(1003, 16, seed=5)  # ragged: shards of 62 and 63 rows
         cfg = FedAvgConfig(n=16, r=5, E=3, K=4, gamma=18.0, batch_size=8, seed=9)
-        draws = round_draws(cfg, partition)
+        dataset = generate_regression(SyntheticRegressionSpec(m=1003, d=2), seed=5)
+        draws = round_draws(cfg, Task(dataset, LossModel("mse_linear", dim=2), partition))
         for k in range(cfg.K):
             cohort = client_sample(16, 5, _stream(9, k, 0, _SAMPLE))
             assert np.array_equal(draws.cohorts[k], cohort)
@@ -509,43 +507,100 @@ class TestSharedDraws:
                                         dict(batch_size=8), "shard sizes"],
                              ids=["seed", "r", "E", "K", "batch_size", "shard_sizes"])
     def test_draws_for_another_run_rejected(self, tiny_task, change):
-        ds, model, partition = tiny_task
         cfg = tiny_config(r=3, E=1, batch_size=10)
         if change == "shard sizes":
-            draws = round_draws(cfg, partition_iid(301, 6, seed=21))
+            ds = generate_regression(SyntheticRegressionSpec(m=301, d=5), seed=21)
+            draws = round_draws(cfg, Task(ds, tiny_task.model, partition_iid(301, 6, seed=21)))
         else:
-            draws = round_draws(dataclasses.replace(cfg, **change), partition)
+            draws = round_draws(dataclasses.replace(cfg, **change), tiny_task)
         with pytest.raises(ValueError, match="draws"):
-            run_noisy_fedavg(cfg, model, partition, ds, draws=draws)
+            run_noisy_fedavg(cfg, tiny_task, draws=draws)
 
     def test_sweep_table_equals_unshared_runs(self, tmp_path):
         cfg = sweep_config()
         out = run_sweep(cfg, "r", [2, 4], out_prefix=str(tmp_path / "s"))
-        dataset, model, partition = build_task(cfg)
+        task = build_task(cfg)
         for v in (2, 4):
             base = dataclasses.replace(cfg, fedavg=dataclasses.replace(cfg.fedavg, r=v))
             for name, variant in sweep_variants(base).items():
-                runs = [run_one_seed(variant, dataset, model, partition, s)
-                        for s in cfg.repeat_seeds]
+                runs = [run_one_seed(variant, task, s) for s in cfg.repeat_seeds]
                 assert out["table"][v][name] == float(np.mean([r.final_loss for r in runs]))
 
     def test_diverging_variant_leaves_the_others_alone(self):
         cfg = sweep_config(uplink_std=1e13)  # the uplink-only variant blows up at round 0
-        dataset, model, partition = build_task(cfg)
+        task = build_task(cfg)
         seed = cfg.repeat_seeds[0]
-        draws = round_draws(cfg.fedavg_config(seed), partition)
-        shared = {name: run_one_seed(variant, dataset, model, partition, seed, draws=draws)
+        draws = round_draws(cfg.fedavg_config(seed), task)
+        shared = {name: run_one_seed(variant, task, seed, draws=draws)
                   for name, variant in sweep_variants(cfg).items()}
         assert shared["uplink_only"].status == "diverged"
         for name, variant in sweep_variants(cfg).items():
-            assert_same_run(shared[name], run_one_seed(variant, dataset, model, partition, seed))
+            assert_same_run(shared[name], run_one_seed(variant, task, seed))
 
     def test_sgd_mode_takes_no_draws(self, tiny_task):
-        ds, model, partition = tiny_task
         sgd_cfg = dataclasses.replace(preset("v5a_noise_free"), mode="sgd")
         with pytest.raises(ValueError, match="fedavg"):
-            run_one_seed(sgd_cfg, ds, model, partition, 1,
-                         draws=round_draws(tiny_config(), partition))
+            run_one_seed(sgd_cfg, tiny_task, 1, draws=round_draws(tiny_config(), tiny_task))
+
+
+class TestTask:
+    """One Task per invocation: layout and metric inputs built once, read-only."""
+
+    def test_metric_inputs_built_once_per_invocation(self, tmp_path, monkeypatch):
+        calls = []
+        build = fedavg._metric_inputs
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(fedavg, "_metric_inputs", counted)
+        cfg = sweep_config()
+        assert len(cfg.repeat_seeds) == 3
+        summary = run_experiment(cfg, out_prefix=str(tmp_path / "run"))
+        assert summary["bound_report"] is not None
+        assert len(calls) == 1
+        calls.clear()
+        one_seed = dataclasses.replace(cfg, repeat_seeds=cfg.repeat_seeds[:1])
+        run_sweep(one_seed, "r", [2, 4], out_prefix=str(tmp_path / "s"))
+        assert len(calls) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(label_shard=st.booleans(), n=st.integers(2, 8), C=st.integers(2, 4),
+           extra=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    def test_layout_maps_local_rows_to_shards(self, label_shard, n, C, extra, seed):
+        m = 2 * n * C + 1 + extra % (n - 1)  # m % n != 0: ragged iid shards
+        ds = generate_classification(m, 1, C, 3.0, seed)
+        partition = (partition_label_shard(ds, n, 2, seed) if label_shard
+                     else partition_iid(m, n, seed))
+        task = Task(ds, LossModel("softmax_linear", dim=C, n_classes=C), partition)
+        assert task.shard_sizes == tuple(s.size for s in partition.shards)
+        for i, shard in enumerate(partition.shards):
+            assert np.array_equal(task.row_map[task.offsets[i] + task.local_rows[i]], shard)
+
+    @pytest.mark.parametrize("task", ["tiny_task", "tiny_softmax_task"])
+    def test_arrays_are_read_only(self, task, request):
+        task = request.getfixturevalue(task)
+        arrays = [task.row_map, task.offsets, *task.local_rows,
+                  *(v for v in task.metric_inputs if isinstance(v, np.ndarray))]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            task.partition = None
+
+    def test_partition_must_cover_the_dataset(self, tiny_task):
+        ds = generate_regression(SyntheticRegressionSpec(m=301, d=5), seed=21)
+        with pytest.raises(ValueError, match="cover"):
+            Task(ds, tiny_task.model, tiny_task.partition)
+
+    def test_draws_for_another_layout_rejected(self, tiny_softmax_task):
+        ds, model = tiny_softmax_task.dataset, tiny_softmax_task.model
+        label_shard = Task(ds, model, partition_label_shard(ds, 6, 3, seed=4))  # 39-41 rows
+        assert label_shard.shard_sizes != tiny_softmax_task.shard_sizes
+        cfg = tiny_config(r=3, E=1, batch_size=10)
+        with pytest.raises(ValueError, match="draws"):
+            run_noisy_fedavg(cfg, tiny_softmax_task, draws=round_draws(cfg, label_shard))
 
 
 class TestRunNoisySgd:
@@ -615,8 +670,7 @@ class TestPresetIntegration:
 
     def test_classification_preset_trains(self):
         cfg = preset("classification_noniid")
-        dataset, model, partition = build_task(cfg)
-        res = run_one_seed(cfg, dataset, model, partition, 1)
+        res = run_one_seed(cfg, build_task(cfg), 1)
         assert res.status == "completed"
         losses = [m.train_loss for m in res.metrics]
         assert losses[-1] < losses[0]
