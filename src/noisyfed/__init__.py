@@ -17,7 +17,7 @@ from .fedavg import (FedAvgConfig, RoundMetrics, RunResult, client_sample,
 from .model import (LossModel, finite_difference_gradient, full_gradient,
                     gradient, loss, smoothness_constant)
 from .theory import (BoundReport, TheoryParams, bcd_gap, bcd_witness,
-                     error_term_orders, empirical_sigma2, sgd_error_bound,
-                     fedavg_error_bound, zeta, zeta2, zeta3)
+                     empirical_sigma2, sgd_error_bound, fedavg_error_bound,
+                     zeta, zeta2, zeta3)
 
 __version__ = "0.1.0"

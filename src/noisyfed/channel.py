@@ -44,6 +44,8 @@ class NoiseSchedule:
             raise ValueError("non-off schedules need base_std > 0")
         if self.kind == "off" and (self.base_std or self.decay_exponent or self.e_squared_scaling):
             raise ValueError("off schedules take no other parameters")
+        if self.kind == "constant" and (self.decay_exponent or self.e_squared_scaling):
+            raise ValueError("constant schedules take no decay_exponent or e_squared_scaling")
 
     @property
     def off(self) -> bool:

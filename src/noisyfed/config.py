@@ -1,15 +1,21 @@
 """Experiment configuration: JSON schema, validation, presets.
 
-A config file is one JSON object. Unknown keys anywhere are rejected, every
-nested invariant is checked before any run starts, and validation errors
-carry a best-effort line reference into the source text. Parsing then
-serializing yields a canonical document with every defaulted field explicit.
+A config file is one JSON object. Each block's keys, types, defaults and
+order come from its dataclass (``DataConfig``, ``FedAvgConfig``,
+``SgdBlock``, ``NoiseSchedule``). Unknown keys anywhere are rejected, numbers
+must be finite, every nested invariant is checked before any run starts, and
+validation errors carry a best-effort line reference into the source text.
+Parsing then serializing yields a canonical document with every defaulted
+field explicit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
+from typing import get_args, get_type_hints
 
 from .channel import NoiseSchedule
 from .fedavg import FedAvgConfig, learning_rate
@@ -37,17 +43,6 @@ class DataConfig:
 
 
 @dataclass(frozen=True)
-class FedBlock:
-    n: int
-    r: int
-    E: int
-    K: int
-    gamma: float
-    batch_size: int
-    learning_rate_override: float | None = None
-
-
-@dataclass(frozen=True)
 class SgdBlock:
     T: int
     eta: float
@@ -59,19 +54,12 @@ class ExperimentConfig:
     task: str
     mode: str
     data: DataConfig
-    fedavg: FedBlock
+    fedavg: FedAvgConfig
     uplink: NoiseSchedule
     downlink: NoiseSchedule
     repeat_seeds: tuple
     out_prefix: str
     sgd: SgdBlock | None = None
-
-    def fedavg_config(self, seed: int) -> FedAvgConfig:
-        fb = self.fedavg
-        return FedAvgConfig(n=fb.n, r=fb.r, E=fb.E, K=fb.K, gamma=fb.gamma,
-                            batch_size=fb.batch_size, seed=seed,
-                            learning_rate_override=fb.learning_rate_override,
-                            uplink=self.uplink, downlink=self.downlink)
 
 
 def _line_of(text: str, key: str) -> int:
@@ -81,17 +69,30 @@ def _line_of(text: str, key: str) -> int:
     return 1
 
 
+@cache
+def _schema(cls) -> dict:
+    """Key -> (types, required, default) for each field of a block's dataclass.
+
+    A schedule's direction is not a key: it is the name of its block.
+    """
+    hints = get_type_hints(cls)
+    return {f.name: (get_args(hints[f.name]) or hints[f.name], f.default is MISSING, f.default)
+            for f in fields(cls) if f.name != "direction"}
+
+
 def _take(block: dict, allowed: dict, where: str, text: str, source: str) -> dict:
     """Pop known keys with type coercion; reject anything left over."""
     out = {}
     for key, (types, required, default) in allowed.items():
         if key in block:
             val = block.pop(key)
-            if types is float and isinstance(val, int) and not isinstance(val, bool):
-                val = float(val)
             kinds = types if isinstance(types, tuple) else (types,)
+            if float in kinds and isinstance(val, int) and not isinstance(val, bool):
+                val = float(val)
             if not isinstance(val, kinds) or (isinstance(val, bool) and bool not in kinds):
                 raise ConfigError(f"{source}:{_line_of(text, key)}: {where}.{key} has wrong type")
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"{source}:{_line_of(text, key)}: {where}.{key} must be finite")
             out[key] = val
         elif required:
             raise ConfigError(f"{source}:{_line_of(text, where)}: missing required key {where}.{key}")
@@ -108,12 +109,7 @@ def _parse_schedule(block, direction, text, source) -> NoiseSchedule:
         block = {}
     if not isinstance(block, dict):
         raise ConfigError(f"{source}:{_line_of(text, direction)}: {direction} must be an object")
-    vals = _take(dict(block), {
-        "kind": (str, False, "off"),
-        "base_std": (float, False, 0.0),
-        "decay_exponent": (float, False, 0.0),
-        "e_squared_scaling": (bool, False, False),
-    }, direction, text, source)
+    vals = _take(dict(block), _schema(NoiseSchedule), direction, text, source)
     try:
         return NoiseSchedule(direction=direction, **vals)
     except ValueError as exc:
@@ -153,17 +149,7 @@ def parse_config(text: str, source: str = "config") -> ExperimentConfig:
     if min(seeds) < 0:
         raise ConfigError(f"{source}:{_line_of(text, 'repeat_seeds')}: repeat_seeds must be >= 0")
 
-    dvals = _take(dict(top["data"]), {
-        "m": (int, True, None),
-        "d": (int, True, None),
-        "seed": (int, True, None),
-        "label_noise_variance": (float, False, 0.0),
-        "normalize_hessian": (bool, False, True),
-        "n_classes": (int, False, 0),
-        "cluster_separation": (float, False, 0.0),
-        "partition": (str, False, "iid"),
-        "labels_per_client": (int, False, 2),
-    }, "data", text, source)
+    dvals = _take(dict(top["data"]), _schema(DataConfig), "data", text, source)
     if dvals["seed"] < 0:
         raise ConfigError(f"{source}:{_line_of(text, 'seed')}: data.seed must be >= 0")
     if dvals["partition"] not in PARTITIONS:
@@ -187,22 +173,9 @@ def parse_config(text: str, source: str = "config") -> ExperimentConfig:
                               "need labels_per_client >= 1")
     data = DataConfig(**dvals)
 
-    fvals = _take(dict(top["fedavg"]), {
-        "n": (int, True, None),
-        "r": (int, True, None),
-        "E": (int, True, None),
-        "K": (int, True, None),
-        "gamma": (float, True, None),
-        "batch_size": (int, True, None),
-        "learning_rate_override": ((float, int, type(None)), False, None),
-    }, "fedavg", text, source)
-    if fvals["learning_rate_override"] is not None:
-        fvals["learning_rate_override"] = float(fvals["learning_rate_override"])
-    fed = FedBlock(**fvals)
+    fvals = _take(dict(top["fedavg"]), _schema(FedAvgConfig), "fedavg", text, source)
     try:
-        FedAvgConfig(n=fed.n, r=fed.r, E=fed.E, K=fed.K, gamma=fed.gamma,
-                     batch_size=fed.batch_size, seed=0,
-                     learning_rate_override=fed.learning_rate_override)
+        fed = FedAvgConfig(**fvals)
     except ValueError as exc:
         raise ConfigError(f"{source}:{_line_of(text, 'fedavg')}: fedavg: {exc}") from exc
     if data.partition == "iid" and data.m < fed.n:
@@ -210,11 +183,7 @@ def parse_config(text: str, source: str = "config") -> ExperimentConfig:
 
     sgd = None
     if top["sgd"] is not None:
-        svals = _take(dict(top["sgd"]), {
-            "T": (int, True, None),
-            "eta": (float, True, None),
-            "batch_size": (int, True, None),
-        }, "sgd", text, source)
+        svals = _take(dict(top["sgd"]), _schema(SgdBlock), "sgd", text, source)
         if svals["T"] < 1 or svals["eta"] <= 0 or svals["batch_size"] < 1:
             raise ConfigError(f"{source}:{_line_of(text, 'sgd')}: sgd needs T >= 1, eta > 0, batch_size >= 1")
         sgd = SgdBlock(**svals)
@@ -238,47 +207,27 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text, source=str(path))
 
 
-def _schedule_dict(s: NoiseSchedule) -> dict:
-    return {"kind": s.kind, "base_std": s.base_std,
-            "decay_exponent": s.decay_exponent, "e_squared_scaling": s.e_squared_scaling}
+def _block(obj) -> dict | None:
+    return None if obj is None else {key: getattr(obj, key) for key in _schema(type(obj))}
 
 
 def canonical_dict(cfg: ExperimentConfig) -> dict:
     """Every field explicit, fixed key order; parse(serialize(cfg)) == cfg."""
-    out = {
+    return {
         "task": cfg.task,
         "mode": cfg.mode,
-        "data": {
-            "m": cfg.data.m, "d": cfg.data.d, "seed": cfg.data.seed,
-            "label_noise_variance": cfg.data.label_noise_variance,
-            "normalize_hessian": cfg.data.normalize_hessian,
-            "n_classes": cfg.data.n_classes,
-            "cluster_separation": cfg.data.cluster_separation,
-            "partition": cfg.data.partition,
-            "labels_per_client": cfg.data.labels_per_client,
-        },
-        "fedavg": {
-            "n": cfg.fedavg.n, "r": cfg.fedavg.r, "E": cfg.fedavg.E, "K": cfg.fedavg.K,
-            "gamma": cfg.fedavg.gamma, "batch_size": cfg.fedavg.batch_size,
-            "learning_rate_override": cfg.fedavg.learning_rate_override,
-        },
-        "sgd": None if cfg.sgd is None else
-            {"T": cfg.sgd.T, "eta": cfg.sgd.eta, "batch_size": cfg.sgd.batch_size},
-        "uplink": _schedule_dict(cfg.uplink),
-        "downlink": _schedule_dict(cfg.downlink),
+        "data": _block(cfg.data),
+        "fedavg": _block(cfg.fedavg),
+        "sgd": _block(cfg.sgd),
+        "uplink": _block(cfg.uplink),
+        "downlink": _block(cfg.downlink),
         "repeat_seeds": list(cfg.repeat_seeds),
         "out_prefix": cfg.out_prefix,
     }
-    return out
 
 
 def serialize(cfg: ExperimentConfig) -> str:
     return json.dumps(canonical_dict(cfg), indent=2) + "\n"
-
-
-def with_schedules(cfg: ExperimentConfig, uplink: NoiseSchedule,
-                   downlink: NoiseSchedule) -> ExperimentConfig:
-    return replace(cfg, uplink=uplink, downlink=downlink)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ estimate. Outputs are byte-deterministic for a fixed config.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import fedavg
 from .channel import NoiseSchedule, variance_at
-from .config import ExperimentConfig, with_schedules
+from .config import ExperimentConfig
 from .data import (SyntheticRegressionSpec, generate_classification, generate_regression,
                    partition_iid, partition_label_shard)
 from .fedavg import RunResult, Task, kstar_weights, run_noisy_fedavg, run_noisy_sgd, step_size
@@ -68,7 +69,7 @@ def run_one_seed(cfg: ExperimentConfig, task: Task, seed: int,
         s = cfg.sgd
         return run_noisy_sgd(task.model, task.dataset, s.eta, s.T, s.batch_size,
                              cfg.uplink, cfg.downlink, seed)
-    return run_noisy_fedavg(cfg.fedavg_config(seed), task, draws=draws)
+    return run_noisy_fedavg(cfg.fedavg, task, seed, cfg.uplink, cfg.downlink, draws=draws)
 
 
 def _fmt(x) -> str:
@@ -201,10 +202,11 @@ def sweep_variants(cfg: ExperimentConfig):
     """The three channel variants a sweep compares."""
     if cfg.uplink.off or cfg.downlink.off:
         raise ValueError("sweep base config must define both channel schedules")
+    off_up, off_dn = NoiseSchedule("uplink"), NoiseSchedule("downlink")
     return {
-        "noise_free": with_schedules(cfg, NoiseSchedule("uplink"), NoiseSchedule("downlink")),
-        "uplink_only": with_schedules(cfg, cfg.uplink, NoiseSchedule("downlink")),
-        "downlink_only": with_schedules(cfg, NoiseSchedule("uplink"), cfg.downlink),
+        "noise_free": dataclasses.replace(cfg, uplink=off_up, downlink=off_dn),
+        "uplink_only": dataclasses.replace(cfg, downlink=off_dn),
+        "downlink_only": dataclasses.replace(cfg, uplink=off_up),
     }
 
 
@@ -216,8 +218,6 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
     noise-free mean at the same value. Each (value, seed) draws its cohorts
     and batch rows once, and the three variants run on those shared draws.
     """
-    import dataclasses
-
     if cfg.mode != "fedavg":
         raise ValueError("sweeps apply to fedavg mode")
     if axis not in ("r", "E"):
@@ -225,11 +225,12 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
     values = [int(v) for v in values]
     if not values:
         raise ValueError("need at least one axis value")
+    points = []
     for v in values:
-        if axis == "r" and not 1 <= v <= cfg.fedavg.n:
-            raise ValueError(f"r={v} out of range 1..n")
-        if axis == "E" and v < 1:
-            raise ValueError(f"E={v} must be >= 1")
+        try:
+            points.append(dataclasses.replace(cfg.fedavg, **{axis: v}))
+        except ValueError as exc:
+            raise ValueError(f"{axis}={v}: {exc}") from exc
 
     prefix = out_prefix or cfg.out_prefix
     outdir = os.path.dirname(prefix)
@@ -239,13 +240,11 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
     task = build_task(cfg)
     rows = []
     table = {}
-    for v in values:
-        fed = dataclasses.replace(cfg.fedavg, **{axis: v})
-        base = dataclasses.replace(cfg, fedavg=fed)
-        variants = sweep_variants(base)
+    for v, fed in zip(values, points):
+        variants = sweep_variants(dataclasses.replace(cfg, fedavg=fed))
         finals = {name: [] for name in variants}
         for s in cfg.repeat_seeds:
-            draws = fedavg.round_draws(base.fedavg_config(s), task)
+            draws = fedavg.round_draws(fed, task, s)
             for name, variant_cfg in variants.items():
                 res = run_one_seed(variant_cfg, task, s, draws=draws)
                 finals[name].append(res.final_loss)

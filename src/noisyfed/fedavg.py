@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,8 +55,8 @@ def _stream(seed: int, k: int, i: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(k), int(i), int(purpose)])
 
 
-def step_size(fb, L: float) -> float:
-    """The override of ``fb`` (a FedAvgConfig or fedavg block) if set, else the prescribed rate."""
+def step_size(fb: FedAvgConfig, L: float) -> float:
+    """The override of ``fb`` if set, else the prescribed rate."""
     if fb.learning_rate_override is not None:
         return fb.learning_rate_override
     return learning_rate(fb.gamma, L, fb.E, fb.r, fb.K)
@@ -88,16 +88,16 @@ def sample_kstar(zeta_value: float, K: int, rng: np.random.Generator) -> int:
 
 @dataclass(frozen=True)
 class FedAvgConfig:
+    """The federated block: n clients, r sampled per round, E local steps of
+    batch size b, K rounds, the rate constant gamma, and a fixed learning
+    rate that replaces the prescribed one when set."""
     n: int
     r: int
     E: int
     K: int
     gamma: float
     batch_size: int
-    seed: int
     learning_rate_override: float | None = None
-    uplink: NoiseSchedule = field(default_factory=lambda: NoiseSchedule("uplink"))
-    downlink: NoiseSchedule = field(default_factory=lambda: NoiseSchedule("downlink"))
 
     def __post_init__(self):
         if not 1 <= self.r <= self.n:
@@ -106,8 +106,6 @@ class FedAvgConfig:
             raise ValueError("need E >= 1, K >= 1, batch_size >= 1")
         if self.gamma <= 4:
             raise ValueError("gamma must exceed 4")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.learning_rate_override is not None and self.learning_rate_override <= 0:
             raise ValueError("learning_rate_override must be positive")
 
@@ -192,38 +190,39 @@ class RoundDraws:
     batches: np.ndarray
 
 
-def _draws_key(config: FedAvgConfig, task: Task) -> tuple:
-    return (config.seed, config.n, config.r, config.E, config.K, config.batch_size,
+def _draws_key(config: FedAvgConfig, task: Task, seed: int) -> tuple:
+    return (seed, config.n, config.r, config.E, config.K, config.batch_size,
             task.shard_sizes)
 
 
-def _draw_round(config: FedAvgConfig, local_rows: tuple, k: int):
+def _draw_round(config: FedAvgConfig, seed: int, local_rows: tuple, k: int):
     """Round k's cohort and its (r, E, b) sorted local batch rows, from the keyed streams."""
-    seed, E = config.seed, config.E
     selected = client_sample(config.n, config.r, _stream(seed, k, 0, _SAMPLE))
-    batches = np.empty((config.r, E, config.batch_size), dtype=np.int64)
+    batches = np.empty((config.r, config.E, config.batch_size), dtype=np.int64)
     for j, i in enumerate(selected):
         rng_b = _stream(seed, k, int(i), _BATCH)
-        for e in range(E):
+        for e in range(config.E):
             batches[j, e] = sample_batch(local_rows[i], config.batch_size, rng_b)
     batches.sort(axis=2)
     return selected, batches
 
 
-def round_draws(config: FedAvgConfig, task: Task) -> RoundDraws:
-    """All K rounds' draws of the runs keyed like ``config`` on ``task``.
+def round_draws(config: FedAvgConfig, task: Task, seed: int) -> RoundDraws:
+    """All K rounds' draws of the runs keyed like ``config`` and ``seed`` on ``task``.
 
     Channel schedules and the learning rate do not enter: runs that differ
     only in those consume the same draws.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if task.partition.n_clients != config.n:
         raise ValueError("partition must have exactly n shards")
     cohorts = np.empty((config.K, config.r), dtype=np.int64)
     batches = np.empty((config.K, config.r, config.E, config.batch_size), dtype=np.int64)
     for k in range(config.K):
-        cohorts[k], batches[k] = _draw_round(config, task.local_rows, k)
+        cohorts[k], batches[k] = _draw_round(config, seed, task.local_rows, k)
     cohorts.flags.writeable = batches.flags.writeable = False  # shared by several runs
-    return RoundDraws(_draws_key(config, task), cohorts, batches)
+    return RoundDraws(_draws_key(config, task, seed), cohorts, batches)
 
 
 def _metric_inputs(loss_model, shard_X, shard_y):
@@ -276,9 +275,11 @@ def _global_metrics(loss_model, inputs, w):
     return f, float(g @ g)
 
 
-def run_noisy_fedavg(config: FedAvgConfig, task: Task,
+def run_noisy_fedavg(config: FedAvgConfig, task: Task, seed: int,
+                     uplink: NoiseSchedule = NoiseSchedule("uplink"),
+                     downlink: NoiseSchedule = NoiseSchedule("downlink"),
                      draws: RoundDraws | None = None) -> RunResult:
-    """Run K communication rounds of noisy federated averaging.
+    """Run K communication rounds of noisy federated averaging from master ``seed``.
 
     Metrics row k is measured at the round-k starting model over all n
     client shards. Batch rows are consumed in index order inside the local
@@ -289,9 +290,11 @@ def run_noisy_fedavg(config: FedAvgConfig, task: Task,
     when given (see round_draws), else are drawn round by round; the result
     is the same.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if task.partition.n_clients != config.n:
         raise ValueError("partition must have exactly n shards")
-    if draws is not None and draws.key != _draws_key(config, task):
+    if draws is not None and draws.key != _draws_key(config, task, seed):
         raise ValueError("draws were built for a different seed, shape or partition")
     loss_model, dataset = task.model, task.dataset
     if loss_model.smoothness is None:
@@ -303,7 +306,6 @@ def run_noisy_fedavg(config: FedAvgConfig, task: Task,
     L = loss_model.smoothness
     eta = step_size(config, L)
     d = loss_model.dim
-    seed = config.seed
     inputs, row_map, offsets = task.metric_inputs, task.row_map, task.offsets
 
     w = np.zeros(d)
@@ -312,8 +314,8 @@ def run_noisy_fedavg(config: FedAvgConfig, task: Task,
 
     for k in range(K):
         train_loss, gns = _global_metrics(loss_model, inputs, w)
-        v_up = variance_at(config.uplink, k, E)
-        v_dn = variance_at(config.downlink, k, E)
+        v_up = variance_at(uplink, k, E)
+        v_dn = variance_at(downlink, k, E)
         snr_down = float(w @ w) / (d * v_dn) if v_dn > 0 else None
 
         if not np.isfinite(train_loss):
@@ -325,7 +327,7 @@ def run_noisy_fedavg(config: FedAvgConfig, task: Task,
             break
 
         if draws is None:
-            selected, batches = _draw_round(config, task.local_rows, k)
+            selected, batches = _draw_round(config, seed, task.local_rows, k)
         else:
             selected, batches = draws.cohorts[k], draws.batches[k]
         if v_dn > 0:

@@ -179,21 +179,6 @@ def sgd_error_bound(eta: float, L: float, T: int, f0: float, f_star: float,
     )
 
 
-def error_term_orders(E: int, r: int, K: int) -> tuple[float, float, float]:
-    """Order coefficients (sgd variance, uplink, downlink) of the error terms.
-
-    These orders hold along the prescribed rate eta = sqrt(r/K) / (gamma L E)
-    at fixed gamma: the variance term scales like (1/E) sqrt(r/K), the uplink
-    term like 1/(E^2 sqrt(rK)), and the downlink term like a constant. Along
-    an axis at pinned eta (as in the sweep preset) gamma is not fixed; the
-    run is the prescribed-rate run for gamma_eff = sqrt(r/K) / (eta L E),
-    and there the uplink term is 4 eta L sum_U2 / (r E K), i.e. order 1/(rE).
-    """
-    if min(E, r, K) < 1:
-        raise ValueError("E, r, K must be positive")
-    return (np.sqrt(r / K) / E, 1.0 / (E**2 * np.sqrt(r * K)), 1.0)
-
-
 def bcd_gap(w: float, n: int) -> float:
     """Exact dissimilarity gap of the quadratic family: w^2 (1 - 1/n)^2.
 

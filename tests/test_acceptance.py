@@ -237,8 +237,8 @@ class TestAcceptance:
         model = LossModel("mse_linear", dim=4,
                           smoothness=smoothness_constant(LossModel("mse_linear", dim=4), ds.X))
         partition = partition_iid(200, 5, seed=3)
-        cfg = FedAvgConfig(n=5, r=5, E=1, K=3, gamma=18.0, batch_size=40, seed=0)
-        res = run_noisy_fedavg(cfg, Task(ds, model, partition))
+        cfg = FedAvgConfig(n=5, r=5, E=1, K=3, gamma=18.0, batch_size=40)
+        res = run_noisy_fedavg(cfg, Task(ds, model, partition), 0)
         w = np.zeros(4)
         for _ in range(3):
             grads = [full_gradient(model, w, ds.X[s], ds.y[s]) for s in partition.shards]

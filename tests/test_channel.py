@@ -41,6 +41,13 @@ class TestVarianceAt:
         with pytest.raises(ValueError):
             variance_at(constant(), -1)
 
+    def test_constant_takes_no_decay_parameters(self):
+        with pytest.raises(ValueError, match="constant"):
+            NoiseSchedule("uplink", "constant", 0.2, decay_exponent=0.5)
+        with pytest.raises(ValueError, match="constant"):
+            NoiseSchedule("uplink", "constant", 0.2, e_squared_scaling=True)
+        assert NoiseSchedule("uplink", "constant", 0.2, 0.0, False) == constant()
+
 
 class TestPerturb:
     def test_zero_variance_is_identity(self):

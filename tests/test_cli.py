@@ -1,13 +1,18 @@
 """CLI surface: configs, subcommands, file formats, exit codes."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisyfed.cli import main
-from noisyfed.config import (ConfigError, load_config, parse_config, preset,
-                             preset_documents, serialize, write_presets)
+from noisyfed.config import (TASKS, ConfigError, SgdBlock, canonical_dict, load_config,
+                             parse_config, preset, preset_documents, serialize, write_presets)
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def tiny_doc(**overrides):
@@ -29,6 +34,70 @@ def write_doc(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc, indent=1))
     return str(path)
+
+
+def number(lo, hi, exclude_min=False):
+    """A float field's value in [lo, hi], sometimes given as an int."""
+    return (st.floats(lo, hi, exclude_min=exclude_min)
+            | st.integers(int(lo) + 1 if exclude_min else int(lo), int(hi)))
+
+
+POSITIVE = number(0, 10, exclude_min=True)
+
+
+def schedule_blocks():
+    zero = st.just(0) | st.just(0.0)
+    return st.none() | st.one_of(
+        st.fixed_dictionaries({}, optional={"kind": st.just("off"), "base_std": zero,
+                                            "decay_exponent": zero,
+                                            "e_squared_scaling": st.just(False)}),
+        st.fixed_dictionaries({"kind": st.just("constant"), "base_std": POSITIVE},
+                              optional={"decay_exponent": zero,
+                                        "e_squared_scaling": st.just(False)}),
+        st.fixed_dictionaries({"kind": st.just("poly_decay"), "base_std": POSITIVE},
+                              optional={"decay_exponent": number(0, 3),
+                                        "e_squared_scaling": st.booleans()}))
+
+
+@st.composite
+def config_docs(draw):
+    """Valid config documents; optional keys are omitted at random."""
+    def put(block, key, strategy):
+        if draw(st.booleans()):
+            block[key] = draw(strategy)
+
+    task = draw(st.sampled_from(TASKS))
+    n, d = draw(st.integers(1, 20)), draw(st.integers(1, 50))
+    fed = {"n": n, "r": draw(st.integers(1, n)), "E": draw(st.integers(1, 5)),
+           "K": draw(st.integers(1, 200)), "gamma": draw(number(4, 100, exclude_min=True)),
+           "batch_size": draw(st.integers(1, 64))}
+    put(fed, "learning_rate_override", st.none() | POSITIVE)
+    data = {"d": d, "seed": draw(st.integers(0, 2**31))}
+    put(data, "normalize_hessian", st.booleans())
+    if task == "regression_v5a":
+        data["m"] = draw(st.integers(max(n, d), 10_000))
+        put(data, "label_noise_variance", number(0, 1))
+        put(data, "n_classes", st.integers(0, 5))
+        put(data, "cluster_separation", number(0, 5))
+        put(data, "partition", st.just("iid"))
+        put(data, "labels_per_client", st.integers(1, 5))
+    else:
+        classes = draw(st.integers(2, 6))
+        data["n_classes"] = classes
+        data["m"] = draw(st.integers(max(n, classes), 10_000))
+        put(data, "cluster_separation", number(0, 5))
+        put(data, "partition", st.sampled_from(["iid", "label_shard"]))
+        put(data, "labels_per_client", st.integers(1, classes))
+    doc = {"task": task, "data": data, "fedavg": fed,
+           "repeat_seeds": draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4,
+                                         unique=True))}
+    put(doc, "sgd", st.none() | st.fixed_dictionaries(
+        {"T": st.integers(1, 1000), "eta": POSITIVE, "batch_size": st.integers(1, 64)}))
+    put(doc, "mode", st.sampled_from(["fedavg", "sgd"] if doc.get("sgd") else ["fedavg"]))
+    put(doc, "uplink", schedule_blocks())
+    put(doc, "downlink", schedule_blocks())
+    put(doc, "out_prefix", st.text("abc/_", max_size=12))
+    return doc
 
 
 class TestConfigParsing:
@@ -54,14 +123,37 @@ class TestConfigParsing:
         bad["fedavg"]["r"] = 99
         with pytest.raises(ConfigError, match="fedavg"):
             parse_config(json.dumps(bad))
-        bad = tiny_doc()
-        bad["uplink"] = {"kind": "constant", "base_std": -1.0}
-        with pytest.raises(ConfigError, match="uplink"):
-            parse_config(json.dumps(bad))
+        for uplink in ({"kind": "constant", "base_std": -1.0},
+                       {"kind": "constant", "base_std": 0.2, "decay_exponent": 0.5},
+                       {"kind": "constant", "base_std": 0.2, "e_squared_scaling": True}):
+            with pytest.raises(ConfigError, match="uplink"):
+                parse_config(json.dumps(tiny_doc(uplink=uplink)))
 
     def test_sgd_mode_needs_block(self):
         with pytest.raises(ConfigError, match="sgd"):
             parse_config(json.dumps(tiny_doc(mode="sgd")))
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=config_docs())
+    def test_round_trip_of_any_valid_document(self, doc):
+        cfg = parse_config(json.dumps(doc, indent=1))
+        text = serialize(cfg)
+        assert parse_config(text) == cfg
+        assert serialize(parse_config(text)) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=config_docs(), data=st.data())
+    def test_unknown_key_in_any_block_rejected_with_line(self, doc, data):
+        blocks = ["top"] + [name for name in ("data", "fedavg", "sgd", "uplink", "downlink")
+                            if isinstance(doc.get(name), dict)]
+        where = data.draw(st.sampled_from(blocks))
+        key = "zz" + data.draw(st.text("abcdefgh_", max_size=6))  # no value contains "zz"
+        (doc if where == "top" else doc[where])[key] = 1
+        text = json.dumps(doc, indent=1)
+        with pytest.raises(ConfigError, match=rf"^config:\d+: unknown key {where}\.{key}$") as info:
+            parse_config(text)
+        line = int(str(info.value).split(":")[1])
+        assert text.splitlines()[line - 1].strip().startswith(f'"{key}":')
 
     def test_presets_all_parse(self, tmp_path):
         paths = write_presets(tmp_path / "configs")
@@ -109,6 +201,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "config.json" in err and "gamma" in err
         assert not (tmp_path / "out").exists()  # no partial outputs
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("uplink", "base_std", float("nan")),
+        ("fedavg", "learning_rate_override", float("nan")),
+        ("data", "label_noise_variance", float("nan")),
+        ("fedavg", "gamma", float("inf")),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, block, key, value):
+        doc = tiny_doc()
+        doc[block] = dict(doc[block], **{key: value})
+        cfgp = write_doc(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfgp, "--out", str(out / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfgp}:") and f"{block}.{key} must be finite" in err
+        line = int(err.split(":")[2])
+        assert f'"{key}"' in (tmp_path / "config.json").read_text().splitlines()[line - 1]
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
@@ -205,9 +315,15 @@ class TestSweepCommand:
         cfgp = write_doc(tmp_path, doc)
         assert main(["sweep", "--config", cfgp, "--axis", "r", "--values", "2,4"]) == 2
 
-    def test_out_of_range_value_rejected(self, tmp_path):
+    def test_out_of_range_value_rejected(self, tmp_path, capsys):
         cfgp = write_doc(tmp_path, tiny_doc())
-        assert main(["sweep", "--config", cfgp, "--axis", "r", "--values", "99"]) == 2
+        out = str(tmp_path / "sw" / "s")
+        for axis, values, message in (("r", "4,99", "r=99: need 1 <= r <= n"),
+                                      ("E", "2,0", "E=0: need E >= 1")):
+            assert main(["sweep", "--config", cfgp, "--axis", axis, "--values", values,
+                         "--out", out]) == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
     def test_non_integer_value_rejected(self, tmp_path, capsys):
         cfgp = write_doc(tmp_path, tiny_doc())
@@ -296,3 +412,22 @@ class TestPresetContents:
     def test_sweep_preset_pins_learning_rate(self):
         cfg = preset("v5a_sweep")
         assert cfg.fedavg.learning_rate_override == pytest.approx(0.0035136, abs=1e-6)
+
+
+class TestSchemaDrift:
+    """The committed configs and README's schema block against what the code writes."""
+
+    @pytest.mark.parametrize("name", sorted(preset_documents()))
+    def test_committed_config_is_the_serialized_preset(self, name):
+        assert (REPO / "configs" / f"{name}.json").read_bytes() == serialize(preset(name)).encode()
+
+    def test_readme_schema_lists_the_canonical_keys(self):
+        section = (REPO / "README.md").read_text().split("### Config schema\n", 1)[1]
+        documented = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        cfg = dataclasses.replace(preset("v5a_constant_noise"),
+                                  sgd=SgdBlock(T=1, eta=0.1, batch_size=1))
+        canonical = canonical_dict(cfg)
+        assert list(documented) == list(canonical)
+        for name, block in canonical.items():
+            if isinstance(block, dict):
+                assert list(documented[name]) == list(block), name

@@ -215,7 +215,7 @@ class TestCohortSteps:
 
 
 def tiny_config(**overrides):
-    base = dict(n=6, r=6, E=1, K=3, gamma=18.0, batch_size=50, seed=0)
+    base = dict(n=6, r=6, E=1, K=3, gamma=18.0, batch_size=50)
     base.update(overrides)
     return FedAvgConfig(**base)
 
@@ -246,7 +246,7 @@ class TestRunNoisyFedavg:
         task = request.getfixturevalue(task)
         ds, model, partition = task.dataset, task.model, task.partition
         cfg = tiny_config(batch_size=batch_size)
-        res = run_noisy_fedavg(cfg, task)
+        res = run_noisy_fedavg(cfg, task, 0)
         eta = res.eta
         w = np.zeros(model.dim)
         for _ in range(cfg.K):
@@ -255,11 +255,11 @@ class TestRunNoisyFedavg:
         assert np.array_equal(res.final_params, w)
 
     def test_bit_identical_reruns(self, tiny_task):
-        cfg = tiny_config(r=3, E=4, batch_size=10,
-                          uplink=NoiseSchedule("uplink", "constant", 0.1),
-                          downlink=NoiseSchedule("downlink", "constant", 0.1))
-        a = run_noisy_fedavg(cfg, tiny_task)
-        b = run_noisy_fedavg(cfg, tiny_task)
+        cfg = tiny_config(r=3, E=4, batch_size=10)
+        channels = (NoiseSchedule("uplink", "constant", 0.1),
+                    NoiseSchedule("downlink", "constant", 0.1))
+        a = run_noisy_fedavg(cfg, tiny_task, 0, *channels)
+        b = run_noisy_fedavg(cfg, tiny_task, 0, *channels)
         assert np.array_equal(a.final_params, b.final_params)
         assert [m.train_loss for m in a.metrics] == [m.train_loss for m in b.metrics]
         assert a.k_star == b.k_star
@@ -267,16 +267,15 @@ class TestRunNoisyFedavg:
     def test_channel_toggles_leave_shared_draws_alone(self, tiny_task):
         # paired runs differing only in one channel share batches and cohorts,
         # so the noise-free trajectory is recovered by turning channels off
-        base = tiny_config(r=3, E=2, batch_size=10)
-        noisy = dataclasses.replace(base, uplink=NoiseSchedule("uplink", "constant", 0.1))
-        a = run_noisy_fedavg(base, tiny_task)
-        b = run_noisy_fedavg(noisy, tiny_task)
+        cfg = tiny_config(r=3, E=2, batch_size=10)
+        a = run_noisy_fedavg(cfg, tiny_task, 0)
+        b = run_noisy_fedavg(cfg, tiny_task, 0, uplink=NoiseSchedule("uplink", "constant", 0.1))
         assert a.metrics[0].train_loss == b.metrics[0].train_loss
         assert not np.array_equal(a.final_params, b.final_params)
 
     def test_divergence_is_recorded_not_raised(self, tiny_task):
         cfg = tiny_config(K=50, learning_rate_override=5.0)
-        res = run_noisy_fedavg(cfg, tiny_task)
+        res = run_noisy_fedavg(cfg, tiny_task, 0)
         assert res.status == "diverged"
         assert res.diverged_at is not None
         assert res.metrics[-1].diverged
@@ -285,12 +284,17 @@ class TestRunNoisyFedavg:
 
     def test_partition_mismatch_rejected(self, tiny_task):
         with pytest.raises(ValueError):
-            run_noisy_fedavg(tiny_config(n=7, r=7), tiny_task)
+            run_noisy_fedavg(tiny_config(n=7, r=7), tiny_task, 0)
+
+    def test_negative_seed_rejected(self, tiny_task):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            run_noisy_fedavg(tiny_config(), tiny_task, -1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            round_draws(tiny_config(), tiny_task, -1)
 
     def test_metrics_record_schedule_and_snr(self, tiny_task):
-        cfg = tiny_config(downlink=NoiseSchedule("downlink", "poly_decay", 0.2, 1.0,
-                                                 e_squared_scaling=True))
-        res = run_noisy_fedavg(cfg, tiny_task)
+        downlink = NoiseSchedule("downlink", "poly_decay", 0.2, 1.0, e_squared_scaling=True)
+        res = run_noisy_fedavg(tiny_config(), tiny_task, 0, downlink=downlink)
         assert res.metrics[0].downlink_variance == pytest.approx(0.04)
         assert res.metrics[1].downlink_variance == pytest.approx(0.02)
         assert res.metrics[0].mean_snr_up is None  # uplink channel off
@@ -356,10 +360,10 @@ class TestQuadraticMetrics:
                           smoothness=smoothness_constant(LossModel("mse_linear", dim=7),
                                                          dataset.X))
         partition = partition_iid(1003, 16, seed=5)
-        cfg = FedAvgConfig(n=16, r=5, E=3, K=20, gamma=18.0, batch_size=8, seed=2,
-                           uplink=NoiseSchedule("uplink", "constant", 0.1),
-                           downlink=NoiseSchedule("downlink", "constant", 0.1))
-        res = run_noisy_fedavg(cfg, Task(dataset, model, partition))
+        cfg = FedAvgConfig(n=16, r=5, E=3, K=20, gamma=18.0, batch_size=8)
+        res = run_noisy_fedavg(cfg, Task(dataset, model, partition), 2,
+                               NoiseSchedule("uplink", "constant", 0.1),
+                               NoiseSchedule("downlink", "constant", 0.1))
         f_ref, _ = row_metrics(model, dataset, partition, res.final_params)
         assert res.final_loss == pytest.approx(f_ref, rel=1e-10, abs=0.0)
 
@@ -477,25 +481,23 @@ class TestSharedDraws:
         model = dataclasses.replace(probe, smoothness=smoothness_constant(probe, ds.X))
         partition = partition_iid(m, n, seed)
         cfg = FedAvgConfig(n=n, r=1 + round(r_frac * (n - 1)), E=E, K=K, gamma=18.0,
-                           batch_size=1 + round(b_frac * (per - 1)), seed=seed,
-                           uplink=NoiseSchedule("uplink", "constant", 0.1) if up
-                           else NoiseSchedule("uplink"),
-                           downlink=NoiseSchedule("downlink", "constant", 0.1) if dn
-                           else NoiseSchedule("downlink"))
-        # draws built for the noise-free twin, as a sweep builds them
-        quiet = dataclasses.replace(cfg, uplink=NoiseSchedule("uplink"),
-                                    downlink=NoiseSchedule("downlink"))
+                           batch_size=1 + round(b_frac * (per - 1)))
+        channels = (NoiseSchedule("uplink", "constant", 0.1) if up else NoiseSchedule("uplink"),
+                    NoiseSchedule("downlink", "constant", 0.1) if dn
+                    else NoiseSchedule("downlink"))
+        # draws take no channels, so they serve every channel variant, as in a sweep
         task = Task(ds, model, partition)
-        draws = round_draws(quiet, task)
+        draws = round_draws(cfg, task, seed)
         assert draws.cohorts.shape == (K, cfg.r)
         assert draws.batches.shape == (K, cfg.r, E, cfg.batch_size)
-        assert_same_run(run_noisy_fedavg(cfg, task, draws=draws), run_noisy_fedavg(cfg, task))
+        assert_same_run(run_noisy_fedavg(cfg, task, seed, *channels, draws=draws),
+                        run_noisy_fedavg(cfg, task, seed, *channels))
 
     def test_draws_come_from_the_keyed_streams(self):
         partition = partition_iid(1003, 16, seed=5)  # ragged: shards of 62 and 63 rows
-        cfg = FedAvgConfig(n=16, r=5, E=3, K=4, gamma=18.0, batch_size=8, seed=9)
+        cfg = FedAvgConfig(n=16, r=5, E=3, K=4, gamma=18.0, batch_size=8)
         dataset = generate_regression(SyntheticRegressionSpec(m=1003, d=2), seed=5)
-        draws = round_draws(cfg, Task(dataset, LossModel("mse_linear", dim=2), partition))
+        draws = round_draws(cfg, Task(dataset, LossModel("mse_linear", dim=2), partition), 9)
         for k in range(cfg.K):
             cohort = client_sample(16, 5, _stream(9, k, 0, _SAMPLE))
             assert np.array_equal(draws.cohorts[k], cohort)
@@ -510,11 +512,13 @@ class TestSharedDraws:
         cfg = tiny_config(r=3, E=1, batch_size=10)
         if change == "shard sizes":
             ds = generate_regression(SyntheticRegressionSpec(m=301, d=5), seed=21)
-            draws = round_draws(cfg, Task(ds, tiny_task.model, partition_iid(301, 6, seed=21)))
+            draws = round_draws(cfg, Task(ds, tiny_task.model, partition_iid(301, 6, seed=21)), 0)
         else:
-            draws = round_draws(dataclasses.replace(cfg, **change), tiny_task)
+            shape = dict(change)
+            seed = shape.pop("seed", 0)
+            draws = round_draws(dataclasses.replace(cfg, **shape), tiny_task, seed)
         with pytest.raises(ValueError, match="draws"):
-            run_noisy_fedavg(cfg, tiny_task, draws=draws)
+            run_noisy_fedavg(cfg, tiny_task, 0, draws=draws)
 
     def test_sweep_table_equals_unshared_runs(self, tmp_path):
         cfg = sweep_config()
@@ -530,7 +534,7 @@ class TestSharedDraws:
         cfg = sweep_config(uplink_std=1e13)  # the uplink-only variant blows up at round 0
         task = build_task(cfg)
         seed = cfg.repeat_seeds[0]
-        draws = round_draws(cfg.fedavg_config(seed), task)
+        draws = round_draws(cfg.fedavg, task, seed)
         shared = {name: run_one_seed(variant, task, seed, draws=draws)
                   for name, variant in sweep_variants(cfg).items()}
         assert shared["uplink_only"].status == "diverged"
@@ -540,7 +544,7 @@ class TestSharedDraws:
     def test_sgd_mode_takes_no_draws(self, tiny_task):
         sgd_cfg = dataclasses.replace(preset("v5a_noise_free"), mode="sgd")
         with pytest.raises(ValueError, match="fedavg"):
-            run_one_seed(sgd_cfg, tiny_task, 1, draws=round_draws(tiny_config(), tiny_task))
+            run_one_seed(sgd_cfg, tiny_task, 1, draws=round_draws(tiny_config(), tiny_task, 1))
 
 
 class TestTask:
@@ -600,7 +604,7 @@ class TestTask:
         assert label_shard.shard_sizes != tiny_softmax_task.shard_sizes
         cfg = tiny_config(r=3, E=1, batch_size=10)
         with pytest.raises(ValueError, match="draws"):
-            run_noisy_fedavg(cfg, tiny_softmax_task, draws=round_draws(cfg, label_shard))
+            run_noisy_fedavg(cfg, tiny_softmax_task, 0, draws=round_draws(cfg, label_shard, 0))
 
 
 class TestRunNoisySgd:

@@ -7,9 +7,8 @@ import pytest
 
 from noisyfed.data import partition_iid
 from noisyfed.fedavg import learning_rate
-from noisyfed.theory import (TheoryParams, bcd_gap, bcd_witness, error_term_orders,
-                             empirical_sigma2, sgd_error_bound, fedavg_error_bound,
-                             zeta, zeta2, zeta3)
+from noisyfed.theory import (TheoryParams, bcd_gap, bcd_witness, empirical_sigma2,
+                             sgd_error_bound, fedavg_error_bound, zeta, zeta2, zeta3)
 
 
 class TestZetas:
@@ -138,24 +137,6 @@ class TestTheorem1Bound:
     def test_warns_above_inverse_smoothness(self):
         with pytest.warns(UserWarning):
             sgd_error_bound(1.5, 1.0, 10, 1.0, 0.0, 0.0, 0.0, 0.0)
-
-
-class TestCorollary2Orders:
-    def test_exponent_arithmetic_in_r(self):
-        s1, u1, d1 = error_term_orders(5, 10, 100)
-        s2, u2, d2 = error_term_orders(5, 40, 100)
-        assert u2 == pytest.approx(u1 / 2)
-        assert s2 == pytest.approx(2 * s1)
-        assert d2 == d1 == 1.0
-
-    def test_exponent_arithmetic_in_e(self):
-        _, u1, _ = error_term_orders(5, 10, 100)
-        _, u2, _ = error_term_orders(10, 10, 100)
-        assert u2 == pytest.approx(u1 / 4)
-
-    def test_plug_in(self):
-        _, u, _ = error_term_orders(1, 4, 4)
-        assert u == pytest.approx(0.25)
 
 
 class TestBcdCounterexample:
