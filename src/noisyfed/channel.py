@@ -13,6 +13,7 @@ is sum_k base/v(k).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ class NoiseSchedule:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
+        if not (math.isfinite(self.base_std) and math.isfinite(self.decay_exponent)):
+            raise ValueError("base_std and decay_exponent must be finite")
         if self.base_std < 0 or self.decay_exponent < 0:
             raise ValueError("base_std and decay_exponent must be >= 0")
         if self.kind != "off" and self.base_std == 0:

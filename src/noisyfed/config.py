@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from typing import get_args, get_type_hints
@@ -62,10 +63,15 @@ class ExperimentConfig:
     sgd: SgdBlock | None = None
 
 
-def _line_of(text: str, key: str) -> int:
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if f'"{key}"' in line:
-            return ln
+def _line_of(text: str, key: str, block: str | None = None) -> int:
+    """Line of the first ``"key":``, searched from the line of ``"block":`` when
+    given, so a key that several blocks share points into the right one; 1 if none."""
+    lines = text.splitlines()
+    start = _line_of(text, block) - 1 if block else 0
+    pattern = re.compile(rf'"{re.escape(key)}"\s*:')
+    for ln in range(start, len(lines)):
+        if pattern.search(lines[ln]):
+            return ln + 1
     return 1
 
 
@@ -82,6 +88,7 @@ def _schema(cls) -> dict:
 
 def _take(block: dict, allowed: dict, where: str, text: str, source: str) -> dict:
     """Pop known keys with type coercion; reject anything left over."""
+    block_key = None if where == "top" else where
     out = {}
     for key, (types, required, default) in allowed.items():
         if key in block:
@@ -90,9 +97,9 @@ def _take(block: dict, allowed: dict, where: str, text: str, source: str) -> dic
             if float in kinds and isinstance(val, int) and not isinstance(val, bool):
                 val = float(val)
             if not isinstance(val, kinds) or (isinstance(val, bool) and bool not in kinds):
-                raise ConfigError(f"{source}:{_line_of(text, key)}: {where}.{key} has wrong type")
+                raise ConfigError(f"{source}:{_line_of(text, key, block_key)}: {where}.{key} has wrong type")
             if isinstance(val, float) and not math.isfinite(val):
-                raise ConfigError(f"{source}:{_line_of(text, key)}: {where}.{key} must be finite")
+                raise ConfigError(f"{source}:{_line_of(text, key, block_key)}: {where}.{key} must be finite")
             out[key] = val
         elif required:
             raise ConfigError(f"{source}:{_line_of(text, where)}: missing required key {where}.{key}")
@@ -100,7 +107,7 @@ def _take(block: dict, allowed: dict, where: str, text: str, source: str) -> dic
             out[key] = default
     if block:
         stray = sorted(block)[0]
-        raise ConfigError(f"{source}:{_line_of(text, stray)}: unknown key {where}.{stray}")
+        raise ConfigError(f"{source}:{_line_of(text, stray, block_key)}: unknown key {where}.{stray}")
     return out
 
 
@@ -151,25 +158,25 @@ def parse_config(text: str, source: str = "config") -> ExperimentConfig:
 
     dvals = _take(dict(top["data"]), _schema(DataConfig), "data", text, source)
     if dvals["seed"] < 0:
-        raise ConfigError(f"{source}:{_line_of(text, 'seed')}: data.seed must be >= 0")
+        raise ConfigError(f"{source}:{_line_of(text, 'seed', 'data')}: data.seed must be >= 0")
     if dvals["partition"] not in PARTITIONS:
-        raise ConfigError(f"{source}:{_line_of(text, 'partition')}: partition must be one of {PARTITIONS}")
+        raise ConfigError(f"{source}:{_line_of(text, 'partition', 'data')}: partition must be one of {PARTITIONS}")
     if top["task"] == "regression_v5a":
         if dvals["partition"] != "iid":
-            raise ConfigError(f"{source}:{_line_of(text, 'partition')}: regression data is partitioned iid")
+            raise ConfigError(f"{source}:{_line_of(text, 'partition', 'data')}: regression data is partitioned iid")
         if dvals["m"] < dvals["d"] or dvals["d"] < 1:
-            raise ConfigError(f"{source}:{_line_of(text, 'm')}: need m >= d >= 1")
+            raise ConfigError(f"{source}:{_line_of(text, 'm', 'data')}: need m >= d >= 1")
         if dvals["label_noise_variance"] < 0:
-            raise ConfigError(f"{source}:{_line_of(text, 'label_noise_variance')}: variance must be >= 0")
+            raise ConfigError(f"{source}:{_line_of(text, 'label_noise_variance', 'data')}: variance must be >= 0")
     else:
         if dvals["n_classes"] < 2:
-            raise ConfigError(f"{source}:{_line_of(text, 'n_classes')}: classification needs n_classes >= 2")
+            raise ConfigError(f"{source}:{_line_of(text, 'n_classes', 'data')}: classification needs n_classes >= 2")
         if dvals["m"] < dvals["n_classes"]:
-            raise ConfigError(f"{source}:{_line_of(text, 'm')}: need m >= n_classes")
+            raise ConfigError(f"{source}:{_line_of(text, 'm', 'data')}: need m >= n_classes")
         if dvals["d"] < 1:
-            raise ConfigError(f"{source}:{_line_of(text, 'd')}: need d >= 1")
+            raise ConfigError(f"{source}:{_line_of(text, 'd', 'data')}: need d >= 1")
         if dvals["labels_per_client"] < 1:
-            raise ConfigError(f"{source}:{_line_of(text, 'labels_per_client')}: "
+            raise ConfigError(f"{source}:{_line_of(text, 'labels_per_client', 'data')}: "
                               "need labels_per_client >= 1")
     data = DataConfig(**dvals)
 
@@ -179,7 +186,7 @@ def parse_config(text: str, source: str = "config") -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"{source}:{_line_of(text, 'fedavg')}: fedavg: {exc}") from exc
     if data.partition == "iid" and data.m < fed.n:
-        raise ConfigError(f"{source}:{_line_of(text, 'n')}: need m >= n clients")
+        raise ConfigError(f"{source}:{_line_of(text, 'n', 'fedavg')}: need m >= n clients")
 
     sgd = None
     if top["sgd"] is not None:

@@ -118,8 +118,7 @@ def bound_inputs(cfg: ExperimentConfig, task: Task, probe_params=None,
     w0 = np.zeros(model.dim)
     probes = [w0] if probe_params is None else probe_params
     f0, _ = fedavg._global_metrics(model, task.metric_inputs, w0)
-    sigma2 = empirical_sigma2(model, task.dataset, task.partition, probes, fb.batch_size,
-                              trials, cfg.data.seed)
+    sigma2 = empirical_sigma2(task, probes, fb.batch_size, trials, cfg.data.seed)
     sum_u2, sum_n2 = schedule_power_sums(cfg, model.dim)
     return TheoryParams(n=fb.n, r=fb.r, E=fb.E, K=fb.K, gamma=fb.gamma,
                         L=model.smoothness, eta=step_size(fb, model.smoothness),

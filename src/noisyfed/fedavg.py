@@ -15,10 +15,13 @@ Randomness is drawn from independent streams keyed by
 (master seed, round, client, purpose), so client order and channel on/off
 toggles never perturb unrelated draws; two runs with equal configs and
 seeds are bit-identical, and paired runs differing only in one channel
-share every other draw. A run draws each round's cohort and batch rows as
-it goes, or takes them from ``round_draws``: a sweep builds those once per
-(axis value, seed) and shares them across its three channel variants, with
-results identical to runs that draw their own.
+share every other draw. A run draws everything up front: ``round_draws``
+replays every round's cohort and batch rows from their streams at once
+(``streams.choices``, bit-identical to numpy's own draws), and the channel
+noise Generators are seeded from states computed for all keys together. A
+sweep builds the draws once per (axis value, seed) and shares them across
+its three channel variants, with results identical to runs that draw their
+own.
 
 The reported train loss and gradient norm never feed back into training.
 For ``mse_linear`` both loops evaluate them in O(d^2) from per-client
@@ -38,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import backend
+from . import backend, streams
 from .channel import NoiseSchedule, variance_at
 from .data import Dataset, ClientPartition, sample_batch
 from .model import LossModel, check_params, check_rows
@@ -195,32 +198,43 @@ def _draws_key(config: FedAvgConfig, task: Task, seed: int) -> tuple:
             task.shard_sizes)
 
 
-def _draw_round(config: FedAvgConfig, seed: int, local_rows: tuple, k: int):
-    """Round k's cohort and its (r, E, b) sorted local batch rows, from the keyed streams."""
-    selected = client_sample(config.n, config.r, _stream(seed, k, 0, _SAMPLE))
-    batches = np.empty((config.r, config.E, config.batch_size), dtype=np.int64)
-    for j, i in enumerate(selected):
-        rng_b = _stream(seed, k, int(i), _BATCH)
-        for e in range(config.E):
-            batches[j, e] = sample_batch(local_rows[i], config.batch_size, rng_b)
-    batches.sort(axis=2)
-    return selected, batches
+def _noise_streams(seed: int, keys: list):
+    """A function j -> the Generator of ``_stream(seed, *keys[j])``, seeded from
+    precomputed states, or from _stream itself when the seed is not replayable."""
+    if seed >= streams.WORD_LIMIT:
+        return lambda j: _stream(seed, *keys[j])
+    return streams.generators([(seed, *key) for key in keys])
 
 
 def round_draws(config: FedAvgConfig, task: Task, seed: int) -> RoundDraws:
     """All K rounds' draws of the runs keyed like ``config`` and ``seed`` on ``task``.
 
-    Channel schedules and the learning rate do not enter: runs that differ
-    only in those consume the same draws.
+    Round k's cohort is ``client_sample`` from stream (seed, k, 0, sample) and
+    client i's E batches are successive ``sample_batch`` calls on stream
+    (seed, k, i, batch), all replayed at once by ``streams.choices``; the
+    streams it cannot replay are drawn from numpy itself. Channel schedules
+    and the learning rate do not enter: runs that differ only in those
+    consume the same draws.
     """
     if seed < 0:
         raise ValueError("seed must be >= 0")
     if task.partition.n_clients != config.n:
         raise ValueError("partition must have exactly n shards")
-    cohorts = np.empty((config.K, config.r), dtype=np.int64)
-    batches = np.empty((config.K, config.r, config.E, config.batch_size), dtype=np.int64)
-    for k in range(config.K):
-        cohorts[k], batches[k] = _draw_round(config, seed, task.local_rows, k)
+    n, r, E, K, b = config.n, config.r, config.E, config.K, config.batch_size
+    if b > min(task.shard_sizes):
+        raise ValueError("batch_size exceeds a client shard")
+    cohorts, bad = streams.choices([(seed, k, 0, _SAMPLE) for k in range(K)], n, r, 1)
+    cohorts = np.sort(cohorts[:, 0], axis=1)
+    for k in np.flatnonzero(bad):
+        cohorts[k] = client_sample(n, r, _stream(seed, k, 0, _SAMPLE))
+    keys = [(seed, k, i, _BATCH) for k, cohort in enumerate(cohorts.tolist()) for i in cohort]
+    batches, bad = streams.choices(keys, np.array(task.shard_sizes)[cohorts.ravel()], b, E)
+    for row in np.flatnonzero(bad):
+        _, k, i, _ = keys[row]
+        rng_b = _stream(seed, k, i, _BATCH)
+        batches[row] = [sample_batch(task.local_rows[i], b, rng_b) for _ in range(E)]
+    batches.sort(axis=2)
+    batches = batches.reshape(K, r, E, b)
     cohorts.flags.writeable = batches.flags.writeable = False  # shared by several runs
     return RoundDraws(_draws_key(config, task, seed), cohorts, batches)
 
@@ -287,8 +301,9 @@ def run_noisy_fedavg(config: FedAvgConfig, task: Task, seed: int,
     bit for bit. The run halts with status "diverged" when the loss goes
     non-finite or the parameter norm exceeds 1e12; the offending round's row
     carries the diverged flag. Cohorts and batch rows come from ``draws``
-    when given (see round_draws), else are drawn round by round; the result
-    is the same.
+    when given, else from one round_draws call; the result is the same. The
+    channel noise of round k comes from streams (seed, k, 0, downlink) and
+    (seed, k, i, uplink), seeded up front for each channel that is on.
     """
     if seed < 0:
         raise ValueError("seed must be >= 0")
@@ -301,12 +316,19 @@ def run_noisy_fedavg(config: FedAvgConfig, task: Task, seed: int,
         raise ValueError("loss_model.smoothness must be set (see smoothness_constant)")
     if config.batch_size > min(task.shard_sizes):
         raise ValueError("batch_size exceeds a client shard")
+    if draws is None:
+        draws = round_draws(config, task, seed)
 
     n, r, E, K = config.n, config.r, config.E, config.K
     L = loss_model.smoothness
     eta = step_size(config, L)
     d = loss_model.dim
     inputs, row_map, offsets = task.metric_inputs, task.row_map, task.offsets
+    if not downlink.off:
+        down_rng = _noise_streams(seed, [(k, 0, _DOWNLINK) for k in range(K)])
+    if not uplink.off:
+        up_rng = _noise_streams(seed, [(k, i, _UPLINK) for k in range(K)
+                                       for i in draws.cohorts[k].tolist()])
 
     w = np.zeros(d)
     metrics: list[RoundMetrics] = []
@@ -326,12 +348,9 @@ def run_noisy_fedavg(config: FedAvgConfig, task: Task, seed: int,
             status, div_at = "diverged", k
             break
 
-        if draws is None:
-            selected, batches = _draw_round(config, seed, task.local_rows, k)
-        else:
-            selected, batches = draws.cohorts[k], draws.batches[k]
+        selected, batches = draws.cohorts[k], draws.batches[k]
         if v_dn > 0:
-            nu = _stream(seed, k, 0, _DOWNLINK).standard_normal(d) * np.sqrt(v_dn)
+            nu = down_rng(k).standard_normal(d) * np.sqrt(v_dn)
             w_recv = w + nu
         else:
             w_recv = w
@@ -342,8 +361,8 @@ def run_noisy_fedavg(config: FedAvgConfig, task: Task, seed: int,
         noises = []
         up_snrs = []
         if v_up > 0:
-            for i, w_end in zip(selected, w_ends):
-                noises.append(_stream(seed, k, int(i), _UPLINK).standard_normal(d) * np.sqrt(v_up))
+            for j, w_end in enumerate(w_ends):
+                noises.append(up_rng(k * r + j).standard_normal(d) * np.sqrt(v_up))
                 delta = w_recv - w_end
                 up_snrs.append(float(delta @ delta) / (d * v_up))
 
@@ -381,6 +400,8 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
     Warns when eta exceeds 1/L. Metrics are measured at w_t over the whole
     dataset, taken as one shard of the federated loop's evaluation.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if T < 1:
         raise ValueError("need T >= 1")
     if eta <= 0:
@@ -392,7 +413,16 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
         warnings.warn(f"eta={eta:.6g} exceeds 1/L={1.0 / L:.6g}")
     d = loss_model.dim
     m = len(dataset)
-    idx_all = np.arange(m, dtype=np.int64)
+    batches, bad = streams.choices([(seed, t, 0, _BATCH) for t in range(T)], m, batch_size, 1)
+    batches = batches[:, 0]
+    for t in np.flatnonzero(bad):
+        batches[t] = sample_batch(np.arange(m, dtype=np.int64), batch_size,
+                                  _stream(seed, t, 0, _BATCH))
+    batches.sort(axis=1)
+    if not downlink.off:
+        down_rng = _noise_streams(seed, [(t, 0, _DOWNLINK) for t in range(T)])
+    if not uplink.off:
+        up_rng = _noise_streams(seed, [(t, 0, _UPLINK) for t in range(T)])
     w = np.zeros(d)
     metrics: list[RoundMetrics] = []
     status, div_at = "completed", None
@@ -412,15 +442,14 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
             status, div_at = "diverged", t
             break
 
-        batch = np.sort(sample_batch(idx_all, batch_size, _stream(seed, t, 0, _BATCH)))
         point = w
         if v_dn > 0:
-            point = w + _stream(seed, t, 0, _DOWNLINK).standard_normal(d) * np.sqrt(v_dn)
-        g = backend.batch_gradient(loss_model.kind, dataset.X, dataset.y, point, batch,
+            point = w + down_rng(t).standard_normal(d) * np.sqrt(v_dn)
+        g = backend.batch_gradient(loss_model.kind, dataset.X, dataset.y, point, batches[t],
                                    loss_model.n_classes)
         step = g
         if v_up > 0:
-            step = g + _stream(seed, t, 0, _UPLINK).standard_normal(d) * np.sqrt(v_up)
+            step = g + up_rng(t).standard_normal(d) * np.sqrt(v_up)
         w_next = w - eta * step
 
         row = RoundMetrics(t, train_loss, gns, v_up, v_dn,

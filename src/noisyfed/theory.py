@@ -16,12 +16,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import backend
-from .data import Dataset, ClientPartition, sample_batch
-from .model import LossModel, full_gradient
+from . import backend, streams
+from .data import sample_batch
+from .model import full_gradient
+
+if TYPE_CHECKING:
+    from .fedavg import Task
+
+_SIGMA2_STREAM = 0x516  # empirical_sigma2 draws from stream [seed, 0x516]
+_SIGMA2_BLOCK = 512  # batches replayed together
 
 
 def learning_rate(gamma: float, L: float, E: int, r: int, K: int) -> float:
@@ -197,29 +204,78 @@ def bcd_witness(G: float, n: int) -> float:
     return 2.0 * G / (1.0 - 1.0 / n)
 
 
-def empirical_sigma2(loss_model: LossModel, dataset: Dataset, partition: ClientPartition,
-                     probe_params, batch_size: int, trials: int, seed: int) -> float:
+def _stream_batches(sizes, batch_size: int, seed: int):
+    """Yield arrays of successive ``sample_batch(arange(m), batch_size, rng)`` rows,
+    one row per entry m of ``sizes``, all from ``rng = default_rng([seed, 0x516])``.
+
+    A batch of a size-m shard takes streams.words_per_choice(m, b) words, so
+    each batch's first word is a prefix sum, and the batches are replayed a
+    block at a time. From the first block that cannot be, numpy draws, after
+    drawing the batches before it again to reach the same point of the stream.
+    """
+    key = [(seed, _SIGMA2_STREAM)]
+    per = streams.words_per_choice(sizes, batch_size)
+    starts = np.cumsum(per) - per
+    window = np.arange(2 * batch_size - 1)
+    done = 0
+    if streams.replayable(key):
+        for lo in range(0, len(sizes), _SIGMA2_BLOCK):
+            hi = min(lo + _SIGMA2_BLOCK, len(sizes))
+            first = int(starts[lo])
+            words = streams.words(key, int(starts[hi - 1] + per[hi - 1]) - first + 1, first)[0]
+            local, bad = streams.choice(words[starts[lo:hi, None] - first + window],
+                                        sizes[lo:hi], batch_size)
+            if bad.any():
+                break
+            yield local
+            done = hi
+    if done < len(sizes):
+        rng = np.random.default_rng([int(seed), _SIGMA2_STREAM])
+        for j, m in enumerate(sizes):
+            batch = sample_batch(np.arange(m), batch_size, rng)
+            if j >= done:
+                yield batch[None]
+
+
+def _trial_batches(shard_sizes, count: int, batch_size: int, seed: int):
+    """Yield each shard's (count, b) local rows: ``count`` successive
+    ``sample_batch`` calls per shard, shard by shard, from _stream_batches."""
+    if batch_size < 1 or batch_size > min(shard_sizes):
+        raise ValueError("need 1 <= batch_size <= shard size")
+    sizes = np.repeat(np.asarray(shard_sizes, dtype=np.int64), count)
+    pending = np.empty((0, batch_size), dtype=np.int64)
+    for rows in _stream_batches(sizes, batch_size, seed):
+        pending = np.concatenate([pending, rows])
+        while len(pending) >= count:
+            yield pending[:count]
+            pending = pending[count:]
+
+
+def empirical_sigma2(task: Task, probe_params, batch_size: int, trials: int,
+                     seed: int) -> float:
     """Monte-Carlo bound on the per-client stochastic-gradient variance.
 
-    For every client shard and probe point, estimates
+    For every client shard of ``task`` and probe point, estimates
     E || batch gradient - shard gradient ||^2 over ``trials`` batch draws and
     returns the maximum, inflated by a 1.5x safety factor so it can serve as
-    the variance bound fed to the error bounds.
+    the variance bound fed to the error bounds. Batch rows map to dataset
+    rows through ``task.row_map`` and ``task.offsets``.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    rng = np.random.default_rng([int(seed), 0x516])
+    model, X, y = task.model, task.dataset.X, task.dataset.y
+    batches = _trial_batches(task.shard_sizes, len(probe_params) * trials, batch_size, seed)
     worst = 0.0
-    for shard in partition.shards:
-        Xs, ys = dataset.X[shard], dataset.y[shard]
-        local = np.arange(shard.size, dtype=np.int64)
-        for w in probe_params:
+    for start, m, local in zip(task.offsets.tolist(), task.shard_sizes, batches):
+        shard = task.row_map[start:start + m]
+        Xs, ys = X[shard], y[shard]
+        for p, w in enumerate(probe_params):
             # validates w and the shard, so every trial batch drawn from it
-            ref = full_gradient(loss_model, w, Xs, ys)
-            rows = np.stack([sample_batch(local, batch_size, rng) for _ in range(trials)])
-            diffs = backend.stacked_gradient(loss_model.kind, Xs[rows], ys[rows],
+            ref = full_gradient(model, w, Xs, ys)
+            rows = task.row_map[start + local[p * trials:(p + 1) * trials]]
+            diffs = backend.stacked_gradient(model.kind, X[rows], y[rows],
                                              np.asarray(w, dtype=np.float64),
-                                             loss_model.n_classes) - ref
+                                             model.n_classes) - ref
             acc = 0.0
             for diff in diffs:
                 acc += float(diff @ diff)

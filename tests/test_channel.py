@@ -48,6 +48,14 @@ class TestVarianceAt:
             NoiseSchedule("uplink", "constant", 0.2, e_squared_scaling=True)
         assert NoiseSchedule("uplink", "constant", 0.2, 0.0, False) == constant()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, bad):
+        # nan > 0 is false, so a nan channel would otherwise run as off
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSchedule("uplink", "constant", bad)
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSchedule("downlink", "poly_decay", 0.2, bad)
+
 
 class TestPerturb:
     def test_zero_variance_is_identity(self):

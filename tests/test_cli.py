@@ -129,6 +129,25 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match="uplink"):
                 parse_config(json.dumps(tiny_doc(uplink=uplink)))
 
+    @pytest.mark.parametrize("block, key", [("uplink", "base_std"), ("downlink", "base_std"),
+                                            ("fedavg", "batch_size"), ("sgd", "batch_size")])
+    def test_error_in_a_shared_key_points_into_its_own_block(self, block, key):
+        # each key is also in another block; "mode": "sgd" names a block before the blocks
+        doc = tiny_doc(mode="sgd", sgd={"T": 5, "eta": 0.01, "batch_size": 8})
+        doc[block][key] = "marker"
+        text = json.dumps(doc, indent=1)
+        with pytest.raises(ConfigError, match=rf"^config:\d+: {block}\.{key} has wrong type$") \
+                as info:
+            parse_config(text)
+        line = int(str(info.value).split(":")[1])
+        assert text.splitlines()[line - 1].strip().rstrip(",") == f'"{key}": "marker"'
+        doc[block][key] = float("nan") if key == "base_std" else 8
+        if key == "base_std":
+            with pytest.raises(ConfigError, match=rf"{block}\.base_std must be finite") as info:
+                parse_config(json.dumps(doc, indent=1))
+            line = int(str(info.value).split(":")[1])
+            assert "NaN" in json.dumps(doc, indent=1).splitlines()[line - 1]
+
     def test_sgd_mode_needs_block(self):
         with pytest.raises(ConfigError, match="sgd"):
             parse_config(json.dumps(tiny_doc(mode="sgd")))

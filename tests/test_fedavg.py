@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisyfed import backend, fedavg
+from noisyfed import backend, fedavg, streams
 from noisyfed.channel import NoiseSchedule
 from noisyfed.config import parse_config, preset
 from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
@@ -110,6 +110,17 @@ def client_batches(m, batch_size, E, rng):
     """E sorted mini-batches of a size-m shard, drawn as run_noisy_fedavg draws them."""
     local = np.arange(m, dtype=np.int64)
     return np.stack([np.sort(sample_batch(local, batch_size, rng)) for _ in range(E)])
+
+
+def keyed_stream_draws(cfg, task, seed):
+    """A run's RoundDraws drawn one stream at a time: client_sample and sample_batch
+    on _stream(seed, k, i, purpose), the reference the replayed round_draws must equal."""
+    cohorts = np.stack([client_sample(cfg.n, cfg.r, _stream(seed, k, 0, _SAMPLE))
+                        for k in range(cfg.K)])
+    batches = np.stack([[client_batches(task.shard_sizes[i], cfg.batch_size, cfg.E,
+                                        _stream(seed, k, i, _BATCH)) for i in cohort]
+                        for k, cohort in enumerate(cohorts)])
+    return fedavg.RoundDraws(fedavg._draws_key(cfg, task, seed), cohorts, batches)
 
 
 class TestLocalUpdate:
@@ -485,25 +496,77 @@ class TestSharedDraws:
         channels = (NoiseSchedule("uplink", "constant", 0.1) if up else NoiseSchedule("uplink"),
                     NoiseSchedule("downlink", "constant", 0.1) if dn
                     else NoiseSchedule("downlink"))
-        # draws take no channels, so they serve every channel variant, as in a sweep
+        # draws take no channels, so they serve every channel variant, as in a sweep;
+        # the given ones are drawn one stream at a time, the run's own are replayed
         task = Task(ds, model, partition)
-        draws = round_draws(cfg, task, seed)
+        draws = keyed_stream_draws(cfg, task, seed)
         assert draws.cohorts.shape == (K, cfg.r)
         assert draws.batches.shape == (K, cfg.r, E, cfg.batch_size)
         assert_same_run(run_noisy_fedavg(cfg, task, seed, *channels, draws=draws),
                         run_noisy_fedavg(cfg, task, seed, *channels))
 
-    def test_draws_come_from_the_keyed_streams(self):
+    @staticmethod
+    def assert_keyed_stream_draws(draws, cfg, task, seed):
+        reference = keyed_stream_draws(cfg, task, seed)
+        assert np.array_equal(draws.cohorts, reference.cohorts)
+        assert np.array_equal(draws.batches, reference.batches)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+           n=st.integers(1, 12), b=st.integers(1, 6), extra=st.integers(0, 40),
+           r_frac=st.floats(0.0, 1.0), E=st.integers(1, 4), K=st.integers(1, 5))
+    def test_draws_come_from_the_keyed_streams(self, seed, n, b, extra, r_frac, E, K):
+        m = n * b + extra  # ragged shards of at least b rows; m = b when extra < n
+        partition = partition_iid(m, n, seed=3)
+        cfg = FedAvgConfig(n=n, r=1 + round(r_frac * (n - 1)), E=E, K=K, gamma=18.0,
+                           batch_size=b)
+        dataset = generate_regression(SyntheticRegressionSpec(m=m, d=1), seed=3)
+        task = Task(dataset, LossModel("mse_linear", dim=1), partition)
+        self.assert_keyed_stream_draws(round_draws(cfg, task, seed), cfg, task, seed)
+
+    def test_rejection_redraws_only_its_stream(self, monkeypatch):
         partition = partition_iid(1003, 16, seed=5)  # ragged: shards of 62 and 63 rows
         cfg = FedAvgConfig(n=16, r=5, E=3, K=4, gamma=18.0, batch_size=8)
-        dataset = generate_regression(SyntheticRegressionSpec(m=1003, d=2), seed=5)
-        draws = round_draws(cfg, Task(dataset, LossModel("mse_linear", dim=2), partition), 9)
-        for k in range(cfg.K):
-            cohort = client_sample(16, 5, _stream(9, k, 0, _SAMPLE))
-            assert np.array_equal(draws.cohorts[k], cohort)
-            for j, i in enumerate(cohort):
-                rows = client_batches(partition.shards[i].size, 8, 3, _stream(9, k, i, _BATCH))
-                assert np.array_equal(draws.batches[k, j], rows)
+        task = Task(generate_regression(SyntheticRegressionSpec(m=1003, d=2), seed=5),
+                    LossModel("mse_linear", dim=2), partition)
+        real = streams.words
+
+        def with_rejection(keys, n, start=0):
+            # first Floyd draw of row 0, from [0, 11] for cohorts and [0, 54 or 55] for
+            # batches: 0 * (j + 1) leaves 0 < 2**32 % (j + 1) unless j + 1 is a power of two
+            words = real(keys, n, start).copy()
+            words[0, 0] = 0
+            return words
+        redrawn = []
+
+        def spy(*key):
+            redrawn.append(key[1:])
+            return _stream(*key)
+        monkeypatch.setattr(streams, "words", with_rejection)
+        monkeypatch.setattr(fedavg, "_stream", spy)
+        draws = round_draws(cfg, task, 9)
+        monkeypatch.undo()
+        first = int(draws.cohorts[0, 0])
+        assert redrawn == [(0, 0, _SAMPLE), (0, first, _BATCH)]
+        self.assert_keyed_stream_draws(draws, cfg, task, 9)
+
+    def test_tail_shuffle_shard_comes_from_numpy(self):
+        # one shard of m > 10 000 rows with b > m // 50: numpy shuffles a tail of arange(m)
+        partition = partition_iid(10_001, 1, seed=0)
+        cfg = FedAvgConfig(n=1, r=1, E=2, K=2, gamma=18.0, batch_size=201)
+        task = Task(generate_regression(SyntheticRegressionSpec(m=10_001, d=1), seed=0),
+                    LossModel("mse_linear", dim=1), partition)
+        self.assert_keyed_stream_draws(round_draws(cfg, task, 4), cfg, task, 4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+           d=st.integers(1, 4))
+    def test_noise_streams_equal_keyed_streams(self, seed, d):
+        keys = [(0, 0, fedavg._DOWNLINK), (3, 7, fedavg._UPLINK), (2, 1, fedavg._UPLINK)]
+        rng = fedavg._noise_streams(seed, keys)
+        for j in (2, 0, 1):
+            assert np.array_equal(rng(j).standard_normal(d),
+                                  _stream(seed, *keys[j]).standard_normal(d))
 
     @pytest.mark.parametrize("change", [dict(seed=1), dict(r=2), dict(E=2), dict(K=4),
                                         dict(batch_size=8), "shard sizes"],
@@ -657,11 +720,39 @@ class TestRunNoisySgd:
         f_ref = loss(model, res.final_params, ds.X, ds.y)
         assert res.final_loss == pytest.approx(f_ref, rel=1e-10, abs=0.0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+           m_b=st.sampled_from([(40, 40), (41, 1), (41, 40), (10_001, 201)]),
+           T=st.integers(1, 4))
+    def test_batches_come_from_the_keyed_streams(self, seed, m_b, T):
+        # m = b draws nothing first; m = 10 001 with b = 201 is numpy's tail shuffle
+        m, b = m_b
+        ds = generate_regression(SyntheticRegressionSpec(m=m, d=1), seed=0)
+        model = LossModel("mse_linear", dim=1, smoothness=1.0)
+        seen = []
+        real = backend.batch_gradient
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(backend, "batch_gradient",
+                       lambda kind, X, y, w, rows, *a: seen.append(rows) or real(
+                           kind, X, y, w, rows, *a))
+            run_noisy_sgd(model, ds, 1e-3, T, b, NoiseSchedule("uplink"),
+                          NoiseSchedule("downlink"), seed)
+        assert len(seen) == T
+        for t, rows in enumerate(seen):
+            want = np.sort(sample_batch(np.arange(m), b, _stream(seed, t, 0, _BATCH)))
+            assert np.array_equal(rows, want)
+
     def test_warns_above_inverse_smoothness(self):
         ds, model = self._task()
         off_u, off_d = NoiseSchedule("uplink"), NoiseSchedule("downlink")
         with pytest.warns(UserWarning):
             run_noisy_sgd(model, ds, 1.5, 2, 16, off_u, off_d, seed=0)
+
+    def test_negative_seed_rejected(self):
+        ds, model = self._task()
+        with pytest.raises(ValueError, match="seed"):
+            run_noisy_sgd(model, ds, 0.01, 2, 16, NoiseSchedule("uplink"),
+                          NoiseSchedule("downlink"), seed=-1)
 
 
 class TestPresetIntegration:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from noisyfed.data import partition_iid
-from noisyfed.fedavg import learning_rate
+from noisyfed.fedavg import Task, learning_rate
 from noisyfed.theory import (TheoryParams, bcd_gap, bcd_witness, empirical_sigma2,
                              sgd_error_bound, fedavg_error_bound, zeta, zeta2, zeta3)
 
@@ -162,24 +162,22 @@ class TestEmpiricalSigma2:
                                                          label_noise_variance=0.1), seed)
         model = LossModel("mse_linear", dim=d,
                           smoothness=smoothness_constant(LossModel("mse_linear", dim=d), ds.X))
-        return ds, model, partition_iid(m, 3, seed)
+        return Task(ds, model, partition_iid(m, 3, seed))
 
     def test_full_batch_has_no_variance(self):
-        ds, model, part = self._task()
-        got = empirical_sigma2(model, ds, part, [np.zeros(5)], batch_size=100,
-                               trials=3, seed=0)
+        got = empirical_sigma2(self._task(), [np.zeros(5)], batch_size=100, trials=3, seed=0)
         assert got < 1e-20
 
     def test_monte_carlo_stabilizes(self):
-        ds, model, part = self._task()
-        a = empirical_sigma2(model, ds, part, [np.zeros(5)], 10, trials=400, seed=1)
-        b = empirical_sigma2(model, ds, part, [np.zeros(5)], 10, trials=800, seed=2)
+        task = self._task()
+        a = empirical_sigma2(task, [np.zeros(5)], 10, trials=400, seed=1)
+        b = empirical_sigma2(task, [np.zeros(5)], 10, trials=800, seed=2)
         assert abs(a - b) / a < 0.10
 
     def test_scales_inversely_with_batch_size(self):
-        ds, model, part = self._task()
-        v5 = empirical_sigma2(model, ds, part, [np.zeros(5)], 5, trials=600, seed=3)
-        v20 = empirical_sigma2(model, ds, part, [np.zeros(5)], 20, trials=600, seed=4)
+        task = self._task()
+        v5 = empirical_sigma2(task, [np.zeros(5)], 5, trials=600, seed=3)
+        v20 = empirical_sigma2(task, [np.zeros(5)], 20, trials=600, seed=4)
         assert 3.0 < v5 / v20 < 5.5
 
     @pytest.mark.parametrize("kind", ["mse_linear", "softmax_linear"])
@@ -211,4 +209,4 @@ class TestEmpiricalSigma2:
                     diff = gradient(model, w, Xs[b], ys[b]) - ref
                     acc += float(diff @ diff)
                 worst = max(worst, acc / 7)
-        assert empirical_sigma2(model, ds, part, probes, 9, trials=7, seed=6) == 1.5 * worst
+        assert empirical_sigma2(Task(ds, model, part), probes, 9, trials=7, seed=6) == 1.5 * worst
