@@ -6,8 +6,9 @@ stack of gathered batches and runs every product through ``np.matmul``.
 gradient over many rows at once, from the same softmax steps, for metrics.
 matmul computes each slice of a stacked product with the same BLAS gemv or
 gemm call as a lone 2-D product, so a client's steps give the same bits
-whether it steps alone or in a cohort (the tests check this bitwise), and
-full-batch steps match ``model.full_gradient``.
+whether it steps alone, in a cohort, or in a cohort stepped for several
+replicas at once (the tests check this bitwise), and full-batch steps
+match ``model.full_gradient``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ def stacked_gradient(kind, Xb, yb, w, n_classes=0):
 
     ``Xb`` is (..., b, d) gathered rows, ``yb`` their (..., b) targets and
     ``w`` the (..., P) params, one per batch or one shared by the stack.
+    ``Xb`` broadcasts against further leading axes of ``w``, so one stack
+    of batches serves several replicas' params; softmax then takes ``yb``
+    at the broadcast shape.
     mse_linear: loss 0.5 * (<w, x> - y)^2. Otherwise a softmax linear
     classifier with params flattened (C, d) row-major and integer labels.
     Returns (..., P).
@@ -77,12 +81,18 @@ def local_steps(kind, X, y, w0, eta, batches, n_classes=0):
     """Run one SGD step per batch of rows of ``X``, starting at ``w0``.
 
     ``batches`` is (E, b) for one client, or (r, E, b) for a cohort of r
-    clients that all start at ``w0`` and step side by side. Returns (final
-    params, sum of the step gradients), each (P,) or (r, P).
+    clients that all start at ``w0`` and step side by side. ``w0`` is (P,),
+    or (R, P) for R replicas that each step the whole cohort from their own
+    start on the same batches; the rows are gathered once for all of them.
+    Returns (final params, sum of the step gradients), each
+    ``w0.shape[:-1] + batches.shape[:-2] + (P,)``.
     """
     batches = np.asarray(batches, dtype=np.int64)
-    Xg, yg = X[batches], y[batches]
-    w = np.broadcast_to(w0, batches.shape[:-2] + w0.shape).copy()
+    Xg, yg, lead = X[batches], y[batches], batches.shape[:-2]
+    if w0.ndim > 1:  # the softmax residual takes one target per replica's batch row
+        yg = np.broadcast_to(yg, w0.shape[:-1] + yg.shape)
+    start = w0.reshape(w0.shape[:-1] + (1,) * len(lead) + w0.shape[-1:])
+    w = np.broadcast_to(start, w0.shape[:-1] + lead + w0.shape[-1:]).copy()
     acc = np.zeros_like(w)
     for e in range(batches.shape[-2]):
         g = stacked_gradient(kind, Xg[..., e, :, :], yg[..., e, :], w, n_classes)

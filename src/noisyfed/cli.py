@@ -14,6 +14,7 @@ Exit codes: 0 success (divergence inside a run is data, not failure),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import ConfigError, load_config
@@ -125,13 +126,18 @@ def _cmd_power(args) -> int:
 
 def _cmd_bcd(args) -> int:
     n, G = args.n, args.G
-    if n < 1 or G <= 0:
-        raise ConfigError(f"bcd-demo: need n >= 1 and G > 0, got n={n} G={G}")
+    if n < 1 or not 0 < G < math.inf:
+        raise ConfigError(f"bcd-demo: need n >= 1 and finite G > 0, got n={n} G={G}")
     if n == 1:
         print("single client: gap identically 0 for all w")
         return 0
     w = bcd_witness(G, n)
-    gap = bcd_gap(w, n)
+    try:
+        gap = bcd_gap(w, n)
+    except OverflowError:
+        gap = math.inf
+    if not math.isfinite(gap):
+        raise ConfigError(f"bcd-demo: G={G} is too large: the gap overflows a float")
     print(f"witness w = {_fmt(w)}")
     print(f"gap(w)    = {_fmt(gap)}")
     print(f"G^2       = {_fmt(G * G)}")

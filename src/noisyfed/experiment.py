@@ -60,16 +60,13 @@ def build_task(cfg: ExperimentConfig) -> Task:
     return Task(dataset, model, partition)
 
 
-def run_one_seed(cfg: ExperimentConfig, task: Task, seed: int,
-                 draws: fedavg.RoundDraws | None = None) -> RunResult:
-    """One repeat seed's run; fedavg runs may take shared ``draws``."""
+def run_one_seed(cfg: ExperimentConfig, task: Task, seed: int) -> RunResult:
+    """One repeat seed's run."""
     if cfg.mode == "sgd":
-        if draws is not None:
-            raise ValueError("shared draws apply to fedavg mode")
         s = cfg.sgd
         return run_noisy_sgd(task.model, task.dataset, s.eta, s.T, s.batch_size,
                              cfg.uplink, cfg.downlink, seed)
-    return run_noisy_fedavg(cfg.fedavg, task, seed, cfg.uplink, cfg.downlink, draws=draws)
+    return run_noisy_fedavg(cfg.fedavg, task, seed, cfg.uplink, cfg.downlink)
 
 
 def _fmt(x) -> str:
@@ -214,8 +211,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
 
     axis is "r" or "E"; emits ``{prefix}_sweep_{axis}.csv`` with one row per
     (value, variant): the seed-mean final loss and its excess over the
-    noise-free mean at the same value. Each (value, seed) draws its cohorts
-    and batch rows once, and the three variants run on those shared draws.
+    noise-free mean at the same value. The three variants of each
+    (value, seed) run side by side in one ``fedavg.run_replicas`` call, on
+    one set of cohort and batch draws. Repeated axis values are rejected.
     """
     if cfg.mode != "fedavg":
         raise ValueError("sweeps apply to fedavg mode")
@@ -224,6 +222,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
     values = [int(v) for v in values]
     if not values:
         raise ValueError("need at least one axis value")
+    if len(set(values)) != len(values):
+        raise ValueError(f"repeated {axis} values: {values}")
     points = []
     for v in values:
         try:
@@ -241,13 +241,11 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
     table = {}
     for v, fed in zip(values, points):
         variants = sweep_variants(dataclasses.replace(cfg, fedavg=fed))
+        channels = [(c.uplink, c.downlink) for c in variants.values()]
         finals = {name: [] for name in variants}
         for s in cfg.repeat_seeds:
-            draws = fedavg.round_draws(fed, task, s)
-            for name, variant_cfg in variants.items():
-                res = run_one_seed(variant_cfg, task, s, draws=draws)
+            for name, res in zip(variants, fedavg.run_replicas(fed, task, s, channels)):
                 finals[name].append(res.final_loss)
-            del draws  # hold one (value, seed)'s draws at a time
         means = {name: float(np.mean(fl)) for name, fl in finals.items()}
         for name in SWEEP_VARIANTS:
             rows.append((v, name, means[name], means[name] - means["noise_free"]))

@@ -2,14 +2,25 @@
 
 One communication round: the server broadcasts the model through a noisy
 downlink (a single corrupted transmission per round, heard identically by
-the r sampled clients), each client runs E local mini-batch SGD steps and
-transmits its update through its own noisy uplink, and the server averages
-what it receives against its own copy of the model. The r clients of a
-round step side by side in one ``backend.local_steps`` call, on batch rows
-mapped from each client's shard to dataset rows; each client's result is
-bit-identical to stepping it alone on its shard. With both channels off,
-E = 1, full participation, and full batches, the loop reduces bit-exactly
-to centralized gradient descent.
+the r sampled clients), each client runs E local mini-batch SGD steps from
+the model it received and transmits its update through its own noisy
+uplink, and the server's next model is the mean of what it receives: the
+received model minus eta times the mean of the clients' gradient sums,
+plus the mean of the uplink draws. The r clients of a round step side by
+side in one ``backend.local_steps`` call, on batch rows mapped from each
+client's shard to dataset rows; each client's result is bit-identical to
+stepping it alone on its shard. With both channels off, E = 1, full
+participation, and full batches, the loop reduces bit-exactly to
+centralized gradient descent.
+
+There is one round loop, ``run_replicas``: it steps R replicas that share
+a task, a seed and their draws and differ only in their (uplink, downlink)
+schedules, such as a sweep's three channel variants. Each round gathers
+the batch rows once and steps all replicas' cohorts in one local_steps
+call; the metrics, the divergence guard and k* stay per replica, and a
+diverged replica leaves the stack while the others step on. Each
+replica's result is bit-identical to running it alone, and
+``run_noisy_fedavg`` is the one-replica case.
 
 Randomness is drawn from independent streams keyed by
 (master seed, round, client, purpose), so client order and channel on/off
@@ -18,10 +29,9 @@ seeds are bit-identical, and paired runs differing only in one channel
 share every other draw. A run draws everything up front: ``round_draws``
 replays every round's cohort and batch rows from their streams at once
 (``streams.choices``, bit-identical to numpy's own draws), and the channel
-noise Generators are seeded from states computed for all keys together. A
-sweep builds the draws once per (axis value, seed) and shares them across
-its three channel variants, with results identical to runs that draw their
-own.
+noise Generators are seeded from states computed for all keys together.
+Replicas share these draws: a round's downlink and uplink draws are taken
+once and scaled by each replica's own variance.
 
 The reported train loss and gradient norm never feed back into training.
 For ``mse_linear`` both loops evaluate them in O(d^2) from per-client
@@ -35,6 +45,7 @@ the last digits as well.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -289,21 +300,26 @@ def _global_metrics(loss_model, inputs, w):
     return f, float(g @ g)
 
 
-def run_noisy_fedavg(config: FedAvgConfig, task: Task, seed: int,
-                     uplink: NoiseSchedule = NoiseSchedule("uplink"),
-                     downlink: NoiseSchedule = NoiseSchedule("downlink"),
-                     draws: RoundDraws | None = None) -> RunResult:
-    """Run K communication rounds of noisy federated averaging from master ``seed``.
+def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels,
+                 draws: RoundDraws | None = None) -> list[RunResult]:
+    """Run K rounds of noisy federated averaging from master ``seed``, once per
+    (uplink, downlink) schedule pair of ``channels``, in lockstep.
 
-    Metrics row k is measured at the round-k starting model over all n
-    client shards. Batch rows are consumed in index order inside the local
-    steps so that full-batch degenerate runs match full-gradient arithmetic
-    bit for bit. The run halts with status "diverged" when the loss goes
-    non-finite or the parameter norm exceeds 1e12; the offending round's row
-    carries the diverged flag. Cohorts and batch rows come from ``draws``
-    when given, else from one round_draws call; the result is the same. The
-    channel noise of round k comes from streams (seed, k, 0, downlink) and
-    (seed, k, i, uplink), seeded up front for each channel that is on.
+    The replicas share the task, the seed and the round draws, so each round
+    gathers its batch rows once and steps every replica's cohort in one
+    ``backend.local_steps`` call; they share the channel noise draws too,
+    each scaled by its own schedule. Each result is bit-identical to a run
+    of its pair alone. Metrics row k is measured at the round-k starting
+    model over all n client shards. Batch rows are consumed in index order
+    inside the local steps so that full-batch degenerate runs match
+    full-gradient arithmetic bit for bit. A replica halts with status
+    "diverged" when its loss goes non-finite or its parameter norm exceeds
+    1e12, and the offending round's row carries the diverged flag; the
+    others step on. Cohorts and batch rows come from ``draws`` when given,
+    else from one round_draws call; the results are the same. The channel
+    noise of round k comes from streams (seed, k, 0, downlink) and
+    (seed, k, i, uplink), seeded up front for each channel some replica has
+    on.
     """
     if seed < 0:
         raise ValueError("seed must be >= 0")
@@ -316,6 +332,9 @@ def run_noisy_fedavg(config: FedAvgConfig, task: Task, seed: int,
         raise ValueError("loss_model.smoothness must be set (see smoothness_constant)")
     if config.batch_size > min(task.shard_sizes):
         raise ValueError("batch_size exceeds a client shard")
+    channels = list(channels)
+    if not channels:
+        raise ValueError("need at least one (uplink, downlink) pair")
     if draws is None:
         draws = round_draws(config, task, seed)
 
@@ -324,69 +343,104 @@ def run_noisy_fedavg(config: FedAvgConfig, task: Task, seed: int,
     eta = step_size(config, L)
     d = loss_model.dim
     inputs, row_map, offsets = task.metric_inputs, task.row_map, task.offsets
-    if not downlink.off:
+    if any(not down.off for _, down in channels):
         down_rng = _noise_streams(seed, [(k, 0, _DOWNLINK) for k in range(K)])
-    if not uplink.off:
+    if any(not up.off for up, _ in channels):
         up_rng = _noise_streams(seed, [(k, i, _UPLINK) for k in range(K)
                                        for i in draws.cohorts[k].tolist()])
+        noise = np.empty((r, d))
 
-    w = np.zeros(d)
-    metrics: list[RoundMetrics] = []
-    status, div_at = "completed", None
+    metrics = [[] for _ in channels]
+    ends = [None] * len(channels)    # (final params, diverged_at) of each replica
+    live = list(range(len(channels)))  # replicas still stepping; W[a] is live[a]'s model
+    W = np.zeros((len(channels), d))
 
     for k in range(K):
-        train_loss, gns = _global_metrics(loss_model, inputs, w)
-        v_up = variance_at(uplink, k, E)
-        v_dn = variance_at(downlink, k, E)
-        snr_down = float(w @ w) / (d * v_dn) if v_dn > 0 else None
+        evals = [_global_metrics(loss_model, inputs, w) for w in W]
+        finite = [math.isfinite(f) for f, _ in evals]
+        if not all(finite):
+            for a, j in enumerate(live):
+                if finite[a]:
+                    continue
+                prev = metrics[j][-1] if metrics[j] else None
+                metrics[j].append(RoundMetrics(k, prev.train_loss if prev else 0.0,
+                                               prev.grad_norm_sq if prev else 0.0,
+                                               variance_at(channels[j][0], k, E),
+                                               variance_at(channels[j][1], k, E),
+                                               None, None, diverged=True))
+                ends[j] = (W[a], k)
+            live = [j for j, ok in zip(live, finite) if ok]
+            evals = [ev for ev, ok in zip(evals, finite) if ok]
+            W = W[finite]
+            if not live:
+                break
+        v_up = [variance_at(channels[j][0], k, E) for j in live]
+        v_dn = [variance_at(channels[j][1], k, E) for j in live]
 
-        if not np.isfinite(train_loss):
-            prev = metrics[-1] if metrics else None
-            metrics.append(RoundMetrics(k, prev.train_loss if prev else 0.0,
-                                        prev.grad_norm_sq if prev else 0.0,
-                                        v_up, v_dn, None, None, diverged=True))
-            status, div_at = "diverged", k
-            break
+        W_recv = W
+        if any(v_dn):
+            z = down_rng(k).standard_normal(d)
+            W_recv = W.copy()
+            for a, v in enumerate(v_dn):
+                if v > 0:
+                    W_recv[a] += z * np.sqrt(v)
 
-        selected, batches = draws.cohorts[k], draws.batches[k]
-        if v_dn > 0:
-            nu = down_rng(k).standard_normal(d) * np.sqrt(v_dn)
-            w_recv = w + nu
-        else:
-            w_recv = w
-
-        w_ends, accs = backend.local_steps(loss_model.kind, dataset.X, dataset.y, w_recv, eta,
-                                           row_map[offsets[selected, None, None] + batches],
+        rows = row_map[offsets[draws.cohorts[k], None, None] + draws.batches[k]]
+        # a lone replica steps from a 1-D start: the (1, P) form costs it a few percent
+        w_ends, accs = backend.local_steps(loss_model.kind, dataset.X, dataset.y,
+                                           W_recv[0] if len(live) == 1 else W_recv, eta, rows,
                                            loss_model.n_classes)
-        noises = []
-        up_snrs = []
-        if v_up > 0:
-            for j, w_end in enumerate(w_ends):
-                noises.append(up_rng(k * r + j).standard_normal(d) * np.sqrt(v_up))
-                delta = w_recv - w_end
-                up_snrs.append(float(delta @ delta) / (d * v_up))
+        w_ends, accs = w_ends.reshape(len(live), r, d), accs.reshape(len(live), r, d)
+        W_next = W_recv - eta * accs.mean(axis=1)
 
-        w_next = w_recv - eta * np.mean(accs, axis=0)
-        if noises:
-            w_next = w_next + np.mean(np.stack(noises), axis=0)
+        snr_up = [None] * len(live)
+        if any(v_up):
+            for q in range(r):
+                up_rng(k * r + q).standard_normal(out=noise[q])
+            for a, v in enumerate(v_up):
+                if v > 0:
+                    W_next[a] += (noise * np.sqrt(v)).mean(axis=0)
+                    delta = W_recv[a] - w_ends[a]
+                    snr_up[a] = float((np.vecdot(delta, delta) / (d * v)).mean())
 
-        row = RoundMetrics(k, train_loss, gns, v_up, v_dn,
-                           float(np.mean(up_snrs)) if up_snrs else None, snr_down)
-        if not np.isfinite(w_next).all() or np.linalg.norm(w_next) > DIVERGENCE_NORM:
-            metrics.append(dataclasses.replace(row, diverged=True))
-            status, div_at = "diverged", k
-            break
-        metrics.append(row)
-        w = w_next
+        # the norm is nan or inf when a coordinate is, so this also catches those
+        ok = (np.sqrt(np.vecdot(W_next, W_next)) <= DIVERGENCE_NORM).tolist()
+        for a, j in enumerate(live):
+            w = W[a]
+            metrics[j].append(RoundMetrics(
+                k, *evals[a], v_up[a], v_dn[a], snr_up[a],
+                float(w @ w) / (d * v_dn[a]) if v_dn[a] > 0 else None, diverged=not ok[a]))
+            if not ok[a]:
+                ends[j] = (w, k)
+        if not all(ok):
+            live = [j for j, kept in zip(live, ok) if kept]
+            W_next = W_next[ok]
+            if not live:
+                break
+        W = W_next
 
+    for a, j in enumerate(live):
+        ends[j] = (W[a], None)
     k_star = None
-    if status == "completed":
-        z = zeta(eta, L, E, n, r)
-        k_star = sample_kstar(z, K, _stream(seed, 0, 0, _KSTAR))
+    if live:
+        k_star = sample_kstar(zeta(eta, L, E, n, r), K, _stream(seed, 0, 0, _KSTAR))
+    results = []
+    for j, (w, div_at) in enumerate(ends):
+        fl, _ = _global_metrics(loss_model, inputs, w)
+        results.append(RunResult(metrics=metrics[j], final_params=w,
+                                 k_star=None if div_at is not None else k_star,
+                                 status="completed" if div_at is None else "diverged",
+                                 diverged_at=div_at, eta=eta, final_loss=fl))
+    return results
 
-    fl, _ = _global_metrics(loss_model, inputs, w)
-    return RunResult(metrics=metrics, final_params=w, k_star=k_star,
-                     status=status, diverged_at=div_at, eta=eta, final_loss=fl)
+
+def run_noisy_fedavg(config: FedAvgConfig, task: Task, seed: int,
+                     uplink: NoiseSchedule = NoiseSchedule("uplink"),
+                     downlink: NoiseSchedule = NoiseSchedule("downlink"),
+                     draws: RoundDraws | None = None) -> RunResult:
+    """One run of noisy federated averaging: ``run_replicas`` with the one
+    schedule pair (uplink, downlink)."""
+    return run_replicas(config, task, seed, [(uplink, downlink)], draws)[0]
 
 
 def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,

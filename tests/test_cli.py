@@ -352,6 +352,14 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: --values")
         assert not (tmp_path / "sw").exists()
 
+    def test_repeated_value_rejected(self, tmp_path, capsys):
+        cfgp = write_doc(tmp_path, tiny_doc())
+        out = str(tmp_path / "sw" / "s")
+        assert main(["sweep", "--config", cfgp, "--axis", "r", "--values", "4,2,4",
+                     "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {cfgp}: repeated r values: [4, 2, 4]\n"
+        assert not (tmp_path / "sw").exists()
+
 
 class TestBoundsCommand:
     def test_noise_free_total_is_leading_plus_variance(self, tmp_path, capsys):
@@ -408,6 +416,15 @@ class TestBcdDemoCommand:
     def test_single_client(self, capsys):
         assert main(["bcd-demo", "1", "10"]) == 0
         assert "identically 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("G, message", [
+        ("nan", "need n >= 1 and finite G > 0"), ("inf", "need n >= 1 and finite G > 0"),
+        ("1e200", "the gap overflows a float")])
+    def test_non_finite_G_exits_2(self, capsys, G, message):
+        assert main(["bcd-demo", "3", G]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bcd-demo:") and message in captured.err
+        assert captured.out == ""
 
 
 class TestPresetContents:

@@ -17,7 +17,8 @@ from noisyfed.experiment import (build_task, run_experiment, run_one_seed, run_s
                                  sweep_variants)
 from noisyfed.fedavg import (_BATCH, _SAMPLE, FedAvgConfig, Task, _global_metrics,
                              _metric_inputs, _stream, client_sample, learning_rate, min_rounds,
-                             round_draws, run_noisy_fedavg, run_noisy_sgd, sample_kstar)
+                             round_draws, run_noisy_fedavg, run_noisy_sgd, run_replicas,
+                             sample_kstar)
 from noisyfed.model import LossModel, full_gradient, loss, smoothness_constant
 
 
@@ -190,15 +191,17 @@ class TestLocalUpdate:
 
 
 class TestCohortSteps:
-    """A round's cohort stepped in one local_steps call, as run_noisy_fedavg steps it."""
+    """A round's cohort stepped in one local_steps call, as run_replicas steps it: from
+    one start, or from R replicas' starts at once."""
 
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(["mse_linear", "softmax_linear"]), label_shard=st.booleans(),
            n=st.integers(2, 8), per=st.integers(3, 12), extra=st.integers(0, 6),
            d=st.integers(1, 5), r_frac=st.floats(0.0, 1.0), b_frac=st.floats(0.0, 1.0),
-           E=st.integers(1, 3), eta=st.floats(1e-4, 2.0), seed=st.integers(0, 2**32 - 1))
+           E=st.integers(1, 3), eta=st.floats(1e-4, 2.0), R=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
     def test_cohort_equals_clients_stepped_alone(self, kind, label_shard, n, per, extra, d,
-                                                 r_frac, b_frac, E, eta, seed):
+                                                 r_frac, b_frac, E, eta, R, seed):
         m = n * per + 1 + extra % (n - 1)  # m % n != 0: ragged iid shards
         ds = generate_classification(m, d, 3, 3.0, seed)
         partition = (partition_label_shard(ds, n, 2, seed) if label_shard
@@ -208,21 +211,27 @@ class TestCohortSteps:
             y, n_classes, dim = rng.standard_normal(m), 0, d
         else:
             y, n_classes, dim = ds.y, 3, 3 * d
-        w0 = rng.standard_normal(dim)
+        starts = rng.standard_normal((R, dim))
         r = 1 + round(r_frac * (n - 1))
         cohort = np.sort(rng.choice(n, size=r, replace=False))
         b = 1 + round(b_frac * (min(s.size for s in partition.shards) - 1))
         local = [client_batches(partition.shards[i].size, b, E, rng) for i in cohort]
         rows = np.stack([partition.shards[i][loc] for i, loc in zip(cohort, local)])
-        w_ends, accs = backend.local_steps(kind, ds.X, y, w0, eta, rows, n_classes)
-        assert w_ends.shape == accs.shape == (r, dim)
-        for j, i in enumerate(cohort):
-            shard = partition.shards[i]
-            w1, acc = backend.local_steps(kind, np.ascontiguousarray(ds.X[shard]),
-                                          np.ascontiguousarray(y[shard]), w0, eta, local[j],
-                                          n_classes)
-            assert np.array_equal(w_ends[j], w1)
-            assert np.array_equal(accs[j], acc)
+        replica_ends, replica_accs = backend.local_steps(kind, ds.X, y, starts, eta, rows,
+                                                         n_classes)
+        assert replica_ends.shape == replica_accs.shape == (R, r, dim)
+        for w0, replica_end, replica_acc in zip(starts, replica_ends, replica_accs):
+            w_ends, accs = backend.local_steps(kind, ds.X, y, w0, eta, rows, n_classes)
+            assert w_ends.shape == accs.shape == (r, dim)
+            assert np.array_equal(replica_end, w_ends)
+            assert np.array_equal(replica_acc, accs)
+            for j, i in enumerate(cohort):
+                shard = partition.shards[i]
+                w1, acc = backend.local_steps(kind, np.ascontiguousarray(ds.X[shard]),
+                                              np.ascontiguousarray(y[shard]), w0, eta,
+                                              local[j], n_classes)
+                assert np.array_equal(w_ends[j], w1)
+                assert np.array_equal(accs[j], acc)
 
 
 def tiny_config(**overrides):
@@ -460,6 +469,19 @@ def assert_same_run(a, b):
         (b.k_star, b.status, b.diverged_at, b.final_loss)
 
 
+def ragged_task(kind, n, per, extra, d, seed):
+    """n iid shards of per and per + 1 rows; softmax tasks have 3 classes."""
+    m = n * per + extra % n
+    if kind == "mse_linear":
+        ds = generate_regression(SyntheticRegressionSpec(m=m, d=d), seed=seed)
+        probe = LossModel(kind, dim=d)
+    else:
+        ds = generate_classification(m, d, 3, 3.0, seed)
+        probe = LossModel(kind, dim=3 * d, n_classes=3)
+    model = dataclasses.replace(probe, smoothness=smoothness_constant(probe, ds.X))
+    return Task(ds, model, partition_iid(m, n, seed))
+
+
 def sweep_config(uplink_std=0.2):
     return parse_config(json.dumps({
         "task": "regression_v5a",
@@ -482,15 +504,7 @@ class TestSharedDraws:
            seed=st.integers(0, 2**32 - 1))
     def test_shared_draws_reproduce_own_draws(self, kind, n, per, extra, d, r_frac, b_frac,
                                               E, K, up, dn, seed):
-        m = n * per + extra % n  # ragged shards of per and per + 1 rows
-        if kind == "mse_linear":
-            ds = generate_regression(SyntheticRegressionSpec(m=m, d=d), seed=seed)
-            probe = LossModel(kind, dim=d)
-        else:
-            ds = generate_classification(m, d, 3, 3.0, seed)
-            probe = LossModel(kind, dim=3 * d, n_classes=3)
-        model = dataclasses.replace(probe, smoothness=smoothness_constant(probe, ds.X))
-        partition = partition_iid(m, n, seed)
+        task = ragged_task(kind, n, per, extra, d, seed)
         cfg = FedAvgConfig(n=n, r=1 + round(r_frac * (n - 1)), E=E, K=K, gamma=18.0,
                            batch_size=1 + round(b_frac * (per - 1)))
         channels = (NoiseSchedule("uplink", "constant", 0.1) if up else NoiseSchedule("uplink"),
@@ -498,7 +512,6 @@ class TestSharedDraws:
                     else NoiseSchedule("downlink"))
         # draws take no channels, so they serve every channel variant, as in a sweep;
         # the given ones are drawn one stream at a time, the run's own are replayed
-        task = Task(ds, model, partition)
         draws = keyed_stream_draws(cfg, task, seed)
         assert draws.cohorts.shape == (K, cfg.r)
         assert draws.batches.shape == (K, cfg.r, E, cfg.batch_size)
@@ -597,17 +610,80 @@ class TestSharedDraws:
         cfg = sweep_config(uplink_std=1e13)  # the uplink-only variant blows up at round 0
         task = build_task(cfg)
         seed = cfg.repeat_seeds[0]
-        draws = round_draws(cfg.fedavg, task, seed)
-        shared = {name: run_one_seed(variant, task, seed, draws=draws)
-                  for name, variant in sweep_variants(cfg).items()}
+        variants = sweep_variants(cfg)
+        shared = dict(zip(variants, run_replicas(cfg.fedavg, task, seed,
+                                                 [(v.uplink, v.downlink)
+                                                  for v in variants.values()])))
         assert shared["uplink_only"].status == "diverged"
-        for name, variant in sweep_variants(cfg).items():
+        for name, variant in variants.items():
             assert_same_run(shared[name], run_one_seed(variant, task, seed))
 
-    def test_sgd_mode_takes_no_draws(self, tiny_task):
-        sgd_cfg = dataclasses.replace(preset("v5a_noise_free"), mode="sgd")
-        with pytest.raises(ValueError, match="fedavg"):
-            run_one_seed(sgd_cfg, tiny_task, 1, draws=round_draws(tiny_config(), tiny_task, 1))
+
+def schedule(direction, kind):
+    if kind == "off":
+        return NoiseSchedule(direction)
+    if kind == "constant":
+        return NoiseSchedule(direction, "constant", 0.1)
+    return NoiseSchedule(direction, "poly_decay", 0.3, 0.5, direction == "downlink")
+
+
+class TestReplicas:
+    """Channel variants stepped in lockstep by run_replicas, against runs alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["mse_linear", "softmax_linear"]), n=st.integers(2, 8),
+           per=st.integers(3, 12), extra=st.integers(0, 7), d=st.integers(1, 3),
+           r_frac=st.floats(0.0, 1.0), b_frac=st.floats(0.0, 1.0), E=st.integers(1, 3),
+           K=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.tuples(*[st.sampled_from(["off", "constant", "poly_decay"])] * 2),
+                          min_size=1, max_size=4))
+    def test_replicas_equal_runs_alone(self, kind, n, per, extra, d, r_frac, b_frac, E, K,
+                                       seed, kinds):
+        task = ragged_task(kind, n, per, extra, d, seed)
+        cfg = FedAvgConfig(n=n, r=1 + round(r_frac * (n - 1)), E=E, K=K, gamma=18.0,
+                           batch_size=1 + round(b_frac * (per - 1)))
+        channels = [(schedule("uplink", up), schedule("downlink", dn)) for up, dn in kinds]
+        draws = round_draws(cfg, task, seed)
+        replicas = run_replicas(cfg, task, seed, channels, draws)
+        assert len(replicas) == len(channels)
+        for res, (up, dn) in zip(replicas, channels):
+            assert_same_run(res, run_noisy_fedavg(cfg, task, seed, up, dn, draws=draws))
+
+    @pytest.mark.parametrize("kind, d", [("mse_linear", 6), ("softmax_linear", 2)])
+    def test_replica_diverging_mid_run_leaves_the_others_alone(self, kind, d):
+        # 6 parameters, tiny steps: the blow-up replica's model is a random walk of
+        # about 1.2 * 2.5e11 * sqrt(k + 1), which crosses the 1e12 guard after a few rounds
+        task = ragged_task(kind, 10, 12, 3, d, seed=4)
+        cfg = FedAvgConfig(n=10, r=4, E=2, K=30, gamma=18.0, batch_size=4,
+                           learning_rate_override=1e-6)
+        channels = [(schedule("uplink", "off"), schedule("downlink", "off")),
+                    (NoiseSchedule("uplink", "constant", 2.5e11), schedule("downlink", "off")),
+                    (schedule("uplink", "constant"), schedule("downlink", "poly_decay"))]
+        runs = run_replicas(cfg, task, 7, channels)
+        assert runs[1].status == "diverged" and 0 < runs[1].diverged_at < cfg.K - 1
+        assert runs[1].metrics[-1].diverged and len(runs[1].metrics) == runs[1].diverged_at + 1
+        assert runs[0].status == runs[2].status == "completed"
+        for res, (up, dn) in zip(runs, channels):
+            assert_same_run(res, run_noisy_fedavg(cfg, task, 7, up, dn))
+
+    @settings(max_examples=100, deadline=None)
+    @given(R=st.integers(1, 4), r=st.integers(1, 40), P=st.integers(1, 200),
+           log_scale=st.floats(-3, 3), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_reductions_equal_per_row_arithmetic(self, R, r, P, log_scale, seed):
+        # run_replicas takes the SNR dot products, the divergence norm and the
+        # client means over stacked rows; each must give the row-by-row bits
+        D = np.random.default_rng(seed).standard_normal((R, r, P)) * 10.0 ** log_scale
+        dots = np.vecdot(D, D)
+        means = D.mean(axis=1)
+        norms = np.sqrt(np.vecdot(means, means))
+        for a in range(R):
+            assert [float(v) for v in dots[a]] == [float(row @ row) for row in D[a]]
+            assert np.array_equal(means[a], np.mean(D[a], axis=0))
+            assert norms[a] == np.linalg.norm(means[a])
+
+    def test_no_channels_rejected(self, tiny_task):
+        with pytest.raises(ValueError, match="pair"):
+            run_replicas(tiny_config(), tiny_task, 0, [])
 
 
 class TestTask:
@@ -762,6 +838,10 @@ class TestPresetIntegration:
             losses = [m.train_loss for m in res.metrics]
             q = len(losses) // 4
             assert np.mean(losses[-q:]) < np.mean(losses[:q])
+
+    def test_replica_fixture_equals_run_one_seed(self, v5a_task, v5a_runs):
+        assert_same_run(v5a_runs["v5a_snr_control"][2],
+                        run_one_seed(preset("v5a_snr_control"), v5a_task, 2))
 
     def test_classification_preset_trains(self):
         cfg = preset("classification_noniid")
