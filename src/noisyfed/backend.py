@@ -9,6 +9,14 @@ gemm call as a lone 2-D product, so a client's steps give the same bits
 whether it steps alone, in a cohort, or in a cohort stepped for several
 replicas at once (the tests check this bitwise), and full-batch steps
 match ``model.full_gradient``.
+
+The softmax steps take each row's max and sum of exp over the C classes as
+one elementwise op per class on a (rows, C) view (``_class_max``,
+``_class_sum``), for local steps and metrics alike. numpy's reductions
+along a last axis as short as C = 4 cost several times the exp itself. A
+max is exact in any order (up to the sign of a zero max, which no output
+carries), and the sum adds the classes in numpy's own pairwise order for a
+contiguous axis, so every output keeps numpy's bits.
 """
 
 from __future__ import annotations
@@ -38,24 +46,71 @@ def stacked_gradient(kind, Xb, yb, w, n_classes=0):
         resid = np.matmul(Xb, w[..., None])[..., 0] - yb
         return np.matmul(Xb.swapaxes(-1, -2), resid[..., None])[..., 0] / b
     W = w.reshape(w.shape[:-1] + (n_classes, Xb.shape[-1]))
-    p, _ = _softmax_residual(np.matmul(Xb, W.swapaxes(-1, -2)), yb, n_classes)
+    p, _, _ = _softmax_residual(np.matmul(Xb, W.swapaxes(-1, -2)), yb, n_classes)
     G = np.matmul(p.swapaxes(-1, -2), Xb) / b
     return G.reshape(G.shape[:-2] + (-1,))
 
 
-def _softmax_residual(z, y, n_classes):
-    """softmax(z) - onehot(y) over the last axis, and the row sums of exp.
+def _class_max(z):
+    """z.max(axis=-1) of (N, C) logits, C >= 2, one np.maximum per class.
 
-    Shifts the logits ``z`` by their row max in place, so afterwards the
-    cross-entropy of each row is log(sums) - z[y].
+    A max picks one of its inputs whatever the order, so the values equal
+    numpy's; only the sign of a zero max can differ, and the shift z - max
+    does not pass that on (exp(-0.0) == exp(0.0), and a label logit of +-0
+    leaves log(sums) - z[y] unchanged).
     """
-    z -= z.max(axis=-1, keepdims=True)
+    top = np.maximum(z[:, 0], z[:, 1])
+    for c in range(2, z.shape[1]):
+        np.maximum(top, z[:, c], out=top)
+    return top
+
+
+def _class_sum(p, lo=0, hi=None):
+    """p[:, lo:hi].sum(axis=-1) of non-negative (N, C) ``p``, hi - lo >= 2,
+    bit for bit.
+
+    One elementwise add per class, in the pairwise order numpy's sum takes
+    along a contiguous axis of n = hi - lo entries: left to right for
+    n < 8; for 8 <= n <= 128, eight partial sums over the full blocks of 8,
+    combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to
+    right; above 128, the two halves split at a multiple of 8.
+    """
+    hi = p.shape[1] if hi is None else hi
+    n = hi - lo
+    if n > 128:
+        mid = lo + n // 2 - n // 2 % 8
+        return _class_sum(p, lo, mid) + _class_sum(p, mid, hi)
+    if n < 8:
+        s, tail = p[:, lo] + p[:, lo + 1], lo + 2
+    else:
+        r = [p[:, lo + j].copy() for j in range(8)]
+        tail = hi - n % 8
+        for i in range(lo + 8, tail, 8):
+            for j in range(8):
+                r[j] += p[:, i + j]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for c in range(tail, hi):
+        s += p[:, c]
+    return s
+
+
+def _softmax_residual(z, y, n_classes):
+    """softmax(z) - onehot(y) over the last axis, the row sums of exp
+    (flat, one per row), and the flat index of every row's label entry.
+
+    ``z`` holds fresh contiguous logits and ``y`` has the shape of
+    ``z[..., 0]``. Shifts ``z`` by its row max in place, so afterwards the
+    cross-entropy of each row is log(sums) - z.ravel()[label].
+    """
+    rows = z.reshape(-1, n_classes)  # views: z and p are fresh and contiguous
+    rows -= _class_max(rows)[:, None]
     p = np.exp(z)
-    sums = p.sum(axis=-1, keepdims=True)
-    p /= sums
-    rows = p.reshape(-1, n_classes)  # a view: p is fresh and contiguous
-    rows[np.arange(rows.shape[0]), y.ravel()] -= 1.0
-    return p, sums
+    prows = p.reshape(-1, n_classes)
+    sums = _class_sum(prows)
+    prows /= sums[:, None]
+    label = np.arange(0, p.size, n_classes) + y.ravel()
+    p.reshape(-1)[label] -= 1.0
+    return p, sums, label
 
 
 def softmax_loss_and_gradient(X, y, w, weights, n_classes):
@@ -66,8 +121,8 @@ def softmax_loss_and_gradient(X, y, w, weights, n_classes):
     (sum_j weights_j * loss_j, the matching weighted gradient sum, (P,)).
     """
     z = X @ w.reshape(n_classes, X.shape[1]).T
-    p, sums = _softmax_residual(z, y, n_classes)
-    f = float(weights @ (np.log(sums[:, 0]) - z[np.arange(y.shape[0]), y]))
+    p, sums, label = _softmax_residual(z, y, n_classes)
+    f = float(weights @ (np.log(sums) - z.reshape(-1)[label]))
     p *= weights[:, None]
     return f, (p.T @ X).ravel()
 

@@ -86,8 +86,8 @@ def client_sample(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
 def kstar_weights(zeta_value: float, K: int) -> np.ndarray:
     """Round weights (1 + zeta)^(K-1-k) normalized to sum 1, through log1p with a
     max shift so large K and zeta stay stable; zeta = 0 is uniform."""
-    if zeta_value < 0:
-        raise ValueError("zeta must be >= 0")
+    if not (math.isfinite(zeta_value) and zeta_value >= 0):
+        raise ValueError(f"zeta must be finite and >= 0, got {zeta_value}")
     if K < 1:
         raise ValueError("need K >= 1")
     logw = (K - 1 - np.arange(K)) * np.log1p(zeta_value)

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import backend, streams
 from .data import sample_batch
-from .model import full_gradient
+from .model import check_params, check_rows
+from .model import full_gradient  # noqa: F401 (perfbench's hook table wraps theory.full_gradient)
 
 if TYPE_CHECKING:
     from .fedavg import Task
@@ -260,24 +261,31 @@ def empirical_sigma2(task: Task, probe_params, batch_size: int, trials: int,
     returns the maximum, inflated by a 1.5x safety factor so it can serve as
     the variance bound fed to the error bounds. Batch rows map to dataset
     rows through ``task.row_map`` and ``task.offsets``.
+
+    Each shard takes one stack: one backend.stacked_gradient call gives
+    every probe's shard gradient (the shard rows against (probes, P)
+    params), and one gives every probe's trial gradients ((probes, trials,
+    b, d) rows against (probes, 1, P)). Each slice is the product a lone
+    full_gradient or batch gradient computes, and cumsum adds the squared
+    norms left to right like a per-trial loop, so the result is the same
+    to the bit.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
     model, X, y = task.model, task.dataset.X, task.dataset.y
-    batches = _trial_batches(task.shard_sizes, len(probe_params) * trials, batch_size, seed)
+    if len(probe_params) == 0:
+        raise ValueError("need at least one probe point")
+    W = np.stack([check_params(model, w) for w in probe_params])
+    batches = _trial_batches(task.shard_sizes, len(W) * trials, batch_size, seed)
     worst = 0.0
     for start, m, local in zip(task.offsets.tolist(), task.shard_sizes, batches):
         shard = task.row_map[start:start + m]
-        Xs, ys = X[shard], y[shard]
-        for p, w in enumerate(probe_params):
-            # validates w and the shard, so every trial batch drawn from it
-            ref = full_gradient(model, w, Xs, ys)
-            rows = task.row_map[start + local[p * trials:(p + 1) * trials]]
-            diffs = backend.stacked_gradient(model.kind, X[rows], y[rows],
-                                             np.asarray(w, dtype=np.float64),
-                                             model.n_classes) - ref
-            acc = 0.0
-            for diff in diffs:
-                acc += float(diff @ diff)
-            worst = max(worst, acc / trials)
+        Xs, ys = check_rows(model, X[shard], y[shard])  # and so every trial batch
+        ref = backend.stacked_gradient(model.kind, Xs, np.broadcast_to(ys, (len(W), m)), W,
+                                       model.n_classes)
+        rows = task.row_map[start + local.reshape(len(W), trials, -1)]
+        diffs = backend.stacked_gradient(model.kind, X[rows], y[rows], W[:, None],
+                                         model.n_classes) - ref[:, None]
+        sq = np.cumsum(np.vecdot(diffs, diffs), axis=1)[:, -1]
+        worst = max(worst, *(sq / trials).tolist())
     return 1.5 * worst

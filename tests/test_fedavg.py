@@ -16,9 +16,9 @@ from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
 from noisyfed.experiment import (build_task, run_experiment, run_one_seed, run_sweep,
                                  sweep_variants)
 from noisyfed.fedavg import (_BATCH, _SAMPLE, FedAvgConfig, Task, _global_metrics,
-                             _metric_inputs, _stream, client_sample, learning_rate, min_rounds,
-                             round_draws, run_noisy_fedavg, run_noisy_sgd, run_replicas,
-                             sample_kstar)
+                             _metric_inputs, _stream, client_sample, kstar_weights,
+                             learning_rate, min_rounds, round_draws, run_noisy_fedavg,
+                             run_noisy_sgd, run_replicas, sample_kstar)
 from noisyfed.model import LossModel, full_gradient, loss, smoothness_constant
 
 
@@ -105,6 +105,14 @@ class TestSampleKstar:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             sample_kstar(-0.1, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, bad):
+        # NaN passed the zeta < 0 test and gave all-NaN weights
+        with pytest.raises(ValueError, match="finite"):
+            kstar_weights(bad, 5)
+        with pytest.raises(ValueError, match="finite"):
+            sample_kstar(bad, 5, np.random.default_rng(0))
 
 
 def client_batches(m, batch_size, E, rng):

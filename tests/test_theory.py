@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisyfed.data import partition_iid
 from noisyfed.fedavg import Task, learning_rate
@@ -210,3 +211,53 @@ class TestEmpiricalSigma2:
                     acc += float(diff @ diff)
                 worst = max(worst, acc / 7)
         assert empirical_sigma2(Task(ds, model, part), probes, 9, trials=7, seed=6) == 1.5 * worst
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from([("mse_linear", 0), ("softmax_linear", 3),
+                                 ("softmax_linear", 9)]),
+           n=st.integers(2, 6), per=st.integers(8, 20), extra=st.integers(1, 5),
+           d=st.integers(1, 4), n_probes=st.integers(1, 7), trials=st.integers(1, 6),
+           b_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    def test_stacked_equals_per_probe_loop_bitwise(self, case, n, per, extra, d, n_probes,
+                                                    trials, b_frac, seed):
+        from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
+                                   generate_regression, sample_batch)
+        from noisyfed.model import LossModel, full_gradient
+
+        kind, C = case
+        m = n * per + extra % n  # ragged: shards of per and per + 1 rows
+        if kind == "mse_linear":
+            ds = generate_regression(SyntheticRegressionSpec(m=m, d=d), seed)
+            model = LossModel(kind, dim=d)
+        else:
+            ds = generate_classification(m, d, C, 2.0, seed)
+            model = LossModel(kind, dim=C * d, n_classes=C)
+        part = partition_iid(m, n, seed)
+        rng = np.random.default_rng(seed)
+        probes = [np.zeros(model.dim)] + [rng.standard_normal(model.dim)
+                                          for _ in range(n_probes - 1)]
+        b = 1 + round(b_frac * (per - 1))
+        # per (shard, probe): one full_gradient call, then one per trial batch
+        oracle = np.random.default_rng([seed, 0x516])
+        worst = 0.0
+        for shard in part.shards:
+            Xs, ys = ds.X[shard], ds.y[shard]
+            for w in probes:
+                ref = full_gradient(model, w, Xs, ys)
+                acc = 0.0
+                for _ in range(trials):
+                    rows = sample_batch(np.arange(shard.size), b, oracle)
+                    diff = full_gradient(model, w, Xs[rows], ys[rows]) - ref
+                    acc += float(diff @ diff)
+                worst = max(worst, acc / trials)
+        got = empirical_sigma2(Task(ds, model, part), probes, b, trials, seed)
+        assert got == 1.5 * worst
+
+    def test_bad_probes_rejected(self):
+        task = self._task()
+        with pytest.raises(ValueError, match="probe"):
+            empirical_sigma2(task, [], 10, trials=3, seed=0)  # used to return 0.0
+        with pytest.raises(ValueError, match="params"):
+            empirical_sigma2(task, [np.zeros(5), np.zeros(4)], 10, trials=3, seed=0)
+        with pytest.raises(ValueError, match="params"):
+            empirical_sigma2(task, [np.full(5, np.nan)], 10, trials=3, seed=0)
