@@ -43,6 +43,8 @@ class NoiseSchedule:
             raise ValueError("base_std and decay_exponent must be finite")
         if self.base_std < 0 or self.decay_exponent < 0:
             raise ValueError("base_std and decay_exponent must be >= 0")
+        if not math.isfinite(self.base_std * self.base_std):
+            raise ValueError("base_std squared must be finite")
         if self.kind != "off" and self.base_std == 0:
             raise ValueError("non-off schedules need base_std > 0")
         if self.kind == "off" and (self.base_std or self.decay_exponent or self.e_squared_scaling):
@@ -63,7 +65,10 @@ def variance_at(schedule: NoiseSchedule, k: int, E: int = 1) -> float:
         return 0.0
     v = schedule.base_std ** 2
     if schedule.kind == "poly_decay":
-        v /= float(k + 1) ** schedule.decay_exponent
+        try:
+            v /= float(k + 1) ** schedule.decay_exponent
+        except OverflowError:  # (k+1)**p is beyond float range: v / inf is 0.0
+            v = 0.0
         if schedule.e_squared_scaling:
             v /= float(E) ** 2
     return v

@@ -54,7 +54,8 @@ import numpy as np
 
 from . import backend, streams
 from .channel import NoiseSchedule, variance_at
-from .data import Dataset, ClientPartition, sample_batch
+from .data import Dataset, ClientPartition
+from .data import sample_batch  # noqa: F401 (perfbench's hook table wraps fedavg.sample_batch)
 from .model import LossModel, check_params, check_rows
 from .model import loss  # noqa: F401 (not called here; perfbench's hook table wraps fedavg.loss)
 from .theory import learning_rate, min_rounds, zeta  # noqa: F401 (min_rounds: re-exported)
@@ -156,9 +157,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class Task:
     """The dataset, loss model and covering partition every run of an invocation shares.
 
-    The rest is built on first use and read-only: client i's local rows
-    0..m_i-1 are dataset rows ``row_map[offsets[i] + local_rows[i]]``, and
-    ``metric_inputs`` is what _global_metrics evaluates from.
+    The rest is built on first use and read-only: client i's local row j
+    is dataset row ``row_map[offsets[i] + j]``, and ``metric_inputs`` is
+    what _global_metrics evaluates from.
     """
     dataset: Dataset
     model: LossModel
@@ -171,10 +172,6 @@ class Task:
     @cached_property
     def shard_sizes(self) -> tuple:
         return tuple(len(s) for s in self.partition.shards)
-
-    @cached_property
-    def local_rows(self) -> tuple:
-        return tuple(_read_only(np.arange(m, dtype=np.int64)) for m in self.shard_sizes)
 
     @cached_property
     def row_map(self) -> np.ndarray:
@@ -196,25 +193,10 @@ class RoundDraws:
     """Every round's cohort and local batch rows of one run, drawn up front.
 
     ``cohorts`` is (K, r) and ``batches`` (K, r, E, b), both int64; batch
-    rows index the client's shard and are sorted within each step. ``key``
-    names the runs the draws fit: any run with an equal _draws_key.
+    rows index the client's shard and are sorted within each step.
     """
-    key: tuple
     cohorts: np.ndarray
     batches: np.ndarray
-
-
-def _draws_key(config: FedAvgConfig, task: Task, seed: int) -> tuple:
-    return (seed, config.n, config.r, config.E, config.K, config.batch_size,
-            task.shard_sizes)
-
-
-def _noise_streams(seed: int, keys: list):
-    """A function j -> the Generator of ``_stream(seed, *keys[j])``, seeded from
-    precomputed states, or from _stream itself when the seed is not replayable."""
-    if seed >= streams.WORD_LIMIT:
-        return lambda j: _stream(seed, *keys[j])
-    return streams.generators([(seed, *key) for key in keys])
 
 
 def round_draws(config: FedAvgConfig, task: Task, seed: int) -> RoundDraws:
@@ -222,10 +204,9 @@ def round_draws(config: FedAvgConfig, task: Task, seed: int) -> RoundDraws:
 
     Round k's cohort is ``client_sample`` from stream (seed, k, 0, sample) and
     client i's E batches are successive ``sample_batch`` calls on stream
-    (seed, k, i, batch), all replayed at once by ``streams.choices``; the
-    streams it cannot replay are drawn from numpy itself. Channel schedules
-    and the learning rate do not enter: runs that differ only in those
-    consume the same draws.
+    (seed, k, i, batch), all drawn at once by ``streams.choices``. Channel
+    schedules and the learning rate do not enter: runs that differ only in
+    those consume the same draws.
     """
     if seed < 0:
         raise ValueError("seed must be >= 0")
@@ -234,20 +215,14 @@ def round_draws(config: FedAvgConfig, task: Task, seed: int) -> RoundDraws:
     n, r, E, K, b = config.n, config.r, config.E, config.K, config.batch_size
     if b > min(task.shard_sizes):
         raise ValueError("batch_size exceeds a client shard")
-    cohorts, bad = streams.choices([(seed, k, 0, _SAMPLE) for k in range(K)], n, r, 1)
-    cohorts = np.sort(cohorts[:, 0], axis=1)
-    for k in np.flatnonzero(bad):
-        cohorts[k] = client_sample(n, r, _stream(seed, k, 0, _SAMPLE))
+    keys = [(seed, k, 0, _SAMPLE) for k in range(K)]
+    cohorts = np.sort(streams.choices(keys, n, r, 1)[:, 0], axis=1)
     keys = [(seed, k, i, _BATCH) for k, cohort in enumerate(cohorts.tolist()) for i in cohort]
-    batches, bad = streams.choices(keys, np.array(task.shard_sizes)[cohorts.ravel()], b, E)
-    for row in np.flatnonzero(bad):
-        _, k, i, _ = keys[row]
-        rng_b = _stream(seed, k, i, _BATCH)
-        batches[row] = [sample_batch(task.local_rows[i], b, rng_b) for _ in range(E)]
+    batches = streams.choices(keys, np.array(task.shard_sizes)[cohorts.ravel()], b, E)
     batches.sort(axis=2)
     batches = batches.reshape(K, r, E, b)
     cohorts.flags.writeable = batches.flags.writeable = False  # shared by several runs
-    return RoundDraws(_draws_key(config, task, seed), cohorts, batches)
+    return RoundDraws(cohorts, batches)
 
 
 def _metric_inputs(loss_model, shard_X, shard_y):
@@ -300,8 +275,7 @@ def _global_metrics(loss_model, inputs, w):
     return f, float(g @ g)
 
 
-def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels,
-                 draws: RoundDraws | None = None) -> list[RunResult]:
+def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[RunResult]:
     """Run K rounds of noisy federated averaging from master ``seed``, once per
     (uplink, downlink) schedule pair of ``channels``, in lockstep.
 
@@ -315,9 +289,8 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels,
     full-gradient arithmetic bit for bit. A replica halts with status
     "diverged" when its loss goes non-finite or its parameter norm exceeds
     1e12, and the offending round's row carries the diverged flag; the
-    others step on. Cohorts and batch rows come from ``draws`` when given,
-    else from one round_draws call; the results are the same. The channel
-    noise of round k comes from streams (seed, k, 0, downlink) and
+    others step on. Cohorts and batch rows come from one round_draws call.
+    The channel noise of round k comes from streams (seed, k, 0, downlink) and
     (seed, k, i, uplink), seeded up front for each channel some replica has
     on.
     """
@@ -325,8 +298,6 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels,
         raise ValueError("seed must be >= 0")
     if task.partition.n_clients != config.n:
         raise ValueError("partition must have exactly n shards")
-    if draws is not None and draws.key != _draws_key(config, task, seed):
-        raise ValueError("draws were built for a different seed, shape or partition")
     loss_model, dataset = task.model, task.dataset
     if loss_model.smoothness is None:
         raise ValueError("loss_model.smoothness must be set (see smoothness_constant)")
@@ -335,8 +306,7 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels,
     channels = list(channels)
     if not channels:
         raise ValueError("need at least one (uplink, downlink) pair")
-    if draws is None:
-        draws = round_draws(config, task, seed)
+    draws = round_draws(config, task, seed)
 
     n, r, E, K = config.n, config.r, config.E, config.K
     L = loss_model.smoothness
@@ -344,10 +314,10 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels,
     d = loss_model.dim
     inputs, row_map, offsets = task.metric_inputs, task.row_map, task.offsets
     if any(not down.off for _, down in channels):
-        down_rng = _noise_streams(seed, [(k, 0, _DOWNLINK) for k in range(K)])
+        down_rng = streams.generators([(seed, k, 0, _DOWNLINK) for k in range(K)])
     if any(not up.off for up, _ in channels):
-        up_rng = _noise_streams(seed, [(k, i, _UPLINK) for k in range(K)
-                                       for i in draws.cohorts[k].tolist()])
+        up_rng = streams.generators([(seed, k, i, _UPLINK) for k in range(K)
+                                     for i in draws.cohorts[k].tolist()])
         noise = np.empty((r, d))
 
     metrics = [[] for _ in channels]
@@ -436,11 +406,10 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels,
 
 def run_noisy_fedavg(config: FedAvgConfig, task: Task, seed: int,
                      uplink: NoiseSchedule = NoiseSchedule("uplink"),
-                     downlink: NoiseSchedule = NoiseSchedule("downlink"),
-                     draws: RoundDraws | None = None) -> RunResult:
+                     downlink: NoiseSchedule = NoiseSchedule("downlink")) -> RunResult:
     """One run of noisy federated averaging: ``run_replicas`` with the one
     schedule pair (uplink, downlink)."""
-    return run_replicas(config, task, seed, [(uplink, downlink)], draws)[0]
+    return run_replicas(config, task, seed, [(uplink, downlink)])[0]
 
 
 def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
@@ -466,17 +435,12 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
     if L is not None and L > 0 and eta > 1.0 / L:
         warnings.warn(f"eta={eta:.6g} exceeds 1/L={1.0 / L:.6g}")
     d = loss_model.dim
-    m = len(dataset)
-    batches, bad = streams.choices([(seed, t, 0, _BATCH) for t in range(T)], m, batch_size, 1)
-    batches = batches[:, 0]
-    for t in np.flatnonzero(bad):
-        batches[t] = sample_batch(np.arange(m, dtype=np.int64), batch_size,
-                                  _stream(seed, t, 0, _BATCH))
-    batches.sort(axis=1)
+    keys = [(seed, t, 0, _BATCH) for t in range(T)]
+    batches = np.sort(streams.choices(keys, len(dataset), batch_size, 1)[:, 0], axis=1)
     if not downlink.off:
-        down_rng = _noise_streams(seed, [(t, 0, _DOWNLINK) for t in range(T)])
+        down_rng = streams.generators([(seed, t, 0, _DOWNLINK) for t in range(T)])
     if not uplink.off:
-        up_rng = _noise_streams(seed, [(t, 0, _UPLINK) for t in range(T)])
+        up_rng = streams.generators([(seed, t, 0, _UPLINK) for t in range(T)])
     w = np.zeros(d)
     metrics: list[RoundMetrics] = []
     status, div_at = "completed", None

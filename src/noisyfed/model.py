@@ -12,6 +12,7 @@ All operations are pure functions and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,9 @@ class LossModel:
                 raise ValueError("softmax_linear needs n_classes >= 2")
             if self.dim % self.n_classes != 0:
                 raise ValueError("dim must be n_classes * feature dimension")
-        if self.smoothness is not None and self.smoothness < 0:
-            raise ValueError("smoothness must be >= 0")
+        if self.smoothness is not None and not (math.isfinite(self.smoothness)
+                                                and self.smoothness >= 0):
+            raise ValueError(f"smoothness must be finite and >= 0, got {self.smoothness}")
 
     @property
     def n_features(self) -> int:

@@ -10,11 +10,13 @@ half. ``choice`` replays ``Generator.choice(m, b, replace=False)`` on such
 words: Floyd's algorithm with Lemire bounded integers, then the
 Fisher-Yates shuffle of the b picks.
 
-Where the replay cannot be exact it says so and the caller draws from numpy
-itself: a key word of 2**32 or more (numpy hashes it as two words), a
-Lemire rejection (it takes one more word than the replay budgets; about one
-draw in 2**32 / m), and numpy's tail-shuffle branch (m > 10 000 and
-b > m // 50).
+``choices`` and ``generators`` are what the rest of the package calls, and
+they return numpy's own draws and Generators for every key. Where the
+replay cannot be exact they take them from numpy itself, so no caller ever
+decides between the two: a key word of 2**32 or more (numpy hashes it as
+two words), a Lemire rejection (it takes one more word than the replay
+budgets; about one draw in 2**32 / m), and numpy's tail-shuffle branch
+(m > 10 000 and b > m // 50).
 """
 
 from __future__ import annotations
@@ -95,8 +97,11 @@ def generators(keys):
     """A function j -> a Generator in the state of ``np.random.default_rng(keys[j])``.
 
     Every call reseeds and returns the same Generator, so a draw must be
-    taken before the next call.
+    taken before the next call. Keys with a word of 2**32 or more get
+    numpy's own ``default_rng``, one per call.
     """
+    if not replayable(keys):
+        return lambda j: np.random.default_rng(list(keys[j]))
     seeds = _seed_words(keys)
     gen = np.random.Generator(np.random.PCG64(0))
 
@@ -126,12 +131,6 @@ def _lemire(word, bound):
     prod = word.astype(np.uint64) * excl
     rejected = (prod & np.uint64(_MASK32)) < (np.uint64(WORD_LIMIT) - excl) % excl
     return (prod >> np.uint64(32)).astype(np.int64), rejected
-
-
-def words_per_choice(m, b: int):
-    """uint32 words one choice(m, b, replace=False) takes without rejections: b for
-    Floyd (b - 1 when m == b: numpy draws nothing from [0, 0]), b - 1 to shuffle."""
-    return 2 * b - 1 - (np.asarray(m) == b)
 
 
 def choice(words, m, b: int):
@@ -168,28 +167,49 @@ def choice(words, m, b: int):
     return picks, bad
 
 
-def choices(keys, m, b: int, count: int):
-    """``count`` successive ``choice(m_i, b, replace=False)`` of each key's stream.
+def choices(keys, m, b: int, count: int) -> np.ndarray:
+    """``count`` successive ``choice(m, b, replace=False)`` of each key's stream.
 
-    Returns (N, count, b) int64 and an (N,) mask of keys to draw with numpy
-    itself: a key word of 2**32 or more, or a bad row in any of its draws
-    (every later draw of a stream depends on the words the earlier ones took).
-    Keys are replayed a block at a time, so the words need little memory.
+    Returns (N, count, b) int64: ``np.random.default_rng(key)``'s own draws
+    for every key. ``m`` is one population size, one per key (N,) or one per
+    draw (N, count), each >= b. Keys are replayed _BLOCK at a time and each
+    block's words are taken for up to _BLOCK draws at once, so they need
+    little memory; each ``choice`` call replays at most _BLOCK rows, gathered
+    just before it (a whole block's rows gathered at once made ~300 KB
+    temporaries, after which later 2 MB allocations page-faulted). A key
+    the replay cannot reproduce, in any of its draws (every later draw of a
+    stream depends on the words the earlier ones took), is drawn from numpy
+    itself, and so are all keys when one has a word of 2**32 or more.
     """
     n = len(keys)
-    m = np.broadcast_to(np.asarray(m, dtype=np.int64), (n,))
+    m = np.asarray(m, dtype=np.int64)
+    m = np.broadcast_to(m if m.ndim == 2 else m.reshape(-1, 1), (n, count))
     out = np.zeros((n, count, b), dtype=np.int64)
-    bad = np.zeros(n, dtype=bool)
-    if not replayable(keys):
-        return out, ~bad
-    per = words_per_choice(m, b)[:, None]
-    window = np.arange(2 * b - 1)
-    for lo in range(0, n, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        stream = words(keys[block], count * (2 * b - 1))
-        for c in range(count):
-            # a row with m == b leaves its last word unread
-            at = c * per[block] + window
-            out[block, c], bad_c = choice(np.take_along_axis(stream, at, axis=1), m[block], b)
-            bad[block] |= bad_c
-    return out, bad
+    bad = np.full(n, not replayable(keys))
+    if not bad.any():
+        # words per draw: b for Floyd (b - 1 when m == b: numpy draws nothing
+        # from [0, 0]) and b - 1 for the shuffle
+        per = 2 * b - 1 - (m == b)
+        starts = np.cumsum(per, axis=1) - per
+        window = np.arange(2 * b - 1)  # a draw with m == b leaves its last word unread
+        for lo in range(0, n, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            nkeys = len(starts[block])
+            step = max(1, _BLOCK // nkeys)  # draws per choice call
+            keyrows = np.arange(nkeys)[:, None, None]
+            for c0 in range(0, count, _BLOCK):
+                # the words window's draws; every index below is within it
+                draws = slice(c0, c0 + _BLOCK)
+                at, sizes, picked = starts[block, draws], m[block, draws], out[block, draws]
+                first = int(at[:, 0].min())
+                stream = words(keys[block], int(at[:, -1].max()) + 2 * b - 1 - first, first)
+                for c in range(0, at.shape[1], step):
+                    call = slice(c, c + step)
+                    rows = stream[keyrows, at[:, call, None] - first + window]
+                    picks, bad_c = choice(rows.reshape(-1, 2 * b - 1), sizes[:, call].ravel(), b)
+                    picked[:, call] = picks.reshape(nkeys, -1, b)
+                    bad[block] |= bad_c.reshape(nkeys, -1).any(axis=1)
+    for i in np.flatnonzero(bad):
+        rng = np.random.default_rng(list(keys[i]))
+        out[i] = [rng.choice(size, b, replace=False) for size in m[i].tolist()]
+    return out

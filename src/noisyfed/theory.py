@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import backend, streams
-from .data import sample_batch
+from .data import sample_batch  # noqa: F401 (perfbench's hook table wraps theory.sample_batch)
 from .model import check_params, check_rows
 from .model import full_gradient  # noqa: F401 (perfbench's hook table wraps theory.full_gradient)
 
@@ -29,7 +29,6 @@ if TYPE_CHECKING:
     from .fedavg import Task
 
 _SIGMA2_STREAM = 0x516  # empirical_sigma2 draws from stream [seed, 0x516]
-_SIGMA2_BLOCK = 512  # batches replayed together
 
 
 def learning_rate(gamma: float, L: float, E: int, r: int, K: int) -> float:
@@ -205,53 +204,6 @@ def bcd_witness(G: float, n: int) -> float:
     return 2.0 * G / (1.0 - 1.0 / n)
 
 
-def _stream_batches(sizes, batch_size: int, seed: int):
-    """Yield arrays of successive ``sample_batch(arange(m), batch_size, rng)`` rows,
-    one row per entry m of ``sizes``, all from ``rng = default_rng([seed, 0x516])``.
-
-    A batch of a size-m shard takes streams.words_per_choice(m, b) words, so
-    each batch's first word is a prefix sum, and the batches are replayed a
-    block at a time. From the first block that cannot be, numpy draws, after
-    drawing the batches before it again to reach the same point of the stream.
-    """
-    key = [(seed, _SIGMA2_STREAM)]
-    per = streams.words_per_choice(sizes, batch_size)
-    starts = np.cumsum(per) - per
-    window = np.arange(2 * batch_size - 1)
-    done = 0
-    if streams.replayable(key):
-        for lo in range(0, len(sizes), _SIGMA2_BLOCK):
-            hi = min(lo + _SIGMA2_BLOCK, len(sizes))
-            first = int(starts[lo])
-            words = streams.words(key, int(starts[hi - 1] + per[hi - 1]) - first + 1, first)[0]
-            local, bad = streams.choice(words[starts[lo:hi, None] - first + window],
-                                        sizes[lo:hi], batch_size)
-            if bad.any():
-                break
-            yield local
-            done = hi
-    if done < len(sizes):
-        rng = np.random.default_rng([int(seed), _SIGMA2_STREAM])
-        for j, m in enumerate(sizes):
-            batch = sample_batch(np.arange(m), batch_size, rng)
-            if j >= done:
-                yield batch[None]
-
-
-def _trial_batches(shard_sizes, count: int, batch_size: int, seed: int):
-    """Yield each shard's (count, b) local rows: ``count`` successive
-    ``sample_batch`` calls per shard, shard by shard, from _stream_batches."""
-    if batch_size < 1 or batch_size > min(shard_sizes):
-        raise ValueError("need 1 <= batch_size <= shard size")
-    sizes = np.repeat(np.asarray(shard_sizes, dtype=np.int64), count)
-    pending = np.empty((0, batch_size), dtype=np.int64)
-    for rows in _stream_batches(sizes, batch_size, seed):
-        pending = np.concatenate([pending, rows])
-        while len(pending) >= count:
-            yield pending[:count]
-            pending = pending[count:]
-
-
 def empirical_sigma2(task: Task, probe_params, batch_size: int, trials: int,
                      seed: int) -> float:
     """Monte-Carlo bound on the per-client stochastic-gradient variance.
@@ -260,7 +212,9 @@ def empirical_sigma2(task: Task, probe_params, batch_size: int, trials: int,
     E || batch gradient - shard gradient ||^2 over ``trials`` batch draws and
     returns the maximum, inflated by a 1.5x safety factor so it can serve as
     the variance bound fed to the error bounds. Batch rows map to dataset
-    rows through ``task.row_map`` and ``task.offsets``.
+    rows through ``task.row_map`` and ``task.offsets``. Shard by shard, each
+    probe's trials take successive ``sample_batch`` draws of the shard's
+    local rows from the one stream [seed, 0x516].
 
     Each shard takes one stack: one backend.stacked_gradient call gives
     every probe's shard gradient (the shard rows against (probes, P)
@@ -276,14 +230,18 @@ def empirical_sigma2(task: Task, probe_params, batch_size: int, trials: int,
     if len(probe_params) == 0:
         raise ValueError("need at least one probe point")
     W = np.stack([check_params(model, w) for w in probe_params])
-    batches = _trial_batches(task.shard_sizes, len(W) * trials, batch_size, seed)
+    if batch_size < 1 or batch_size > min(task.shard_sizes):
+        raise ValueError("need 1 <= batch_size <= shard size")
+    sizes = np.repeat(task.shard_sizes, len(W) * trials)
+    batches = streams.choices([(seed, _SIGMA2_STREAM)], sizes[None], batch_size, len(sizes))
+    batches = batches.reshape(len(task.shard_sizes), len(W), trials, batch_size)
     worst = 0.0
     for start, m, local in zip(task.offsets.tolist(), task.shard_sizes, batches):
         shard = task.row_map[start:start + m]
         Xs, ys = check_rows(model, X[shard], y[shard])  # and so every trial batch
         ref = backend.stacked_gradient(model.kind, Xs, np.broadcast_to(ys, (len(W), m)), W,
                                        model.n_classes)
-        rows = task.row_map[start + local.reshape(len(W), trials, -1)]
+        rows = task.row_map[start + local]
         diffs = backend.stacked_gradient(model.kind, X[rows], y[rows], W[:, None],
                                          model.n_classes) - ref[:, None]
         sq = np.cumsum(np.vecdot(diffs, diffs), axis=1)[:, -1]

@@ -56,6 +56,19 @@ class TestVarianceAt:
         with pytest.raises(ValueError, match="finite"):
             NoiseSchedule("downlink", "poly_decay", 0.2, bad)
 
+    def test_base_std_whose_square_overflows_rejected(self):
+        # (1e160)**2 raised OverflowError inside variance_at
+        with pytest.raises(ValueError, match="squared must be finite"):
+            NoiseSchedule("uplink", "constant", 1e160)
+        assert variance_at(NoiseSchedule("uplink", "constant", 1e154), 3) == 1e154 ** 2
+
+    def test_decay_beyond_float_range_gives_zero_variance(self):
+        # 3.0**1000 overflows; dividing by it as an IEEE infinity gives 0.0
+        sched = NoiseSchedule("downlink", "poly_decay", 0.2, 1000.0, e_squared_scaling=True)
+        assert variance_at(sched, 0, E=2) == 0.2 ** 2 / 4.0
+        assert variance_at(sched, 1, E=2) == 0.2 ** 2 / 2.0 ** 1000 / 4.0
+        assert [variance_at(sched, k, E=2) for k in (2, 9, 10**6)] == [0.0] * 3
+
 
 class TestPerturb:
     def test_zero_variance_is_identity(self):

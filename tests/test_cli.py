@@ -277,6 +277,26 @@ class TestRunCommand:
         rows = (tmp_path / "d" / "run_seed1.csv").read_text().splitlines()
         assert rows[-1].endswith(",1")  # sentinel row carries the diverged flag
 
+    @pytest.mark.parametrize("command", ["run", "bounds"])
+    def test_base_std_whose_square_overflows_exits_2(self, tmp_path, capsys, command):
+        # it used to escape from variance_at as an OverflowError traceback
+        cfgp = write_doc(tmp_path, tiny_doc(uplink={"kind": "constant", "base_std": 1e160}))
+        out = tmp_path / "o"
+        argv = [command, "--config", cfgp] + (["--out", str(out / "run")] if command == "run"
+                                              else [])
+        assert main(argv) == 2
+        assert "base_std squared must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_decay_beyond_float_range_runs(self, tmp_path, capsys):
+        # (k + 1)**1000 overflows from round 2 on, where the variance is then 0.0
+        doc = tiny_doc(uplink={"kind": "poly_decay", "base_std": 0.2, "decay_exponent": 1000})
+        cfgp = write_doc(tmp_path, doc)
+        assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o" / "run")]) == 0
+        rows = (tmp_path / "o" / "run_seed1.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[3]) for row in rows[2:]] == [0.0] * (len(rows) - 2)
+        assert main(["bounds", "--config", cfgp]) == 0
+
 
 def classification_doc(block, key, value):
     doc = preset_documents()["classification_noniid"]
@@ -315,6 +335,17 @@ class TestBadClassificationInput:
         cfgp = write_doc(tmp_path, classification_doc("data", "labels_per_client", 200))
         assert main(["bounds", "--config", cfgp]) == 2
         assert capsys.readouterr().err.startswith(f"error: {cfgp}:")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # matmul overflow and nan
+    def test_non_finite_smoothness_exits_2(self, tmp_path, capsys):
+        # smoothness_constant gives nan here; the run used to exit 0 with NaN in its JSON
+        cfgp = write_doc(tmp_path, classification_doc("data", "cluster_separation", 1e160))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfgp, "--out", str(out / "run")]) == 2
+        assert "smoothness must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["bounds", "--config", cfgp]) == 2
+        assert "smoothness must be finite" in capsys.readouterr().err
 
 
 class TestSweepCommand:

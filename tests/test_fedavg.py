@@ -129,7 +129,7 @@ def keyed_stream_draws(cfg, task, seed):
     batches = np.stack([[client_batches(task.shard_sizes[i], cfg.batch_size, cfg.E,
                                         _stream(seed, k, i, _BATCH)) for i in cohort]
                         for k, cohort in enumerate(cohorts)])
-    return fedavg.RoundDraws(fedavg._draws_key(cfg, task, seed), cohorts, batches)
+    return fedavg.RoundDraws(cohorts, batches)
 
 
 class TestLocalUpdate:
@@ -502,29 +502,7 @@ def sweep_config(uplink_std=0.2):
 
 
 class TestSharedDraws:
-    """Runs given round_draws against runs that draw their own rows."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(["mse_linear", "softmax_linear"]), n=st.integers(2, 8),
-           per=st.integers(3, 12), extra=st.integers(0, 7), d=st.integers(1, 3),
-           r_frac=st.floats(0.0, 1.0), b_frac=st.floats(0.0, 1.0), E=st.integers(1, 3),
-           K=st.integers(1, 4), up=st.booleans(), dn=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_shared_draws_reproduce_own_draws(self, kind, n, per, extra, d, r_frac, b_frac,
-                                              E, K, up, dn, seed):
-        task = ragged_task(kind, n, per, extra, d, seed)
-        cfg = FedAvgConfig(n=n, r=1 + round(r_frac * (n - 1)), E=E, K=K, gamma=18.0,
-                           batch_size=1 + round(b_frac * (per - 1)))
-        channels = (NoiseSchedule("uplink", "constant", 0.1) if up else NoiseSchedule("uplink"),
-                    NoiseSchedule("downlink", "constant", 0.1) if dn
-                    else NoiseSchedule("downlink"))
-        # draws take no channels, so they serve every channel variant, as in a sweep;
-        # the given ones are drawn one stream at a time, the run's own are replayed
-        draws = keyed_stream_draws(cfg, task, seed)
-        assert draws.cohorts.shape == (K, cfg.r)
-        assert draws.batches.shape == (K, cfg.r, E, cfg.batch_size)
-        assert_same_run(run_noisy_fedavg(cfg, task, seed, *channels, draws=draws),
-                        run_noisy_fedavg(cfg, task, seed, *channels))
+    """round_draws against the keyed streams, and the runs that share its draws."""
 
     @staticmethod
     def assert_keyed_stream_draws(draws, cfg, task, seed):
@@ -559,12 +537,13 @@ class TestSharedDraws:
             words[0, 0] = 0
             return words
         redrawn = []
+        real_rng = np.random.default_rng
 
-        def spy(*key):
-            redrawn.append(key[1:])
-            return _stream(*key)
+        def spy(key):
+            redrawn.append(tuple(key[1:]))
+            return real_rng(key)
         monkeypatch.setattr(streams, "words", with_rejection)
-        monkeypatch.setattr(fedavg, "_stream", spy)
+        monkeypatch.setattr(np.random, "default_rng", spy)  # what streams draws numpy's keys with
         draws = round_draws(cfg, task, 9)
         monkeypatch.undo()
         first = int(draws.cohorts[0, 0])
@@ -584,25 +563,10 @@ class TestSharedDraws:
            d=st.integers(1, 4))
     def test_noise_streams_equal_keyed_streams(self, seed, d):
         keys = [(0, 0, fedavg._DOWNLINK), (3, 7, fedavg._UPLINK), (2, 1, fedavg._UPLINK)]
-        rng = fedavg._noise_streams(seed, keys)
+        rng = streams.generators([(seed, *key) for key in keys])
         for j in (2, 0, 1):
             assert np.array_equal(rng(j).standard_normal(d),
                                   _stream(seed, *keys[j]).standard_normal(d))
-
-    @pytest.mark.parametrize("change", [dict(seed=1), dict(r=2), dict(E=2), dict(K=4),
-                                        dict(batch_size=8), "shard sizes"],
-                             ids=["seed", "r", "E", "K", "batch_size", "shard_sizes"])
-    def test_draws_for_another_run_rejected(self, tiny_task, change):
-        cfg = tiny_config(r=3, E=1, batch_size=10)
-        if change == "shard sizes":
-            ds = generate_regression(SyntheticRegressionSpec(m=301, d=5), seed=21)
-            draws = round_draws(cfg, Task(ds, tiny_task.model, partition_iid(301, 6, seed=21)), 0)
-        else:
-            shape = dict(change)
-            seed = shape.pop("seed", 0)
-            draws = round_draws(dataclasses.replace(cfg, **shape), tiny_task, seed)
-        with pytest.raises(ValueError, match="draws"):
-            run_noisy_fedavg(cfg, tiny_task, 0, draws=draws)
 
     def test_sweep_table_equals_unshared_runs(self, tmp_path):
         cfg = sweep_config()
@@ -651,11 +615,10 @@ class TestReplicas:
         cfg = FedAvgConfig(n=n, r=1 + round(r_frac * (n - 1)), E=E, K=K, gamma=18.0,
                            batch_size=1 + round(b_frac * (per - 1)))
         channels = [(schedule("uplink", up), schedule("downlink", dn)) for up, dn in kinds]
-        draws = round_draws(cfg, task, seed)
-        replicas = run_replicas(cfg, task, seed, channels, draws)
+        replicas = run_replicas(cfg, task, seed, channels)
         assert len(replicas) == len(channels)
         for res, (up, dn) in zip(replicas, channels):
-            assert_same_run(res, run_noisy_fedavg(cfg, task, seed, up, dn, draws=draws))
+            assert_same_run(res, run_noisy_fedavg(cfg, task, seed, up, dn))
 
     @pytest.mark.parametrize("kind, d", [("mse_linear", 6), ("softmax_linear", 2)])
     def test_replica_diverging_mid_run_leaves_the_others_alone(self, kind, d):
@@ -727,12 +690,12 @@ class TestTask:
         task = Task(ds, LossModel("softmax_linear", dim=C, n_classes=C), partition)
         assert task.shard_sizes == tuple(s.size for s in partition.shards)
         for i, shard in enumerate(partition.shards):
-            assert np.array_equal(task.row_map[task.offsets[i] + task.local_rows[i]], shard)
+            assert np.array_equal(task.row_map[task.offsets[i] + np.arange(shard.size)], shard)
 
     @pytest.mark.parametrize("task", ["tiny_task", "tiny_softmax_task"])
     def test_arrays_are_read_only(self, task, request):
         task = request.getfixturevalue(task)
-        arrays = [task.row_map, task.offsets, *task.local_rows,
+        arrays = [task.row_map, task.offsets,
                   *(v for v in task.metric_inputs if isinstance(v, np.ndarray))]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -744,14 +707,6 @@ class TestTask:
         ds = generate_regression(SyntheticRegressionSpec(m=301, d=5), seed=21)
         with pytest.raises(ValueError, match="cover"):
             Task(ds, tiny_task.model, tiny_task.partition)
-
-    def test_draws_for_another_layout_rejected(self, tiny_softmax_task):
-        ds, model = tiny_softmax_task.dataset, tiny_softmax_task.model
-        label_shard = Task(ds, model, partition_label_shard(ds, 6, 3, seed=4))  # 39-41 rows
-        assert label_shard.shard_sizes != tiny_softmax_task.shard_sizes
-        cfg = tiny_config(r=3, E=1, batch_size=10)
-        with pytest.raises(ValueError, match="draws"):
-            run_noisy_fedavg(cfg, tiny_softmax_task, 0, draws=round_draws(cfg, label_shard, 0))
 
 
 class TestRunNoisySgd:

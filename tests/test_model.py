@@ -60,6 +60,12 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss(model, np.zeros(3), X, np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_smoothness_must_be_finite_and_nonnegative(self, bad):
+        # nan passed the old smoothness < 0 check
+        with pytest.raises(ValueError, match="smoothness must be finite"):
+            LossModel("mse_linear", dim=3, smoothness=bad)
+
 
 class TestGradient:
     def test_matches_finite_differences(self):
