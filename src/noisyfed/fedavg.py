@@ -216,11 +216,10 @@ def round_draws(config: FedAvgConfig, task: Task, seed: int) -> RoundDraws:
     if b > min(task.shard_sizes):
         raise ValueError("batch_size exceeds a client shard")
     keys = [(seed, k, 0, _SAMPLE) for k in range(K)]
-    cohorts = np.sort(streams.choices(keys, n, r, 1)[:, 0], axis=1)
+    cohorts = streams.choices(keys, n, r, 1, sort=True)[:, 0]
     keys = [(seed, k, i, _BATCH) for k, cohort in enumerate(cohorts.tolist()) for i in cohort]
-    batches = streams.choices(keys, np.array(task.shard_sizes)[cohorts.ravel()], b, E)
-    batches.sort(axis=2)
-    batches = batches.reshape(K, r, E, b)
+    sizes = np.array(task.shard_sizes)[cohorts.ravel()]
+    batches = streams.choices(keys, sizes, b, E, sort=True).reshape(K, r, E, b)
     cohorts.flags.writeable = batches.flags.writeable = False  # shared by several runs
     return RoundDraws(cohorts, batches)
 
@@ -436,7 +435,7 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
         warnings.warn(f"eta={eta:.6g} exceeds 1/L={1.0 / L:.6g}")
     d = loss_model.dim
     keys = [(seed, t, 0, _BATCH) for t in range(T)]
-    batches = np.sort(streams.choices(keys, len(dataset), batch_size, 1)[:, 0], axis=1)
+    batches = streams.choices(keys, len(dataset), batch_size, 1, sort=True)[:, 0]
     if not downlink.off:
         down_rng = streams.generators([(seed, t, 0, _DOWNLINK) for t in range(T)])
     if not uplink.off:

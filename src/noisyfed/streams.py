@@ -8,15 +8,20 @@ computes them. ``words`` gives each key's first uint32 words in the order a
 Generator consumes them: the low half of each 64-bit output, then the high
 half. ``choice`` replays ``Generator.choice(m, b, replace=False)`` on such
 words: Floyd's algorithm with Lemire bounded integers, then the
-Fisher-Yates shuffle of the b picks.
+Fisher-Yates shuffle of the b picks. It works on (b, N) columns, one
+contiguous row per pick, so a larger call spreads numpy's cost per operation
+over more draws, until its arrays outgrow the cache: per draw, 2 048 draws
+per call (``_ROWS``) cost a third of 256 and less than 4 096. Callers that
+sort the picks skip the shuffle, whose order they would discard.
 
 ``choices`` and ``generators`` are what the rest of the package calls, and
 they return numpy's own draws and Generators for every key. Where the
 replay cannot be exact they take them from numpy itself, so no caller ever
 decides between the two: a key word of 2**32 or more (numpy hashes it as
 two words), a Lemire rejection (it takes one more word than the replay
-budgets; about one draw in 2**32 / m), and numpy's tail-shuffle branch
-(m > 10 000 and b > m // 50).
+budgets; about one draw in 2**32 / m), numpy's tail-shuffle branch
+(m > 10 000 and b > m // 50), and a population m > 2**32 (numpy draws its
+picks from 64-bit words).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 WORD_LIMIT = 1 << 32  # keys with a word at or above this are not replayed
-_BLOCK = 256  # keys replayed together
+_ROWS = 2048  # draws replayed per choice call
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -100,9 +105,10 @@ def generators(keys):
     taken before the next call. Keys with a word of 2**32 or more get
     numpy's own ``default_rng``, one per call.
     """
-    if not replayable(keys):
+    replay = _replay_keys(keys)
+    if replay is None:
         return lambda j: np.random.default_rng(list(keys[j]))
-    seeds = _seed_words(keys)
+    seeds = _seed_words(replay)
     gen = np.random.Generator(np.random.PCG64(0))
 
     def seeded(j: int) -> np.random.Generator:
@@ -133,83 +139,98 @@ def _lemire(word, bound):
     return (prod >> np.uint64(32)).astype(np.int64), rejected
 
 
-def choice(words, m, b: int):
+def choice(words, m, b: int, sort: bool = False):
     """Replay ``Generator.choice(m_i, b, replace=False)`` from each row of ``words``.
 
     ``words`` is (N, >= 2b - 1) uint32 starting at the row's first draw; ``m``
     is one population size or one per row, each >= b. Returns the (N, b)
-    int64 picks and an (N,) mask of rows the replay cannot reproduce: a
-    Lemire rejection or numpy's tail-shuffle branch. The duplicate test
-    costs O(b^2) per row.
+    int64 picks, in increasing order with ``sort``, and an (N,) mask of rows
+    the replay cannot reproduce: a Lemire rejection, numpy's tail-shuffle
+    branch, or m > 2**32, where numpy draws from 64-bit words. The replay
+    runs on (b, N) columns, so every step reads whole contiguous rows; the
+    duplicate test costs O(b^2) per row. ``sort`` skips the Fisher-Yates
+    shuffle, whose order sorting discards, but still checks its words for
+    rejections: a rejected word shifts every later draw.
     """
     n = len(words)
     m = np.broadcast_to(np.asarray(m, dtype=np.int64), (n,))
     if b < 1 or (m < b).any() or words.shape[1] < 2 * b - 1:
         raise ValueError("need 1 <= b <= m and 2b - 1 words per row")
-    skip = (m == b).astype(np.int64)[:, None]
+    cols = np.ascontiguousarray(words[:, :2 * b - 1].T)
+    skip = m == b
+    if skip.any():  # numpy draws nothing from [0, 0], so such a row's words come one later
+        cols = np.where(skip, np.concatenate([cols[:1], cols[:-1]]), cols)
     # Floyd draws pick q from [0, j_q], j_q = m - b + q; then Fisher-Yates swaps
     # pick i with one from [0, i], for i = b - 1 down to 1
-    j = m[:, None] - b + np.arange(b)
-    vals, rejected = _lemire(np.take_along_axis(words, np.maximum(np.arange(b) - skip, 0), 1), j)
-    swaps, rejected_swap = _lemire(np.take_along_axis(words, b - skip + np.arange(b - 1), 1),
-                                   np.arange(b - 1, 0, -1))
-    bad = (m > 10_000) & (b > m // 50) | rejected.any(axis=1) | rejected_swap.any(axis=1)
-    picks = np.empty((n, b), dtype=np.int64)
-    for q in range(b):  # a value already picked becomes j_q
-        val = vals[:, q]
-        picks[:, q] = np.where((picks[:, :q] == val[:, None]).any(axis=1), j[:, q], val)
-    rows = np.arange(n)
+    j = m - b + np.arange(b)[:, None]
+    picks, rejected = _lemire(cols[:b], j)
+    swaps, rejected_swap = _lemire(cols[b:], np.arange(b - 1, 0, -1)[:, None])
+    bad = (m > 10_000) & (b > m // 50) | (m > WORD_LIMIT) | rejected.any(axis=0) \
+        | rejected_swap.any(axis=0)
+    for q in range(1, b):  # a value already picked becomes j_q
+        np.copyto(picks[q], j[q], where=(picks[:q] == picks[q]).any(axis=0))
+    if sort:
+        picks.sort(axis=0)
+        return picks.T, bad
+    flat, at = picks.reshape(-1), swaps * n + np.arange(n)  # flat index of each swap's pick
     for q, i in enumerate(range(b - 1, 0, -1)):
-        swap = swaps[:, q]
-        held = picks[rows, swap]
-        picks[rows, swap] = picks[:, i]
-        picks[:, i] = held
-    return picks, bad
+        held = flat.take(at[q])
+        flat.put(at[q], picks[i])
+        picks[i] = held
+    return picks.T, bad
 
 
-def choices(keys, m, b: int, count: int) -> np.ndarray:
+def _replay_keys(keys):
+    """``keys`` as one (N, L) int64 array, or None if a word is 2**32 or more."""
+    try:
+        keys = np.asarray(keys, dtype=np.int64)
+    except OverflowError:  # a word of 2**63 or more
+        return None
+    return keys if replayable(keys) else None
+
+
+def choices(keys, m, b: int, count: int, sort: bool = False) -> np.ndarray:
     """``count`` successive ``choice(m, b, replace=False)`` of each key's stream.
 
     Returns (N, count, b) int64: ``np.random.default_rng(key)``'s own draws
-    for every key. ``m`` is one population size, one per key (N,) or one per
-    draw (N, count), each >= b. Keys are replayed _BLOCK at a time and each
-    block's words are taken for up to _BLOCK draws at once, so they need
-    little memory; each ``choice`` call replays at most _BLOCK rows, gathered
-    just before it (a whole block's rows gathered at once made ~300 KB
-    temporaries, after which later 2 MB allocations page-faulted). A key
-    the replay cannot reproduce, in any of its draws (every later draw of a
-    stream depends on the words the earlier ones took), is drawn from numpy
-    itself, and so are all keys when one has a word of 2**32 or more.
+    for every key, each draw's picks in increasing order with ``sort``. ``m``
+    is one population size, one per key (N,) or one per draw (N, count),
+    each >= b. Each ``choice`` call replays up to _ROWS draws: a block of
+    _ROWS // count keys, or one key's draws _ROWS at a time, from words
+    taken for just those draws. A key the replay cannot reproduce, in any of
+    its draws (every later draw of a stream depends on the words the earlier
+    ones took), is drawn from numpy itself, and so are all keys when one has
+    a word of 2**32 or more.
     """
     n = len(keys)
     m = np.asarray(m, dtype=np.int64)
     m = np.broadcast_to(m if m.ndim == 2 else m.reshape(-1, 1), (n, count))
     out = np.zeros((n, count, b), dtype=np.int64)
-    bad = np.full(n, not replayable(keys))
-    if not bad.any():
+    replay = _replay_keys(keys)
+    bad = np.full(n, replay is None)
+    if replay is not None:
         # words per draw: b for Floyd (b - 1 when m == b: numpy draws nothing
         # from [0, 0]) and b - 1 for the shuffle
         per = 2 * b - 1 - (m == b)
         starts = np.cumsum(per, axis=1) - per
-        window = np.arange(2 * b - 1)  # a draw with m == b leaves its last word unread
-        for lo in range(0, n, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            nkeys = len(starts[block])
-            step = max(1, _BLOCK // nkeys)  # draws per choice call
-            keyrows = np.arange(nkeys)[:, None, None]
-            for c0 in range(0, count, _BLOCK):
-                # the words window's draws; every index below is within it
-                draws = slice(c0, c0 + _BLOCK)
-                at, sizes, picked = starts[block, draws], m[block, draws], out[block, draws]
+        nkeys, ndraws = max(1, _ROWS // count), min(count, _ROWS)
+        # a draw with m == b leaves its last word unread
+        window = np.arange(2 * b - 1)[:, None, None]
+        for lo in range(0, n, nkeys):
+            block = slice(lo, lo + nkeys)
+            keyrows = np.arange(len(replay[block]))[:, None]
+            for c0 in range(0, count, ndraws):
+                draws = slice(c0, c0 + ndraws)
+                at = starts[block, draws]
                 first = int(at[:, 0].min())
-                stream = words(keys[block], int(at[:, -1].max()) + 2 * b - 1 - first, first)
-                for c in range(0, at.shape[1], step):
-                    call = slice(c, c + step)
-                    rows = stream[keyrows, at[:, call, None] - first + window]
-                    picks, bad_c = choice(rows.reshape(-1, 2 * b - 1), sizes[:, call].ravel(), b)
-                    picked[:, call] = picks.reshape(nkeys, -1, b)
-                    bad[block] |= bad_c.reshape(nkeys, -1).any(axis=1)
+                stream = words(replay[block], int(at[:, -1].max()) + 2 * b - 1 - first, first)
+                cols = stream[keyrows, at - first + window].reshape(2 * b - 1, -1)
+                picks, bad_w = choice(cols.T, m[block, draws].ravel(), b, sort)
+                out[block, draws] = picks.reshape(at.shape + (b,))
+                bad[block] |= bad_w.reshape(at.shape).any(axis=1)
     for i in np.flatnonzero(bad):
         rng = np.random.default_rng(list(keys[i]))
         out[i] = [rng.choice(size, b, replace=False) for size in m[i].tolist()]
+        if sort:
+            out[i].sort(axis=1)
     return out

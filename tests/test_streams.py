@@ -74,24 +74,25 @@ class TestChoices:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.one_of(words32, st.integers(2**32, 2**70)), n_keys=st.integers(1, 7),
-           count=st.integers(1, 9), b=st.integers(1, 6), block=st.integers(1, 5),
+           count=st.integers(1, 9), b=st.integers(1, 6), per_call=st.integers(1, 12),
            data=st.data())
-    def test_sizes_per_draw_equal_numpy(self, seed, n_keys, count, b, block, data):
+    def test_sizes_per_draw_equal_numpy(self, seed, n_keys, count, b, per_call, data):
         sizes = np.array(data.draw(st.lists(st.integers(b, b + 4), min_size=n_keys * count,
                                             max_size=n_keys * count))).reshape(n_keys, count)
         keys = [(seed, j) for j in range(n_keys)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(streams, "_BLOCK", block)  # blocks that split keys and their draws
+            mp.setattr(streams, "_ROWS", per_call)  # calls that split keys and their draws
             got = streams.choices(keys, sizes, b, count)
         for key, row_sizes, rows in zip(keys, sizes.tolist(), got):
             rng = np.random.default_rng(list(key))
             assert np.array_equal(rows, [rng.choice(m, b, replace=False) for m in row_sizes])
 
-    @pytest.mark.parametrize("block, n_keys, count", [(5, 2, 7), (256, 3, 300)])
-    def test_calls_that_do_not_divide_a_window_equal_numpy(self, monkeypatch, block,
+    @pytest.mark.parametrize("per_call, n_keys, count", [(5, 2, 7), (256, 3, 300), (5, 7, 2)])
+    def test_calls_that_do_not_divide_a_window_equal_numpy(self, monkeypatch, per_call,
                                                            n_keys, count):
-        # block // n_keys draws per call leave a short last call in each words window
-        monkeypatch.setattr(streams, "_BLOCK", block)
+        # per_call // count keys per block, or per_call draws per window of one key, leave a
+        # short last block or window
+        monkeypatch.setattr(streams, "_ROWS", per_call)
         keys = [(11, j, 0, 1) for j in range(n_keys)]
         sizes = 3 + np.arange(n_keys * count).reshape(n_keys, count) % 4
         got = streams.choices(keys, sizes, 2, count)
@@ -109,9 +110,46 @@ class TestChoices:
             assert np.array_equal(rows, numpy_choices(key, [3_000_000_000], 3, 2))
 
     def test_hand_made_rejection_word_is_flagged(self):
-        words = streams.words([(1, 2, 3, 4)] * 2, 9).copy()
-        words[1, 4] = 0  # last Floyd draw, from [0, 9]: 0 * 10 leaves 0 < 2**32 % 10 = 6
-        assert streams.choice(words, 10, 5)[1].tolist() == [False, True]
+        # word 4: last Floyd draw, from [0, 9]: 0 * 10 leaves 0 < 2**32 % 10 = 6; word 7:
+        # the shuffle's swap from [0, 2], which sorted draws skip but still check
+        for at in (4, 7):
+            words = streams.words([(1, 2, 3, 4)] * 2, 9).copy()
+            words[1, at] = 0
+            for sort in (False, True):
+                assert streams.choice(words, 10, 5, sort)[1].tolist() == [False, True]
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.one_of(words32, st.integers(2**32, 2**70)), n_keys=st.integers(1, 5),
+           count=st.integers(1, 4), b=st.one_of(st.integers(1, 6), st.just(201)),
+           sort=st.booleans(), data=st.data())
+    def test_sorted_and_unsorted_draws_equal_numpy(self, seed, n_keys, count, b, sort, data):
+        # b = 201 with m > 10 000 takes numpy's tail-shuffle branch
+        size = st.integers(b, b + 4) | (st.integers(10_001, 10_100) if b == 201 else st.nothing())
+        sizes = np.array(data.draw(st.lists(size, min_size=n_keys * count,
+                                            max_size=n_keys * count))).reshape(n_keys, count)
+        keys = [(seed, j) for j in range(n_keys)]
+        real = streams.words
+        target = data.draw(st.integers(0, n_keys - 1))
+        per = 2 * b - 1 - (sizes[target] == b)
+        draw = data.draw(st.integers(0, count - 1))
+        # the shuffle's swap from [0, 2] in that draw (b >= 3), where numpy rejects a 0
+        at = int(per[:draw].sum()) + 2 * b - 3 - (sizes[target, draw] == b)
+
+        def with_rejection(block, n, start=0):
+            # the target's stream as if numpy had drawn a rejected 0 before word ``at``
+            words = real(block, start + n).copy()
+            for row in np.flatnonzero(np.asarray(block)[:, 1] == target):
+                words[row, at + 1:] = words[row, at:-1].copy()
+                words[row, at] = 0
+            return words[:, start:]
+        with pytest.MonkeyPatch.context() as mp:
+            if b >= 3:
+                mp.setattr(streams, "words", with_rejection)
+            got = streams.choices(keys, sizes, b, count, sort=sort)
+        for key, row_sizes, rows in zip(keys, sizes.tolist(), got):
+            rng = np.random.default_rng(list(key))
+            want = np.array([rng.choice(m, b, replace=False) for m in row_sizes])
+            assert np.array_equal(rows, np.sort(want, axis=1) if sort else want)
 
     @pytest.mark.parametrize("m, b, tail", [(10_001, 201, True), (10_001, 200, False),
                                             (10_000, 5000, False), (60_000, 1201, True)])
@@ -119,6 +157,16 @@ class TestChoices:
         assert replay_flags((3, 0, 0, 1), m, b, 1) == tail
         assert np.array_equal(streams.choices([(3, 0, 0, 1)], m, b, 1)[0],
                               numpy_choices((3, 0, 0, 1), [m], b, 1))
+
+    @pytest.mark.parametrize("m, wide", [(2**32, False), (2**32 + 5, True), (2**40, True)])
+    def test_populations_above_2_32_are_flagged(self, m, wide):
+        # numpy draws from [0, j] with 64-bit words once j >= 2**32; j = 2**32 - 1 takes
+        # one 32-bit word unchanged, which the replay's Lemire step reproduces
+        assert replay_flags((1, 2, 3, 4), m, 3, 2) == wide
+        for sort in (False, True):
+            got = streams.choices([(1, 2, 3, 4)], m, 3, 2, sort=sort)[0]
+            want = numpy_choices((1, 2, 3, 4), [m], 3, 2)
+            assert np.array_equal(got, np.sort(want, axis=1) if sort else want)
 
 
 class TestTrialBatches:
@@ -137,11 +185,11 @@ class TestTrialBatches:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
            b=st.integers(1, 8), extra=st.lists(st.integers(0, 3), min_size=1, max_size=6),
-           count=st.integers(1, 5), block=st.integers(1, 9))
-    def test_equal_the_sequential_loop(self, seed, b, extra, count, block):
+           count=st.integers(1, 5), per_call=st.integers(1, 9))
+    def test_equal_the_sequential_loop(self, seed, b, extra, count, per_call):
         sizes = tuple(b + e for e in extra)  # ragged, m = b included
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(streams, "_BLOCK", block)  # blocks that split shards
+            mp.setattr(streams, "_ROWS", per_call)  # windows that split shards
             got = self.replayed(sizes, count, b, seed)
         assert np.array_equal(got, self.sequential(sizes, count, b, seed))
 
@@ -160,12 +208,12 @@ class TestTrialBatches:
             redrawn.append(tuple(key))
             return real_rng(key)
         monkeypatch.setattr(streams, "words", with_rejection)
-        monkeypatch.setattr(streams, "_BLOCK", 3)  # one shard's batches per block
+        monkeypatch.setattr(streams, "_ROWS", 3)  # one shard's batches per words window
         monkeypatch.setattr(np.random, "default_rng", spy)
         sizes = (13, 13, 13)
         got = self.replayed(sizes, 3, 5, 4)
         monkeypatch.undo()
-        assert len(calls) == 3 and 0 == calls[0] < calls[1] < calls[2]  # a block per shard
+        assert len(calls) == 3 and 0 == calls[0] < calls[1] < calls[2]  # a window per shard
         assert redrawn == [(4, _SIGMA2_STREAM)]  # the whole key, from its first draw
         assert np.array_equal(got, self.sequential(sizes, 3, 5, 4))
 
