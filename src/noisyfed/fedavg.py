@@ -28,10 +28,11 @@ toggles never perturb unrelated draws; two runs with equal configs and
 seeds are bit-identical, and paired runs differing only in one channel
 share every other draw. A run draws everything up front: ``round_draws``
 replays every round's cohort and batch rows from their streams at once
-(``streams.choices``, bit-identical to numpy's own draws), and the channel
-noise Generators are seeded from states computed for all keys together.
-Replicas share these draws: a round's downlink and uplink draws are taken
-once and scaled by each replica's own variance.
+(``streams.choices``, bit-identical to numpy's own draws), and
+``streams.normals`` draws every round's unit-variance channel noise, (K, d)
+for the downlink and (K, r, d) for the uplink, before the first round.
+Replicas share these draws: a round's downlink and uplink draws are scaled
+by each replica's own variance.
 
 The reported train loss and gradient norm never feed back into training.
 For ``mse_linear`` both loops evaluate them in O(d^2) from per-client
@@ -290,8 +291,8 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
     1e12, and the offending round's row carries the diverged flag; the
     others step on. Cohorts and batch rows come from one round_draws call.
     The channel noise of round k comes from streams (seed, k, 0, downlink) and
-    (seed, k, i, uplink), seeded up front for each channel some replica has
-    on.
+    (seed, k, i, uplink): unit-variance draws for all K rounds, taken up front
+    by ``streams.normals`` for each channel some replica has on.
     """
     if seed < 0:
         raise ValueError("seed must be >= 0")
@@ -313,11 +314,10 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
     d = loss_model.dim
     inputs, row_map, offsets = task.metric_inputs, task.row_map, task.offsets
     if any(not down.off for _, down in channels):
-        down_rng = streams.generators([(seed, k, 0, _DOWNLINK) for k in range(K)])
+        down_noise = streams.normals([(seed, k, 0, _DOWNLINK) for k in range(K)], d)
     if any(not up.off for up, _ in channels):
-        up_rng = streams.generators([(seed, k, i, _UPLINK) for k in range(K)
-                                     for i in draws.cohorts[k].tolist()])
-        noise = np.empty((r, d))
+        up_noise = streams.normals([(seed, k, i, _UPLINK) for k in range(K)
+                                    for i in draws.cohorts[k].tolist()], d).reshape(K, r, d)
 
     metrics = [[] for _ in channels]
     ends = [None] * len(channels)    # (final params, diverged_at) of each replica
@@ -348,11 +348,10 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
 
         W_recv = W
         if any(v_dn):
-            z = down_rng(k).standard_normal(d)
             W_recv = W.copy()
             for a, v in enumerate(v_dn):
                 if v > 0:
-                    W_recv[a] += z * np.sqrt(v)
+                    W_recv[a] += down_noise[k] * np.sqrt(v)
 
         rows = row_map[offsets[draws.cohorts[k], None, None] + draws.batches[k]]
         # a lone replica steps from a 1-D start: the (1, P) form costs it a few percent
@@ -364,11 +363,9 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
 
         snr_up = [None] * len(live)
         if any(v_up):
-            for q in range(r):
-                up_rng(k * r + q).standard_normal(out=noise[q])
             for a, v in enumerate(v_up):
                 if v > 0:
-                    W_next[a] += (noise * np.sqrt(v)).mean(axis=0)
+                    W_next[a] += (up_noise[k] * np.sqrt(v)).mean(axis=0)
                     delta = W_recv[a] - w_ends[a]
                     snr_up[a] = float((np.vecdot(delta, delta) / (d * v)).mean())
 
@@ -437,9 +434,9 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
     keys = [(seed, t, 0, _BATCH) for t in range(T)]
     batches = streams.choices(keys, len(dataset), batch_size, 1, sort=True)[:, 0]
     if not downlink.off:
-        down_rng = streams.generators([(seed, t, 0, _DOWNLINK) for t in range(T)])
+        down_noise = streams.normals([(seed, t, 0, _DOWNLINK) for t in range(T)], d)
     if not uplink.off:
-        up_rng = streams.generators([(seed, t, 0, _UPLINK) for t in range(T)])
+        up_noise = streams.normals([(seed, t, 0, _UPLINK) for t in range(T)], d)
     w = np.zeros(d)
     metrics: list[RoundMetrics] = []
     status, div_at = "completed", None
@@ -461,12 +458,12 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
 
         point = w
         if v_dn > 0:
-            point = w + down_rng(t).standard_normal(d) * np.sqrt(v_dn)
+            point = w + down_noise[t] * np.sqrt(v_dn)
         g = backend.batch_gradient(loss_model.kind, dataset.X, dataset.y, point, batches[t],
                                    loss_model.n_classes)
         step = g
         if v_up > 0:
-            step = g + up_rng(t).standard_normal(d) * np.sqrt(v_up)
+            step = g + up_noise[t] * np.sqrt(v_up)
         w_next = w - eta * step
 
         row = RoundMetrics(t, train_loss, gns, v_up, v_dn,

@@ -139,6 +139,8 @@ def _power_iteration_gram(X: np.ndarray, tol: float) -> float:
     Deterministic start vector; the stopping threshold is two orders
     tighter than the requested tolerance because successive Rayleigh
     differences understate the true error when the spectrum is flat.
+    Returns NaN as soon as an iterate C v is not finite, which a
+    non-finite C gives at once.
     """
     m, d = X.shape
     C = (X.T @ X) / m
@@ -148,6 +150,9 @@ def _power_iteration_gram(X: np.ndarray, tol: float) -> float:
         w = C @ v
         lam_new = float(v @ w)
         norm = np.linalg.norm(w)
+        # a finite w can still overflow its norm; only a non-finite one stops here
+        if not math.isfinite(norm) and not np.isfinite(w).all():
+            return math.nan
         if norm == 0.0:
             return 0.0
         v = w / norm

@@ -3,28 +3,49 @@
 A stream keyed by a list of ints is ``np.random.default_rng(key)``: a PCG64
 seeded through a SeedSequence. The SeedSequence hash (a pool of four uint32
 words, then ``generate_state(4, uint64)``) runs for all keys together, and
-``pcg64_states`` gives each key's PCG64 ``(state, inc)`` as its seeding
-computes them. ``words`` gives each key's first uint32 words in the order a
-Generator consumes them: the low half of each 64-bit output, then the high
-half. ``choice`` replays ``Generator.choice(m, b, replace=False)`` on such
-words: Floyd's algorithm with Lemire bounded integers, then the
-Fisher-Yates shuffle of the b picks. It works on (b, N) columns, one
-contiguous row per pick, so a larger call spreads numpy's cost per operation
-over more draws, until its arrays outgrow the cache: per draw, 2 048 draws
-per call (``_ROWS``) cost a third of 256 and less than 4 096. Callers that
-sort the picks skip the shuffle, whose order they would discard.
+so does PCG64's seeding, one 128-bit multiply-add per key on uint64 limbs
+(``_limbs``). ``words`` and ``normals`` then put one private PCG64 in each
+key's state in turn and draw from it: ``words`` gives each key's first
+uint32 words in the order a Generator consumes them (the low half of each
+64-bit output, then the high half), and ``normals`` its
+``standard_normal(d)``. ``choice`` replays
+``Generator.choice(m, b, replace=False)`` on such words: Floyd's algorithm
+with Lemire bounded integers, then the Fisher-Yates shuffle of the b picks.
+It works on (b, N) columns, one contiguous row per pick, so a larger call
+spreads numpy's cost per operation over more draws, until its arrays
+outgrow the cache: per draw, 2 048 draws per call (``_ROWS``) cost a third
+of 256 and less than 4 096. Callers that sort the picks skip the shuffle,
+whose order they would discard.
 
-``choices`` and ``generators`` are what the rest of the package calls, and
-they return numpy's own draws and Generators for every key. Where the
-replay cannot be exact they take them from numpy itself, so no caller ever
-decides between the two: a key word of 2**32 or more (numpy hashes it as
-two words), a Lemire rejection (it takes one more word than the replay
-budgets; about one draw in 2**32 / m), numpy's tail-shuffle branch
-(m > 10 000 and b > m // 50), and a population m > 2**32 (numpy draws its
-picks from 64-bit words).
+Setting a key's state is one 32-byte write of its limbs (state lo, state
+hi, inc lo, inc hi) into the PCG64's ``pcg64_random_t``, through a
+memoryview of it; its address is the first field of the struct that
+``bit_generator.ctypes.state_address`` points to. numpy documents that
+``ctypes`` interface
+(https://numpy.org/doc/stable/reference/random/extending.html), but not the
+struct behind it: the pointer field, and 128-bit ints stored low half
+first, as a little-endian build with a native 128-bit type stores them,
+are numpy internals. So at first use ``_checked_seat`` sets a known state
+through the dict setter and reads its 32 bytes back, then writes one key's
+limbs and compares the draws with numpy's. If any check fails, the same
+loop sets each key's state through the dict setter instead, at about 2 us
+more per key.
+
+``choices`` and ``normals`` are what the rest of the package calls, and
+they return numpy's own draws for every key. Where the replay cannot be
+exact they take them from numpy itself, so no caller ever decides between
+the two: a key word of 2**32 or more (numpy hashes it as two words), a
+Lemire rejection (it takes one more word than the replay budgets; about one
+draw in 2**32 / m), numpy's tail-shuffle branch (m > 10 000 and
+b > m // 50), and a population m > 2**32 (numpy draws its picks from 64-bit
+words). ``words`` and ``normals`` share the one PCG64, so they are not safe
+to call from several threads at once.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
 
 import numpy as np
 
@@ -36,8 +57,16 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
+# PCG64's 128-bit multiplier in 64-bit limbs, and the uint64 shift and mask constants
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_1, _32, _63, _LO32 = np.uint64(1), np.uint64(32), np.uint64(63), np.uint64(_MASK32)
+_CHECK_KEYS = [(2**32 - 1, 2**32 - 1, 1, 2), (7, 0, 3, 2**32 - 2)]  # the layout check's keys
+
+# the one PCG64 that ``words`` and ``normals`` seed per key; they take only 64-bit
+# outputs from it, so its buffered 32-bit half stays empty and a state write keeps it so
+_BITGEN = np.random.PCG64(0)
+_GEN = np.random.Generator(_BITGEN)
 
 
 def _hash(value, const: int, mult: int):
@@ -80,54 +109,113 @@ def _seed_words(keys) -> np.ndarray:
     return np.stack([state[2 * j] | state[2 * j + 1] << np.uint64(32) for j in range(4)], 1)
 
 
-def _pcg64_state(seed_words) -> tuple:
-    """PCG64's (state, inc) from one key's four seed words: its seeding takes
-    them as the (high, low) halves of a 128-bit state and increment."""
-    s_hi, s_lo, q_hi, q_lo = seed_words
-    inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-    return ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+def _mul_hi(a, b):
+    """High 64 bits of the 128-bit products a * b of uint64 values, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _LO32, a >> _32, b & _LO32, b >> _32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _32) + (p01 & _LO32) + (p10 & _LO32)
+    return a1 * b1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
 
 
-def pcg64_states(keys) -> list:
-    """(state, inc) of ``np.random.default_rng(key).bit_generator`` for each row of ``keys``."""
-    return [_pcg64_state(row) for row in _seed_words(keys).tolist()]
+def _limbs(seed_words) -> np.ndarray:
+    """(N, 4) uint64: (state lo, state hi, inc lo, inc hi) of each key's PCG64.
+
+    PCG64's seeding takes a key's four seed words as the (high, low) halves
+    of a 128-bit s and q and sets inc = 2q + 1 and state = (inc + s) * MULT
+    + inc, mod 2**128; here on 64-bit limbs, with the carries made explicit.
+    """
+    s_hi, s_lo, q_hi, q_lo = seed_words.T
+    inc_lo = q_lo << _1 | _1
+    inc_hi = q_hi << _1 | q_lo >> _63
+    t_lo = inc_lo + s_lo
+    t_hi = inc_hi + s_hi + (t_lo < inc_lo)
+    out = np.empty((len(seed_words), 4), dtype=np.uint64)
+    out[:, 0] = t_lo * _PCG_MULT_LO + inc_lo
+    out[:, 1] = _mul_hi(t_lo, _PCG_MULT_LO) + t_lo * _PCG_MULT_HI + t_hi * _PCG_MULT_LO \
+        + inc_hi + (out[:, 0] < inc_lo)
+    out[:, 2], out[:, 3] = inc_lo, inc_hi
+    return out
 
 
-def _state_dict(state) -> dict:
-    return {"bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]},
+def _state_dict(limbs) -> dict:
+    lo, hi, inc_lo, inc_hi = (int(x) for x in limbs)
+    return {"bit_generator": "PCG64",
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
             "has_uint32": 0, "uinteger": 0}
 
 
-def generators(keys):
-    """A function j -> a Generator in the state of ``np.random.default_rng(keys[j])``.
+def _checked_seat(bitgen):
+    """A writable view of the 32 bytes of ``bitgen``'s pcg64_random_t if a key's
+    four limbs written there seed it like ``np.random.default_rng(key)``, else None.
 
-    Every call reseeds and returns the same Generator, so a draw must be
-    taken before the next call. Keys with a word of 2**32 or more get
-    numpy's own ``default_rng``, one per call.
+    Its address is the first field of the struct ``bitgen.ctypes.state_address``
+    points to. It must lie inside ``bitgen`` itself, so nothing outside the
+    object is read; a state set through the dict setter must read back as its
+    limbs; and a key's limbs written there must draw numpy's own words.
     """
+    try:
+        address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    except AttributeError:  # a numpy without the ctypes interface
+        return None
+    start = id(bitgen)
+    if address is None or not start <= address <= start + type(bitgen).__basicsize__ - 32:
+        return None
+    seat = memoryview((ctypes.c_char * 32).from_address(address)).cast("B")
+    known, key = _limbs(_seed_words(_CHECK_KEYS))
+    bitgen.state = _state_dict(known)
+    if seat.tobytes() != known.tobytes():
+        return None
+    seat[:] = key.tobytes()
+    expected = np.random.default_rng(list(_CHECK_KEYS[1])).bit_generator.random_raw(3)
+    return seat if np.array_equal(bitgen.random_raw(3), expected) else None
+
+
+@functools.cache
+def _state_seat():
+    """_checked_seat of the one PCG64 that ``words`` and ``normals`` seed, checked once."""
+    return _checked_seat(_BITGEN)
+
+
+def _seeded(keys):
+    """For each row of ``keys`` in turn, _BITGEN in the state of
+    ``np.random.default_rng(key).bit_generator``; the next step reseeds it.
+
+    Each state is one 32-byte write where the layout check passed, and the
+    dict setter where it did not.
+    """
+    limbs = _limbs(_seed_words(keys))
+    seat, raw = _state_seat(), limbs.tobytes()
+    for j in range(len(limbs)):
+        if seat is None:
+            _BITGEN.state = _state_dict(limbs[j])
+        else:
+            seat[:] = raw[32 * j:32 * j + 32]
+        yield _BITGEN
+
+
+def normals(keys, d: int) -> np.ndarray:
+    """(N, d) float64: ``np.random.default_rng(key).standard_normal(d)`` for each
+    key; numpy's own Generators draw them all when a key has a word of 2**32 or more."""
+    out = np.empty((len(keys), d))
     replay = _replay_keys(keys)
     if replay is None:
-        return lambda j: np.random.default_rng(list(keys[j]))
-    seeds = _seed_words(replay)
-    gen = np.random.Generator(np.random.PCG64(0))
-
-    def seeded(j: int) -> np.random.Generator:
-        gen.bit_generator.state = _state_dict(_pcg64_state(seeds[j].tolist()))
-        return gen
-    return seeded
+        for j, key in enumerate(keys):
+            out[j] = np.random.default_rng(list(key)).standard_normal(d)
+        return out
+    draw = _GEN.standard_normal
+    for row, _ in zip(out, _seeded(replay)):
+        draw(out=row)
+    return out
 
 
 def words(keys, n: int, start: int = 0) -> np.ndarray:
     """(N, n) uint32: words start .. start + n - 1 of those each key's Generator consumes."""
-    states = pcg64_states(keys)
-    bitgen = np.random.PCG64(0)
     lead = start % 2
-    raw = np.empty((len(states), (lead + n + 1) // 2), dtype="<u8")
-    for row, state in enumerate(states):
-        bitgen.state = _state_dict(state)
+    raw = np.empty((len(keys), (lead + n + 1) // 2), dtype="<u8")
+    for row, bitgen in zip(raw, _seeded(keys)):
         if start > 1:
             bitgen.advance(start // 2)
-        raw[row] = bitgen.random_raw(raw.shape[1])
+        row[:] = bitgen.random_raw(len(row))
     return raw.view("<u4")[:, lead:lead + n]
 
 

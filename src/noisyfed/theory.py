@@ -3,10 +3,9 @@
 Implements the non-convex guarantees for the noisy single-machine loop and
 the federated loop: the four-term bound for noisy SGD, the
 leading/uplink/variance/downlink decomposition for noisy federated
-averaging with the geometric round-sampling distribution, the order
-coefficients used to predict sweep slopes, the quadratic counterexample
-showing bounded-client-dissimilarity fails, and a Monte-Carlo estimator for
-the stochastic-gradient variance bound.
+averaging with the geometric round-sampling distribution, the quadratic
+counterexample showing bounded-client-dissimilarity fails, and a
+Monte-Carlo estimator for the stochastic-gradient variance bound.
 
 Noise totals everywhere are TOTAL expected squared norms, i.e. dimension
 times the per-coordinate variance.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisyfed import backend, fedavg, streams
-from noisyfed.channel import NoiseSchedule
+from noisyfed.channel import NoiseSchedule, variance_at
 from noisyfed.config import parse_config, preset
 from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
                            generate_regression, partition_iid, partition_label_shard,
@@ -563,10 +563,9 @@ class TestSharedDraws:
            d=st.integers(1, 4))
     def test_noise_streams_equal_keyed_streams(self, seed, d):
         keys = [(0, 0, fedavg._DOWNLINK), (3, 7, fedavg._UPLINK), (2, 1, fedavg._UPLINK)]
-        rng = streams.generators([(seed, *key) for key in keys])
+        got = streams.normals([(seed, *key) for key in keys], d)
         for j in (2, 0, 1):
-            assert np.array_equal(rng(j).standard_normal(d),
-                                  _stream(seed, *keys[j]).standard_normal(d))
+            assert np.array_equal(got[j], _stream(seed, *keys[j]).standard_normal(d))
 
     def test_sweep_table_equals_unshared_runs(self, tmp_path):
         cfg = sweep_config()
@@ -780,6 +779,27 @@ class TestRunNoisySgd:
         for t, rows in enumerate(seen):
             want = np.sort(sample_batch(np.arange(m), b, _stream(seed, t, 0, _BATCH)))
             assert np.array_equal(rows, want)
+
+    @pytest.mark.parametrize("seed", [7, 2**40])
+    def test_both_channels_equal_a_keyed_stream_oracle(self, seed):
+        # the oracle takes each step's batch and channel noise from its own numpy stream
+        ds, model = self._task()
+        up = NoiseSchedule("uplink", "poly_decay", 0.2, 0.5)
+        dn = NoiseSchedule("downlink", "constant", 0.1)
+        eta, T, b = 0.05, 6, 16
+        res = run_noisy_sgd(model, ds, eta, T, b, up, dn, seed)
+        w = np.zeros(model.dim)
+        for t in range(T):
+            def stream(purpose):
+                return np.random.default_rng([seed, t, 0, purpose])
+            rows = np.sort(stream(_BATCH).choice(len(ds), b, replace=False))
+            nu = stream(fedavg._DOWNLINK).standard_normal(model.dim)
+            e = stream(fedavg._UPLINK).standard_normal(model.dim)
+            g = backend.batch_gradient(model.kind, ds.X, ds.y,
+                                       w + nu * np.sqrt(variance_at(dn, t)), rows)
+            w = w - eta * (g + e * np.sqrt(variance_at(up, t)))
+        assert res.status == "completed" and len(res.metrics) == T
+        assert np.array_equal(res.final_params, w)
 
     def test_warns_above_inverse_smoothness(self):
         ds, model = self._task()

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from noisyfed.model import (LossModel, finite_difference_gradient, full_gradient,
-                            gradient, loss, smoothness_constant)
+from noisyfed.model import (LossModel, _power_iteration_gram, finite_difference_gradient,
+                            full_gradient, gradient, loss, smoothness_constant)
 
 
 def random_mse_case(rng, m=12, d=5):
@@ -157,6 +157,22 @@ class TestSmoothness:
         soft = LossModel("softmax_linear", dim=18, n_classes=3)
         assert smoothness_constant(soft, X) == pytest.approx(
             0.5 * smoothness_constant(mse, X), rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
+    def test_non_finite_gram_stops_at_once(self, bad):
+        # 1e160 is finite, but its Gram matrix overflows to inf
+        class CountingMatmul(np.ndarray):
+            calls = 0
+
+            def __matmul__(self, other):
+                CountingMatmul.calls += 1
+                return np.ndarray.__matmul__(self, other)
+        X = np.random.default_rng(3).standard_normal((40, 5))
+        X[7, 2] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = _power_iteration_gram(X.view(CountingMatmul), 1e-8)
+        assert np.isnan(lam)
+        assert CountingMatmul.calls <= 3  # X^T X, then C v once
 
     def test_gradient_lipschitz_bound(self):
         rng = np.random.default_rng(23)

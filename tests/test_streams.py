@@ -1,6 +1,7 @@
 """The keyed-stream draws against numpy itself, for every key: replayed where the
 replay is exact and drawn from numpy inside ``streams`` where it is not."""
 
+import ctypes
 import json
 
 import numpy as np
@@ -31,30 +32,95 @@ def replay_flags(key, m, b, count):
                for c in range(count))
 
 
+class FixedSeed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 the given four uint64 seed words."""
+
+    def __init__(self, seed_words):
+        self.seed_words = np.asarray(seed_words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.seed_words.copy()
+
+
+def numpy_state(bit_generator):
+    state = bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def limb_state(limbs):
+    lo, hi, inc_lo, inc_hi = (int(x) for x in limbs)
+    return hi << 64 | lo, inc_hi << 64 | inc_lo
+
+
+# 64-bit seed words at the edges of every carry: zero, one, 2**63 - 1, 2**63, 2**64 - 1
+words64 = st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2), st.integers(2**64 - 3, 2**64 - 1),
+                    st.integers(2**63 - 2, 2**63 + 1))
+
+
 class TestSeeding:
     @settings(max_examples=200, deadline=None)
     @given(keys=st.integers(1, 4).flatmap(lambda L: st.lists(
-        st.lists(words32, min_size=L, max_size=L), min_size=1, max_size=6)))
+        st.lists(words32 | st.integers(2**32 - 3, 2**32 - 1), min_size=L, max_size=L),
+        min_size=1, max_size=6)))
     def test_states_equal_numpy_seeding(self, keys):
-        for key, state in zip(keys, streams.pcg64_states(keys)):
-            got = np.random.default_rng(key).bit_generator.state["state"]
-            assert (got["state"], got["inc"]) == state
+        for key, limbs in zip(keys, streams._limbs(streams._seed_words(keys))):
+            assert limb_state(limbs) == numpy_state(np.random.default_rng(key).bit_generator)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed_words=st.lists(st.lists(words64, min_size=4, max_size=4), min_size=1, max_size=5))
+    def test_limbs_equal_numpy_seeding_at_every_carry(self, seed_words):
+        limbs = streams._limbs(np.array(seed_words, dtype=np.uint64))
+        for row, got in zip(seed_words, limbs):
+            assert limb_state(got) == numpy_state(np.random.PCG64(FixedSeed(row)))
 
     @settings(max_examples=50, deadline=None)
     @given(key=st.lists(words32, min_size=4, max_size=4), n=st.integers(1, 40),
            start=st.integers(0, 40), d=st.integers(1, 5))
-    def test_words_and_generators_continue_numpy(self, key, n, start, d):
+    def test_words_and_normals_continue_numpy(self, key, n, start, d):
         raw = np.random.default_rng(key).bit_generator.random_raw(41)
         assert np.array_equal(streams.words([key], n, start)[0],
                               raw.astype("<u8").view("<u4")[start:start + n])
-        assert np.array_equal(streams.generators([key, key])(1).standard_normal(d),
+        assert np.array_equal(streams.normals([key, key], d)[1],
                               np.random.default_rng(key).standard_normal(d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=st.lists(st.tuples(words32 | st.integers(2**32, 2**70), words32, words32),
+                         min_size=1, max_size=6), d=st.integers(1, 9))
+    def test_normals_equal_numpy_for_every_key(self, keys, d):
+        # mixed lists: one key with a word of 2**32 or more sends them all to numpy
+        got = streams.normals(keys, d)
+        assert got.shape == (len(keys), d)
+        for key, row in zip(keys, got):
+            assert np.array_equal(row, np.random.default_rng(list(key)).standard_normal(d))
 
     def test_large_or_negative_words_rejected(self):
         assert not streams.replayable([(2**32, 0)])
         for keys in ([(2**32, 0)], [(-1, 0)], [(1, 2, 3, 4, 5)]):
             with pytest.raises(ValueError, match="keys"):
-                streams.pcg64_states(keys)
+                streams.words(keys, 1)
+
+
+class TestStateWrite:
+    keys = [(0, 0, 0, 0), (2**32 - 1,) * 4, (5, 17, 3, 2), (9, 2**32 - 2, 1, 1)]
+
+    def test_dict_setter_path_draws_the_same(self, monkeypatch):
+        written = streams.words(self.keys, 9, 3), streams.normals(self.keys, 6)
+        monkeypatch.setattr(streams, "_state_seat", lambda: None)
+        set_by_dict = streams.words(self.keys, 9, 3), streams.normals(self.keys, 6)
+        for a, b in zip(written, set_by_dict):
+            assert np.array_equal(a, b)
+        for key, row in zip(self.keys, set_by_dict[1]):
+            assert np.array_equal(row, np.random.default_rng(key).standard_normal(6))
+
+    @pytest.mark.skipif(streams._state_seat() is None,
+                        reason="this numpy build's PCG64 state is set through the dict")
+    def test_layout_check_refuses_swapped_halves(self, monkeypatch):
+        bitgen = np.random.PCG64(1)
+        address = ctypes.addressof(streams._checked_seat(bitgen).obj)
+        assert id(bitgen) <= address <= id(bitgen) + type(bitgen).__basicsize__ - 32
+        real = streams._limbs
+        monkeypatch.setattr(streams, "_limbs", lambda seed_words: real(seed_words)[:, [1, 0, 3, 2]])
+        assert streams._checked_seat(np.random.PCG64(1)) is None
 
 
 class TestChoices:
