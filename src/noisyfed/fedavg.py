@@ -26,13 +26,12 @@ Randomness is drawn from independent streams keyed by
 (master seed, round, client, purpose), so client order and channel on/off
 toggles never perturb unrelated draws; two runs with equal configs and
 seeds are bit-identical, and paired runs differing only in one channel
-share every other draw. A run draws everything up front: ``round_draws``
-replays every round's cohort and batch rows from their streams at once
-(``streams.choices``, bit-identical to numpy's own draws), and
-``streams.normals`` draws every round's unit-variance channel noise, (K, d)
-for the downlink and (K, r, d) for the uplink, before the first round.
-Replicas share these draws: a round's downlink and uplink draws are scaled
-by each replica's own variance.
+share every other draw. ``round_draws`` makes all of a seed's draws up
+front: every round's cohort and batch rows (``streams.choices``,
+bit-identical to numpy's own draws) and unit-variance channel noise, (K, d)
+for the downlink and (K, r, d) for the uplink (``streams.normals``), keyed
+by ``streams.key_rows``. Replicas share these draws: a round's downlink and
+uplink draws are scaled by each replica's own variance.
 
 The reported train loss and gradient norm never feed back into training.
 For ``mse_linear`` both loops evaluate them in O(d^2) from per-client
@@ -191,38 +190,46 @@ class Task:
 
 @dataclass(frozen=True)
 class RoundDraws:
-    """Every round's cohort and local batch rows of one run, drawn up front.
-
-    ``cohorts`` is (K, r) and ``batches`` (K, r, E, b), both int64; batch
-    rows index the client's shard and are sorted within each step.
-    """
+    """Every draw of one seed's runs, read-only: (K, r) ``cohorts``, (K, r, E, b)
+    ``batches`` of shard rows sorted within each step, both int64, and unit-variance
+    noise, ``downlink`` (K, d) by round and ``uplink`` (K, r, d) with row [k, j] for
+    client ``cohorts[k, j]``; each None when no run has that channel on."""
     cohorts: np.ndarray
     batches: np.ndarray
+    downlink: np.ndarray | None
+    uplink: np.ndarray | None
 
 
-def round_draws(config: FedAvgConfig, task: Task, seed: int) -> RoundDraws:
-    """All K rounds' draws of the runs keyed like ``config`` and ``seed`` on ``task``.
+def round_draws(config: FedAvgConfig, task: Task, seed: int, channels=()) -> RoundDraws:
+    """All K rounds' draws of the runs keyed like ``config`` and ``seed`` on
+    ``task``, for the (uplink, downlink) pairs ``channels``; ``streams.key_rows``
+    rejects a negative seed.
 
-    Round k's cohort is ``client_sample`` from stream (seed, k, 0, sample) and
+    Round k's cohort is ``client_sample`` from stream (seed, k, 0, sample),
     client i's E batches are successive ``sample_batch`` calls on stream
-    (seed, k, i, batch), all drawn at once by ``streams.choices``. Channel
-    schedules and the learning rate do not enter: runs that differ only in
-    those consume the same draws.
+    (seed, k, i, batch), and the channel noise is ``standard_normal(d)`` of
+    streams (seed, k, 0, downlink) and (seed, k, i, uplink), for each channel
+    some pair has on. Runs that differ only in their variances or learning
+    rate consume the same draws.
     """
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
     if task.partition.n_clients != config.n:
         raise ValueError("partition must have exactly n shards")
     n, r, E, K, b = config.n, config.r, config.E, config.K, config.batch_size
     if b > min(task.shard_sizes):
         raise ValueError("batch_size exceeds a client shard")
-    keys = [(seed, k, 0, _SAMPLE) for k in range(K)]
-    cohorts = streams.choices(keys, n, r, 1, sort=True)[:, 0]
-    keys = [(seed, k, i, _BATCH) for k, cohort in enumerate(cohorts.tolist()) for i in cohort]
-    sizes = np.array(task.shard_sizes)[cohorts.ravel()]
-    batches = streams.choices(keys, sizes, b, E, sort=True).reshape(K, r, E, b)
-    cohorts.flags.writeable = batches.flags.writeable = False  # shared by several runs
-    return RoundDraws(cohorts, batches)
+    ks, d = np.arange(K), task.model.dim
+    cohorts = streams.choices(streams.key_rows(seed, ks, 0, _SAMPLE), n, r, 1, sort=True)[:, 0]
+    rounds, clients = np.repeat(ks, r), cohorts.ravel()
+    sizes = np.array(task.shard_sizes)[clients]
+    batches = streams.choices(streams.key_rows(seed, rounds, clients, _BATCH), sizes, b, E,
+                              sort=True).reshape(K, r, E, b)
+    downlink = uplink = None
+    if any(not down.off for _, down in channels):
+        downlink = _read_only(streams.normals(streams.key_rows(seed, ks, 0, _DOWNLINK), d))
+    if any(not up.off for up, _ in channels):
+        uplink = _read_only(streams.normals(streams.key_rows(seed, rounds, clients, _UPLINK),
+                                            d).reshape(K, r, d))
+    return RoundDraws(_read_only(cohorts), _read_only(batches), downlink, uplink)
 
 
 def _metric_inputs(loss_model, shard_X, shard_y):
@@ -289,35 +296,22 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
     full-gradient arithmetic bit for bit. A replica halts with status
     "diverged" when its loss goes non-finite or its parameter norm exceeds
     1e12, and the offending round's row carries the diverged flag; the
-    others step on. Cohorts and batch rows come from one round_draws call.
-    The channel noise of round k comes from streams (seed, k, 0, downlink) and
-    (seed, k, i, uplink): unit-variance draws for all K rounds, taken up front
-    by ``streams.normals`` for each channel some replica has on.
+    others step on. All draws come from one round_draws call, which also
+    checks the seed, the shard count and the batch size.
     """
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-    if task.partition.n_clients != config.n:
-        raise ValueError("partition must have exactly n shards")
     loss_model, dataset = task.model, task.dataset
     if loss_model.smoothness is None:
         raise ValueError("loss_model.smoothness must be set (see smoothness_constant)")
-    if config.batch_size > min(task.shard_sizes):
-        raise ValueError("batch_size exceeds a client shard")
     channels = list(channels)
     if not channels:
         raise ValueError("need at least one (uplink, downlink) pair")
-    draws = round_draws(config, task, seed)
+    draws = round_draws(config, task, seed, channels)
 
     n, r, E, K = config.n, config.r, config.E, config.K
     L = loss_model.smoothness
     eta = step_size(config, L)
     d = loss_model.dim
     inputs, row_map, offsets = task.metric_inputs, task.row_map, task.offsets
-    if any(not down.off for _, down in channels):
-        down_noise = streams.normals([(seed, k, 0, _DOWNLINK) for k in range(K)], d)
-    if any(not up.off for up, _ in channels):
-        up_noise = streams.normals([(seed, k, i, _UPLINK) for k in range(K)
-                                    for i in draws.cohorts[k].tolist()], d).reshape(K, r, d)
 
     metrics = [[] for _ in channels]
     ends = [None] * len(channels)    # (final params, diverged_at) of each replica
@@ -351,7 +345,7 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
             W_recv = W.copy()
             for a, v in enumerate(v_dn):
                 if v > 0:
-                    W_recv[a] += down_noise[k] * np.sqrt(v)
+                    W_recv[a] += draws.downlink[k] * np.sqrt(v)
 
         rows = row_map[offsets[draws.cohorts[k], None, None] + draws.batches[k]]
         # a lone replica steps from a 1-D start: the (1, P) form costs it a few percent
@@ -365,7 +359,7 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
         if any(v_up):
             for a, v in enumerate(v_up):
                 if v > 0:
-                    W_next[a] += (up_noise[k] * np.sqrt(v)).mean(axis=0)
+                    W_next[a] += (draws.uplink[k] * np.sqrt(v)).mean(axis=0)
                     delta = W_recv[a] - w_ends[a]
                     snr_up[a] = float((np.vecdot(delta, delta) / (d * v)).mean())
 
@@ -431,12 +425,13 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
     if L is not None and L > 0 and eta > 1.0 / L:
         warnings.warn(f"eta={eta:.6g} exceeds 1/L={1.0 / L:.6g}")
     d = loss_model.dim
-    keys = [(seed, t, 0, _BATCH) for t in range(T)]
-    batches = streams.choices(keys, len(dataset), batch_size, 1, sort=True)[:, 0]
+    ts = np.arange(T)
+    batches = streams.choices(streams.key_rows(seed, ts, 0, _BATCH), len(dataset), batch_size, 1,
+                              sort=True)[:, 0]
     if not downlink.off:
-        down_noise = streams.normals([(seed, t, 0, _DOWNLINK) for t in range(T)], d)
+        down_noise = streams.normals(streams.key_rows(seed, ts, 0, _DOWNLINK), d)
     if not uplink.off:
-        up_noise = streams.normals([(seed, t, 0, _UPLINK) for t in range(T)], d)
+        up_noise = streams.normals(streams.key_rows(seed, ts, 0, _UPLINK), d)
     w = np.zeros(d)
     metrics: list[RoundMetrics] = []
     status, div_at = "completed", None

@@ -1,13 +1,14 @@
 """numpy's keyed streams, replayed for many keys at once and bit-identical to numpy.
 
 A stream keyed by a list of ints is ``np.random.default_rng(key)``: a PCG64
-seeded through a SeedSequence. The SeedSequence hash (a pool of four uint32
-words, then ``generate_state(4, uint64)``) runs for all keys together, and
-so does PCG64's seeding, one 128-bit multiply-add per key on uint64 limbs
-(``_limbs``). ``words`` and ``normals`` then put one private PCG64 in each
-key's state in turn and draw from it: ``words`` gives each key's first
-uint32 words in the order a Generator consumes them (the low half of each
-64-bit output, then the high half), and ``normals`` its
+seeded through a SeedSequence, which hashes the ints as one row of uint32
+words, each low word first. Here a key is that row (``key_rows`` builds
+them), so a seed of any size replays. The SeedSequence hash runs for all
+keys together, and so does PCG64's seeding, one 128-bit multiply-add per
+key on uint64 limbs (``_limbs``). ``words`` and ``normals`` then put one
+private PCG64 in each key's state in turn and draw from it: ``words`` gives
+each key's first uint32 words in the order a Generator consumes them (the
+low half of each 64-bit output, then the high half), and ``normals`` its
 ``standard_normal(d)``. ``choice`` replays
 ``Generator.choice(m, b, replace=False)`` on such words: Floyd's algorithm
 with Lemire bounded integers, then the Fisher-Yates shuffle of the b picks.
@@ -32,11 +33,11 @@ loop sets each key's state through the dict setter instead, at about 2 us
 more per key.
 
 ``choices`` and ``normals`` are what the rest of the package calls, and
-they return numpy's own draws for every key. Where the replay cannot be
-exact they take them from numpy itself, so no caller ever decides between
-the two: a key word of 2**32 or more (numpy hashes it as two words), a
-Lemire rejection (it takes one more word than the replay budgets; about one
-draw in 2**32 / m), numpy's tail-shuffle branch (m > 10 000 and
+they return numpy's own draws for every key. ``normals`` always replays.
+Where a ``choice`` draw cannot be replayed exactly, ``choices`` takes that
+key's draws from numpy itself, so no caller ever decides between the two:
+a Lemire rejection (it takes one more word than the replay budgets; about
+one draw in 2**32 / m), numpy's tail-shuffle branch (m > 10 000 and
 b > m // 50), and a population m > 2**32 (numpy draws its picks from 64-bit
 words). ``words`` and ``normals`` share the one PCG64, so they are not safe
 to call from several threads at once.
@@ -49,7 +50,7 @@ import functools
 
 import numpy as np
 
-WORD_LIMIT = 1 << 32  # keys with a word at or above this are not replayed
+WORD_LIMIT = 1 << 32  # every key word is below this
 _ROWS = 2048  # draws replayed per choice call
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -77,28 +78,40 @@ def _hash(value, const: int, mult: int):
     return value ^ (value >> np.uint32(16)), const
 
 
-def replayable(keys) -> bool:
-    """Whether every word of ``keys`` is below WORD_LIMIT."""
-    return int(np.max(keys, initial=0)) < WORD_LIMIT
+def key_rows(seed: int, *columns) -> np.ndarray:
+    """(N, L) int64 keys: ``seed``'s 32-bit words, low word first, then one word
+    from each of ``columns``, broadcast against each other (N = 1 when all are
+    scalars). Row j is what SeedSequence hashes for ``[seed, *(c[j] for c in
+    columns)]``, so it seeds like ``np.random.default_rng`` of that list; column
+    values must lie in [0, 2**32)."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    return np.stack([c.ravel() for c in np.broadcast_arrays(*words, *columns)], axis=1,
+                    dtype=np.int64)
 
 
 def _seed_words(keys) -> np.ndarray:
     """(N, 4) uint64: ``SeedSequence(key).generate_state(4, np.uint64)`` for each
-    row of ``keys``, which is (N, L) with 1 <= L <= 4 and every word in [0, 2**32)."""
+    row of ``keys``, which is (N, L) with L >= 1 and every word in [0, 2**32).
+
+    The first four words (zeros past L) fill the pool, which is mixed within
+    itself; then each later word is hashed into every pool word in turn."""
     keys = np.asarray(keys, dtype=np.int64)
-    if keys.ndim != 2 or not 1 <= keys.shape[1] <= _POOL or keys.min(initial=0) < 0 \
-            or not replayable(keys):
-        raise ValueError("keys must be (N, L), 1 <= L <= 4, words in [0, 2**32)")
+    if keys.ndim != 2 or keys.shape[1] < 1 or keys.min(initial=0) < 0 \
+            or keys.max(initial=0) >= WORD_LIMIT:
+        raise ValueError("keys must be (N, L), L >= 1, words in [0, 2**32)")
+    cols = np.ascontiguousarray(np.pad(keys, ((0, 0), (0, max(0, _POOL - keys.shape[1])))).T,
+                                dtype=np.uint32)
     const, pool = _INIT_A, []
-    for i in range(_POOL):
-        word = keys[:, i].astype(np.uint32) if i < keys.shape[1] \
-            else np.zeros(len(keys), np.uint32)
+    for word in cols[:_POOL]:
         word, const = _hash(word, const, _MULT_A)
         pool.append(word)
-    for src in range(_POOL):
+    for src in range(len(cols)):  # pool words into each other, then later words into all
         for dst in range(_POOL):
             if src != dst:
-                hashed, const = _hash(pool[src], const, _MULT_A)
+                hashed, const = _hash(pool[src] if src < _POOL else cols[src], const, _MULT_A)
                 mixed = _MIX_L * pool[dst] - _MIX_R * hashed
                 pool[dst] = mixed ^ (mixed >> np.uint32(16))
     const, state = _INIT_B, []
@@ -194,16 +207,10 @@ def _seeded(keys):
 
 
 def normals(keys, d: int) -> np.ndarray:
-    """(N, d) float64: ``np.random.default_rng(key).standard_normal(d)`` for each
-    key; numpy's own Generators draw them all when a key has a word of 2**32 or more."""
+    """(N, d) float64: ``np.random.default_rng(key).standard_normal(d)`` for each key row."""
     out = np.empty((len(keys), d))
-    replay = _replay_keys(keys)
-    if replay is None:
-        for j, key in enumerate(keys):
-            out[j] = np.random.default_rng(list(key)).standard_normal(d)
-        return out
     draw = _GEN.standard_normal
-    for row, _ in zip(out, _seeded(replay)):
+    for row, _ in zip(out, _seeded(keys)):
         draw(out=row)
     return out
 
@@ -268,56 +275,45 @@ def choice(words, m, b: int, sort: bool = False):
     return picks.T, bad
 
 
-def _replay_keys(keys):
-    """``keys`` as one (N, L) int64 array, or None if a word is 2**32 or more."""
-    try:
-        keys = np.asarray(keys, dtype=np.int64)
-    except OverflowError:  # a word of 2**63 or more
-        return None
-    return keys if replayable(keys) else None
-
-
 def choices(keys, m, b: int, count: int, sort: bool = False) -> np.ndarray:
     """``count`` successive ``choice(m, b, replace=False)`` of each key's stream.
 
     Returns (N, count, b) int64: ``np.random.default_rng(key)``'s own draws
-    for every key, each draw's picks in increasing order with ``sort``. ``m``
-    is one population size, one per key (N,) or one per draw (N, count),
-    each >= b. Each ``choice`` call replays up to _ROWS draws: a block of
-    _ROWS // count keys, or one key's draws _ROWS at a time, from words
-    taken for just those draws. A key the replay cannot reproduce, in any of
-    its draws (every later draw of a stream depends on the words the earlier
-    ones took), is drawn from numpy itself, and so are all keys when one has
-    a word of 2**32 or more.
+    for every key row, each draw's picks in increasing order with ``sort``.
+    ``m`` is one population size, one per key (N,) or one per draw
+    (N, count), each >= b. Each ``choice`` call replays up to _ROWS draws: a
+    block of _ROWS // count keys, or one key's draws _ROWS at a time, from
+    words taken for just those draws. A key the replay cannot reproduce, in
+    any of its draws (every later draw of a stream depends on the words the
+    earlier ones took), is drawn from numpy itself.
     """
+    keys = np.asarray(keys, dtype=np.int64)
     n = len(keys)
     m = np.asarray(m, dtype=np.int64)
     m = np.broadcast_to(m if m.ndim == 2 else m.reshape(-1, 1), (n, count))
     out = np.zeros((n, count, b), dtype=np.int64)
-    replay = _replay_keys(keys)
-    bad = np.full(n, replay is None)
-    if replay is not None:
-        # words per draw: b for Floyd (b - 1 when m == b: numpy draws nothing
-        # from [0, 0]) and b - 1 for the shuffle
-        per = 2 * b - 1 - (m == b)
-        starts = np.cumsum(per, axis=1) - per
-        nkeys, ndraws = max(1, _ROWS // count), min(count, _ROWS)
-        # a draw with m == b leaves its last word unread
-        window = np.arange(2 * b - 1)[:, None, None]
-        for lo in range(0, n, nkeys):
-            block = slice(lo, lo + nkeys)
-            keyrows = np.arange(len(replay[block]))[:, None]
-            for c0 in range(0, count, ndraws):
-                draws = slice(c0, c0 + ndraws)
-                at = starts[block, draws]
-                first = int(at[:, 0].min())
-                stream = words(replay[block], int(at[:, -1].max()) + 2 * b - 1 - first, first)
-                cols = stream[keyrows, at - first + window].reshape(2 * b - 1, -1)
-                picks, bad_w = choice(cols.T, m[block, draws].ravel(), b, sort)
-                out[block, draws] = picks.reshape(at.shape + (b,))
-                bad[block] |= bad_w.reshape(at.shape).any(axis=1)
+    bad = np.zeros(n, dtype=bool)
+    # words per draw: b for Floyd (b - 1 when m == b: numpy draws nothing
+    # from [0, 0]) and b - 1 for the shuffle
+    per = 2 * b - 1 - (m == b)
+    starts = np.cumsum(per, axis=1) - per
+    nkeys, ndraws = max(1, _ROWS // count), min(count, _ROWS)
+    # a draw with m == b leaves its last word unread
+    window = np.arange(2 * b - 1)[:, None, None]
+    for lo in range(0, n, nkeys):
+        block = slice(lo, lo + nkeys)
+        keyrows = np.arange(len(keys[block]))[:, None]
+        for c0 in range(0, count, ndraws):
+            draws = slice(c0, c0 + ndraws)
+            at = starts[block, draws]
+            first = int(at[:, 0].min())
+            stream = words(keys[block], int(at[:, -1].max()) + 2 * b - 1 - first, first)
+            cols = stream[keyrows, at - first + window].reshape(2 * b - 1, -1)
+            picks, bad_w = choice(cols.T, m[block, draws].ravel(), b, sort)
+            out[block, draws] = picks.reshape(at.shape + (b,))
+            bad[block] |= bad_w.reshape(at.shape).any(axis=1)
     for i in np.flatnonzero(bad):
-        rng = np.random.default_rng(list(keys[i]))
+        rng = np.random.default_rng(keys[i].tolist())
         out[i] = [rng.choice(size, b, replace=False) for size in m[i].tolist()]
         if sort:
             out[i].sort(axis=1)

@@ -233,7 +233,8 @@ def empirical_sigma2(task: Task, probe_params, batch_size: int, trials: int,
         raise ValueError("need 1 <= batch_size <= shard size")
     sizes = np.repeat(task.shard_sizes, len(W) * trials)
     # in numpy's order, not sorted: the gradient sums depend on the row order
-    batches = streams.choices([(seed, _SIGMA2_STREAM)], sizes[None], batch_size, len(sizes))
+    batches = streams.choices(streams.key_rows(seed, _SIGMA2_STREAM), sizes[None], batch_size,
+                              len(sizes))
     batches = batches.reshape(len(task.shard_sizes), len(W), trials, batch_size)
     worst = 0.0
     for start, m, local in zip(task.offsets.tolist(), task.shard_sizes, batches):

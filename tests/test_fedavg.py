@@ -20,6 +20,7 @@ from noisyfed.fedavg import (_BATCH, _SAMPLE, FedAvgConfig, Task, _global_metric
                              learning_rate, min_rounds, round_draws, run_noisy_fedavg,
                              run_noisy_sgd, run_replicas, sample_kstar)
 from noisyfed.model import LossModel, full_gradient, loss, smoothness_constant
+from oracles import client_batches, keyed_stream_draws
 
 
 class TestLearningRate:
@@ -113,23 +114,6 @@ class TestSampleKstar:
             kstar_weights(bad, 5)
         with pytest.raises(ValueError, match="finite"):
             sample_kstar(bad, 5, np.random.default_rng(0))
-
-
-def client_batches(m, batch_size, E, rng):
-    """E sorted mini-batches of a size-m shard, drawn as run_noisy_fedavg draws them."""
-    local = np.arange(m, dtype=np.int64)
-    return np.stack([np.sort(sample_batch(local, batch_size, rng)) for _ in range(E)])
-
-
-def keyed_stream_draws(cfg, task, seed):
-    """A run's RoundDraws drawn one stream at a time: client_sample and sample_batch
-    on _stream(seed, k, i, purpose), the reference the replayed round_draws must equal."""
-    cohorts = np.stack([client_sample(cfg.n, cfg.r, _stream(seed, k, 0, _SAMPLE))
-                        for k in range(cfg.K)])
-    batches = np.stack([[client_batches(task.shard_sizes[i], cfg.batch_size, cfg.E,
-                                        _stream(seed, k, i, _BATCH)) for i in cohort]
-                        for k, cohort in enumerate(cohorts)])
-    return fedavg.RoundDraws(cohorts, batches)
 
 
 class TestLocalUpdate:
@@ -313,6 +297,18 @@ class TestRunNoisyFedavg:
     def test_partition_mismatch_rejected(self, tiny_task):
         with pytest.raises(ValueError):
             run_noisy_fedavg(tiny_config(n=7, r=7), tiny_task, 0)
+
+    @pytest.mark.parametrize("overrides, seed, message", [
+        ({}, -1, "seed must be >= 0"),
+        ({"n": 7, "r": 7}, 0, "partition must have exactly n shards"),
+        ({"batch_size": 51}, 0, "batch_size exceeds a client shard")])
+    def test_round_draws_checks_reach_the_run(self, tiny_task, overrides, seed, message):
+        # shards of 50 rows; the checks live in round_draws and a run raises the same error
+        cfg = tiny_config(**overrides)
+        for call in (lambda: round_draws(cfg, tiny_task, seed),
+                     lambda: run_noisy_fedavg(cfg, tiny_task, seed)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_negative_seed_rejected(self, tiny_task):
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -505,10 +501,11 @@ class TestSharedDraws:
     """round_draws against the keyed streams, and the runs that share its draws."""
 
     @staticmethod
-    def assert_keyed_stream_draws(draws, cfg, task, seed):
-        reference = keyed_stream_draws(cfg, task, seed)
-        assert np.array_equal(draws.cohorts, reference.cohorts)
-        assert np.array_equal(draws.batches, reference.batches)
+    def assert_keyed_stream_draws(draws, cfg, task, seed, channels=()):
+        reference = keyed_stream_draws(cfg, task, seed, channels)
+        for got, want in zip(dataclasses.astuple(draws), dataclasses.astuple(reference)):
+            assert (got is None) == (want is None)
+            assert want is None or np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
@@ -563,9 +560,47 @@ class TestSharedDraws:
            d=st.integers(1, 4))
     def test_noise_streams_equal_keyed_streams(self, seed, d):
         keys = [(0, 0, fedavg._DOWNLINK), (3, 7, fedavg._UPLINK), (2, 1, fedavg._UPLINK)]
-        got = streams.normals([(seed, *key) for key in keys], d)
+        got = streams.normals(streams.key_rows(seed, *zip(*keys)), d)
         for j in (2, 0, 1):
             assert np.array_equal(got[j], _stream(seed, *keys[j]).standard_normal(d))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+           up=st.sampled_from(["off", "constant", "poly_decay"]),
+           down=st.sampled_from(["off", "constant", "poly_decay"]), d=st.integers(1, 3),
+           r=st.integers(1, 4), K=st.integers(1, 4))
+    def test_channel_noise_comes_from_the_keyed_streams(self, seed, up, down, d, r, K):
+        # two replicas, each with one channel on at most: a channel's noise is drawn
+        # when either replica has it on, and is None when both have it off
+        cfg = FedAvgConfig(n=5, r=r, E=2, K=K, gamma=18.0, batch_size=3)
+        task = Task(generate_regression(SyntheticRegressionSpec(m=40, d=d), seed=1),
+                    LossModel("mse_linear", dim=d), partition_iid(40, 5, seed=1))
+        channels = [(schedule("uplink", up), schedule("downlink", "off")),
+                    (schedule("uplink", "off"), schedule("downlink", down))]
+        draws = round_draws(cfg, task, seed, channels)
+        assert (draws.uplink is None) == (up == "off")
+        assert (draws.downlink is None) == (down == "off")
+        self.assert_keyed_stream_draws(draws, cfg, task, seed, channels)
+
+    def test_round_loop_draws_nothing_itself(self, monkeypatch):
+        # every draw of run_replicas comes from its one round_draws call
+        cfg = sweep_config()
+        task, seed = build_task(cfg), cfg.repeat_seeds[0]
+        channels = [(v.uplink, v.downlink) for v in sweep_variants(cfg).values()]
+        want = run_replicas(cfg.fedavg, task, seed, channels)
+        made = []
+
+        def drawn_then_closed(*args):
+            made.append(round_draws(*args))
+            for name in ("choices", "normals", "words"):
+                monkeypatch.setattr(streams, name, None)
+            return made[-1]
+        monkeypatch.setattr(fedavg, "round_draws", drawn_then_closed)
+        got = run_replicas(cfg.fedavg, task, seed, channels)
+        assert len(made) == 1
+        assert made[0].uplink is not None and made[0].downlink is not None
+        for a, b in zip(got, want):
+            assert_same_run(a, b)
 
     def test_sweep_table_equals_unshared_runs(self, tmp_path):
         cfg = sweep_config()

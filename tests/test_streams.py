@@ -1,5 +1,7 @@
 """The keyed-stream draws against numpy itself, for every key: replayed where the
-replay is exact and drawn from numpy inside ``streams`` where it is not."""
+replay is exact and drawn from numpy inside ``streams`` where it is not. Keys go to
+``streams`` as ``key_rows``; the draws they must equal come from
+``np.random.default_rng([seed, ...])`` of the same ints."""
 
 import ctypes
 import json
@@ -14,14 +16,12 @@ from noisyfed.data import SyntheticRegressionSpec, generate_regression, partitio
 from noisyfed.fedavg import Task
 from noisyfed.model import LossModel
 from noisyfed.theory import _SIGMA2_STREAM, empirical_sigma2
+from oracles import numpy_choices, numpy_normals
 
 words32 = st.integers(0, 2**32 - 1)
-
-
-def numpy_choices(key, sizes, b, count):
-    """``count`` successive choice(m, b) per size from the key's stream, the way numpy draws."""
-    rng = np.random.default_rng(list(key))
-    return np.stack([rng.choice(m, b, replace=False) for m in sizes for _ in range(count)])
+# seeds of one word, of two, and of many, with the edges where numpy adds a word
+seeds = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]), words32,
+                  st.integers(0, 2**200))
 
 
 def replay_flags(key, m, b, count):
@@ -84,20 +84,60 @@ class TestSeeding:
                               np.random.default_rng(key).standard_normal(d))
 
     @settings(max_examples=100, deadline=None)
-    @given(keys=st.lists(st.tuples(words32 | st.integers(2**32, 2**70), words32, words32),
-                         min_size=1, max_size=6), d=st.integers(1, 9))
-    def test_normals_equal_numpy_for_every_key(self, keys, d):
-        # mixed lists: one key with a word of 2**32 or more sends them all to numpy
-        got = streams.normals(keys, d)
-        assert got.shape == (len(keys), d)
-        for key, row in zip(keys, got):
-            assert np.array_equal(row, np.random.default_rng(list(key)).standard_normal(d))
+    @given(seed=words32 | st.integers(2**32, 2**70),
+           columns=st.lists(st.tuples(words32, words32), min_size=1, max_size=6),
+           d=st.integers(1, 9))
+    def test_normals_equal_numpy_for_every_key(self, seed, columns, d):
+        got = streams.normals(streams.key_rows(seed, *zip(*columns)), d)
+        assert got.shape == (len(columns), d)
+        for (i, j), row in zip(columns, got):
+            assert np.array_equal(row, np.random.default_rng([seed, i, j]).standard_normal(d))
 
     def test_large_or_negative_words_rejected(self):
-        assert not streams.replayable([(2**32, 0)])
-        for keys in ([(2**32, 0)], [(-1, 0)], [(1, 2, 3, 4, 5)]):
+        # in the pool and past it
+        for keys in ([(2**32, 0)], [(-1, 0)], [(1, 2, 3, 4, 2**32)], [(1, 2, 3, 4, 5, -1)]):
             with pytest.raises(ValueError, match="keys"):
                 streams.words(keys, 1)
+
+
+# the words SeedSequence hashes for a list of ints (a numpy internal, so checked if present)
+numpy_words = getattr(np.random.bit_generator, "_coerce_to_uint32_array", None)
+
+
+class TestKeyRows:
+    """key_rows of any seed and up to three columns: rows of 1 to 10 words."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=seeds, n=st.integers(1, 4), data=st.data())
+    def test_rows_seed_like_numpy(self, seed, n, data):
+        columns = data.draw(st.lists(st.lists(words32, min_size=n, max_size=n), max_size=3))
+        rows = streams.key_rows(seed, *columns)
+        keys = [[seed, *key] for key in zip(*columns)] if columns else [[seed]]
+        assert rows.dtype == np.int64 and len(rows) == len(keys)
+        if numpy_words is not None:
+            assert rows.tolist() == [numpy_words(key).tolist() for key in keys]
+        for key, limbs in zip(keys, streams._limbs(streams._seed_words(rows))):
+            assert limb_state(limbs) == numpy_state(np.random.default_rng(key).bit_generator)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, n=st.integers(1, 4), b=st.integers(1, 4), extra=st.integers(0, 3),
+           count=st.integers(1, 3), d=st.integers(1, 4), data=st.data())
+    def test_draws_equal_numpy(self, seed, n, b, extra, count, d, data):
+        columns = data.draw(st.lists(st.lists(words32, min_size=n, max_size=n), max_size=3))
+        rows = streams.key_rows(seed, *columns)
+        keys = [[seed, *key] for key in zip(*columns)] if columns else [[seed]]
+        assert np.array_equal(streams.normals(rows, d), numpy_normals(keys, d))
+        assert np.array_equal(streams.choices(rows, b + extra, b, count),
+                              numpy_choices(keys, b + extra, b, count))
+
+    def test_columns_broadcast(self):
+        rows = streams.key_rows(2**32 + 5, np.arange(3), 0, [[7], [8]])
+        assert rows.tolist() == [[5, 1, k, 0, c] for c in (7, 8) for k in range(3)]
+        assert streams.key_rows(9).tolist() == [[9]]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            streams.key_rows(-1, 0)
 
 
 class TestStateWrite:
@@ -130,13 +170,12 @@ class TestChoices:
            b=st.integers(1, 12), extra=st.lists(st.integers(0, 3), min_size=8, max_size=8),
            count=st.integers(1, 4))
     def test_equal_numpy_on_every_good_row(self, seed, k, clients, b, extra, count):
-        # every row is good: seeds >= 2**32 come from numpy inside streams
-        keys = [(seed, k, i, 1) for i in clients]
-        sizes = [b + extra[j] for j in range(len(keys))]  # m = b included
-        got = streams.choices(keys, sizes, b, count)
-        assert got.shape == (len(keys), count, b) and got.dtype == np.int64
-        for key, m, rows in zip(keys, sizes, got):
-            assert np.array_equal(rows, numpy_choices(key, [m], b, count))
+        # every row is good: a flagged row comes from numpy inside streams
+        sizes = [b + extra[j] for j in range(len(clients))]  # m = b included
+        got = streams.choices(streams.key_rows(seed, k, clients, 1), sizes, b, count)
+        assert got.shape == (len(clients), count, b) and got.dtype == np.int64
+        assert np.array_equal(got, numpy_choices([(seed, k, i, 1) for i in clients], sizes, b,
+                                                 count))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.one_of(words32, st.integers(2**32, 2**70)), n_keys=st.integers(1, 7),
@@ -148,7 +187,7 @@ class TestChoices:
         keys = [(seed, j) for j in range(n_keys)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(streams, "_ROWS", per_call)  # calls that split keys and their draws
-            got = streams.choices(keys, sizes, b, count)
+            got = streams.choices(streams.key_rows(seed, np.arange(n_keys)), sizes, b, count)
         for key, row_sizes, rows in zip(keys, sizes.tolist(), got):
             rng = np.random.default_rng(list(key))
             assert np.array_equal(rows, [rng.choice(m, b, replace=False) for m in row_sizes])
@@ -172,8 +211,7 @@ class TestChoices:
         flagged = [replay_flags(key, 3_000_000_000, 3, 2) for key in keys]
         assert 0 < sum(flagged) < len(keys)
         got = streams.choices(keys, 3_000_000_000, 3, 2)
-        for key, rows in zip(keys, got):
-            assert np.array_equal(rows, numpy_choices(key, [3_000_000_000], 3, 2))
+        assert np.array_equal(got, numpy_choices(keys, 3_000_000_000, 3, 2))
 
     def test_hand_made_rejection_word_is_flagged(self):
         # word 4: last Floyd draw, from [0, 9]: 0 * 10 leaves 0 < 2**32 % 10 = 6; word 7:
@@ -204,14 +242,15 @@ class TestChoices:
         def with_rejection(block, n, start=0):
             # the target's stream as if numpy had drawn a rejected 0 before word ``at``
             words = real(block, start + n).copy()
-            for row in np.flatnonzero(np.asarray(block)[:, 1] == target):
+            for row in np.flatnonzero(block[:, -1] == target):
                 words[row, at + 1:] = words[row, at:-1].copy()
                 words[row, at] = 0
             return words[:, start:]
         with pytest.MonkeyPatch.context() as mp:
             if b >= 3:
                 mp.setattr(streams, "words", with_rejection)
-            got = streams.choices(keys, sizes, b, count, sort=sort)
+            got = streams.choices(streams.key_rows(seed, np.arange(n_keys)), sizes, b, count,
+                                  sort=sort)
         for key, row_sizes, rows in zip(keys, sizes.tolist(), got):
             rng = np.random.default_rng(list(key))
             want = np.array([rng.choice(m, b, replace=False) for m in row_sizes])
@@ -221,8 +260,8 @@ class TestChoices:
                                             (10_000, 5000, False), (60_000, 1201, True)])
     def test_tail_shuffle_branch_is_flagged(self, m, b, tail):
         assert replay_flags((3, 0, 0, 1), m, b, 1) == tail
-        assert np.array_equal(streams.choices([(3, 0, 0, 1)], m, b, 1)[0],
-                              numpy_choices((3, 0, 0, 1), [m], b, 1))
+        assert np.array_equal(streams.choices([(3, 0, 0, 1)], m, b, 1),
+                              numpy_choices([(3, 0, 0, 1)], m, b, 1))
 
     @pytest.mark.parametrize("m, wide", [(2**32, False), (2**32 + 5, True), (2**40, True)])
     def test_populations_above_2_32_are_flagged(self, m, wide):
@@ -230,9 +269,8 @@ class TestChoices:
         # one 32-bit word unchanged, which the replay's Lemire step reproduces
         assert replay_flags((1, 2, 3, 4), m, 3, 2) == wide
         for sort in (False, True):
-            got = streams.choices([(1, 2, 3, 4)], m, 3, 2, sort=sort)[0]
-            want = numpy_choices((1, 2, 3, 4), [m], 3, 2)
-            assert np.array_equal(got, np.sort(want, axis=1) if sort else want)
+            assert np.array_equal(streams.choices([(1, 2, 3, 4)], m, 3, 2, sort=sort),
+                                  numpy_choices([(1, 2, 3, 4)], m, 3, 2, sort=sort))
 
 
 class TestTrialBatches:
@@ -246,7 +284,8 @@ class TestTrialBatches:
     @staticmethod
     def replayed(sizes, count, b, seed):
         sizes = np.repeat(sizes, count)
-        return streams.choices([(seed, _SIGMA2_STREAM)], sizes[None], b, len(sizes))[0]
+        return streams.choices(streams.key_rows(seed, _SIGMA2_STREAM), sizes[None], b,
+                               len(sizes))[0]
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
@@ -296,7 +335,8 @@ class TestTrialBatches:
 
 
 def test_outputs_equal_with_every_key_drawn_by_numpy(tmp_path, monkeypatch, capsys):
-    # with replayable() always False, every caller's draws take the numpy side of streams
+    # with numpy's own Generators in place of streams' choices and normals, every
+    # caller's draws come from numpy, one Generator per key
     doc = {"task": "regression_v5a", "mode": "fedavg",
            "data": {"m": 300, "d": 4, "seed": 3, "label_noise_variance": 0.05},
            "fedavg": {"n": 6, "r": 3, "E": 2, "K": 5, "gamma": 18.0, "batch_size": 8},
@@ -322,5 +362,6 @@ def test_outputs_equal_with_every_key_drawn_by_numpy(tmp_path, monkeypatch, caps
 
     replayed = outputs()
     assert len(replayed[1]) == 7  # two seeds' CSVs and a summary per run, a sweep CSV
-    monkeypatch.setattr(streams, "replayable", lambda keys: False)
+    monkeypatch.setattr(streams, "choices", numpy_choices)
+    monkeypatch.setattr(streams, "normals", numpy_normals)
     assert outputs() == replayed
