@@ -14,8 +14,7 @@ from .data import (ClientPartition, Dataset, SyntheticRegressionSpec,
 from .fedavg import (FedAvgConfig, RoundMetrics, RunResult, client_sample,
                      learning_rate, min_rounds, run_noisy_fedavg,
                      run_noisy_sgd, sample_kstar)
-from .model import (LossModel, finite_difference_gradient, full_gradient,
-                    gradient, loss, smoothness_constant)
+from .model import LossModel, full_gradient, gradient, loss, smoothness_constant
 from .theory import (BoundReport, TheoryParams, bcd_gap, bcd_witness,
                      empirical_sigma2, sgd_error_bound, fedavg_error_bound,
                      zeta, zeta2, zeta3)

@@ -8,7 +8,10 @@ matmul computes each slice of a stacked product with the same BLAS gemv or
 gemm call as a lone 2-D product, so a client's steps give the same bits
 whether it steps alone, in a cohort, or in a cohort stepped for several
 replicas at once (the tests check this bitwise), and full-batch steps
-match ``model.full_gradient``.
+match ``model.full_gradient``. The mse gradient and the step loop update
+their own fresh arrays in place (``g *= eta; w -= g``): the same
+floating-point operations in the same order as ``w - eta * g``, so the
+same bits, without a temporary per operation.
 
 The softmax steps take each row's max and sum of exp over the C classes as
 one elementwise op per class on a (rows, C) view (``_class_max``,
@@ -43,8 +46,11 @@ def stacked_gradient(kind, Xb, yb, w, n_classes=0):
     """
     b = Xb.shape[-2]
     if kind == "mse_linear":
-        resid = np.matmul(Xb, w[..., None])[..., 0] - yb
-        return np.matmul(Xb.swapaxes(-1, -2), resid[..., None])[..., 0] / b
+        resid = np.matmul(Xb, w[..., None])[..., 0]
+        resid -= yb
+        g = np.matmul(Xb.swapaxes(-1, -2), resid[..., None])[..., 0]
+        g /= b
+        return g
     W = w.reshape(w.shape[:-1] + (n_classes, Xb.shape[-1]))
     p, _, _ = _softmax_residual(np.matmul(Xb, W.swapaxes(-1, -2)), yb, n_classes)
     G = np.matmul(p.swapaxes(-1, -2), Xb) / b
@@ -143,14 +149,16 @@ def local_steps(kind, X, y, w0, eta, batches, n_classes=0):
     ``w0.shape[:-1] + batches.shape[:-2] + (P,)``.
     """
     batches = np.asarray(batches, dtype=np.int64)
-    Xg, yg, lead = X[batches], y[batches], batches.shape[:-2]
+    # np.take gathers the rows X[batches] would, about a quarter faster
+    Xg, yg, lead = np.take(X, batches, axis=0), y[batches], batches.shape[:-2]
     if w0.ndim > 1:  # the softmax residual takes one target per replica's batch row
         yg = np.broadcast_to(yg, w0.shape[:-1] + yg.shape)
-    start = w0.reshape(w0.shape[:-1] + (1,) * len(lead) + w0.shape[-1:])
-    w = np.broadcast_to(start, w0.shape[:-1] + lead + w0.shape[-1:]).copy()
-    acc = np.zeros_like(w)
+    shape = w0.shape[:-1] + lead + w0.shape[-1:]
+    w, acc = np.empty(shape), np.zeros(shape)
+    w[...] = w0.reshape(w0.shape[:-1] + (1,) * len(lead) + w0.shape[-1:])
     for e in range(batches.shape[-2]):
         g = stacked_gradient(kind, Xg[..., e, :, :], yg[..., e, :], w, n_classes)
         acc += g
-        w = w - eta * g
+        g *= eta  # in place: the bits of w - eta * g
+        w -= g
     return w, acc

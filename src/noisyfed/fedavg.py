@@ -15,11 +15,15 @@ centralized gradient descent.
 
 There is one round loop, ``run_replicas``: it steps R replicas that share
 a task, a seed and their draws and differ only in their (uplink, downlink)
-schedules, such as a sweep's three channel variants. Each round gathers
+schedules, such as a sweep's three channel variants. Before its rounds it
+computes, per replica, every array the rounds read that no model changes:
+the K rounds' uplink and downlink variances, the downlink noise scaled by
+its variance, (K, d), and the client mean of the scaled uplink noise,
+(K, d). The rounds then do only model-dependent work. Each round gathers
 the batch rows once and steps all replicas' cohorts in one local_steps
-call; the metrics, the divergence guard and k* stay per replica, and a
-diverged replica leaves the stack while the others step on. Each
-replica's result is bit-identical to running it alone, and
+call; the metrics, the aggregation, the SNRs, the divergence guard and k*
+stay per replica, and a diverged replica leaves the stack while the others
+step on. Each replica's result is bit-identical to running it alone, and
 ``run_noisy_fedavg`` is the one-replica case.
 
 Randomness is drawn from independent streams keyed by
@@ -289,15 +293,21 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
     The replicas share the task, the seed and the round draws, so each round
     gathers its batch rows once and steps every replica's cohort in one
     ``backend.local_steps`` call; they share the channel noise draws too,
-    each scaled by its own schedule. Each result is bit-identical to a run
-    of its pair alone. Metrics row k is measured at the round-k starting
-    model over all n client shards. Batch rows are consumed in index order
-    inside the local steps so that full-batch degenerate runs match
-    full-gradient arithmetic bit for bit. A replica halts with status
-    "diverged" when its loss goes non-finite or its parameter norm exceeds
-    1e12, and the offending round's row carries the diverged flag; the
-    others step on. All draws come from one round_draws call, which also
-    checks the seed, the shard count and the batch size.
+    each scaled by its own schedule. Right after the draws, each replica's
+    variances for all K rounds (one ``variance_at`` call per round and
+    link), its scaled downlink noise and its client-mean scaled uplink noise
+    are computed as arrays over the rounds, in the per-round arithmetic's
+    order, so the loop holds only the work that depends on the models:
+    metrics, local steps, aggregation, SNRs, the divergence guard and k*.
+    Each result is bit-identical to a run of its pair alone. Metrics row k
+    is measured at the round-k starting model over all n client shards.
+    Batch rows are consumed in index order inside the local steps so that
+    full-batch degenerate runs match full-gradient arithmetic bit for bit.
+    A replica halts with status "diverged" when its loss goes non-finite or
+    its parameter norm exceeds 1e12, and the offending round's row carries
+    the diverged flag; the others step on. All draws come from one
+    round_draws call, which also checks the seed, the shard count and the
+    batch size.
     """
     loss_model, dataset = task.model, task.dataset
     if loss_model.smoothness is None:
@@ -312,6 +322,18 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
     eta = step_size(config, L)
     d = loss_model.dim
     inputs, row_map, offsets = task.metric_inputs, task.row_map, task.offsets
+
+    # what the rounds read that no model changes, per replica: its variances by round,
+    # its scaled downlink noise and its client-mean uplink noise, (K, d) each and None
+    # when that link is silent all run; a mean is np.mean's arithmetic, unwrapped. The
+    # uplink is scaled round by round: one (K, r, d) product raised sweep_r's peak RSS
+    # (r = 40) by about 6 MiB in most benchmark runs
+    V_up = [[variance_at(up, k, E) for k in range(K)] for up, _ in channels]
+    V_dn = [[variance_at(down, k, E) for k in range(K)] for _, down in channels]
+    down_noise = [draws.downlink * np.sqrt(v)[:, None] if any(v) else None for v in V_dn]
+    up_means = [np.stack([np.add.reduce(draws.uplink[k] * s, axis=0)
+                          for k, s in enumerate(np.sqrt(v))]) / r if any(v) else None
+                for v in V_up]
 
     metrics = [[] for _ in channels]
     ends = [None] * len(channels)    # (final params, diverged_at) of each replica
@@ -328,24 +350,23 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
                 prev = metrics[j][-1] if metrics[j] else None
                 metrics[j].append(RoundMetrics(k, prev.train_loss if prev else 0.0,
                                                prev.grad_norm_sq if prev else 0.0,
-                                               variance_at(channels[j][0], k, E),
-                                               variance_at(channels[j][1], k, E),
-                                               None, None, diverged=True))
+                                               V_up[j][k], V_dn[j][k], None, None,
+                                               diverged=True))
                 ends[j] = (W[a], k)
             live = [j for j, ok in zip(live, finite) if ok]
             evals = [ev for ev, ok in zip(evals, finite) if ok]
             W = W[finite]
             if not live:
                 break
-        v_up = [variance_at(channels[j][0], k, E) for j in live]
-        v_dn = [variance_at(channels[j][1], k, E) for j in live]
+        v_up = [V_up[j][k] for j in live]
+        v_dn = [V_dn[j][k] for j in live]
 
         W_recv = W
         if any(v_dn):
             W_recv = W.copy()
-            for a, v in enumerate(v_dn):
-                if v > 0:
-                    W_recv[a] += draws.downlink[k] * np.sqrt(v)
+            for a, j in enumerate(live):
+                if v_dn[a] > 0:
+                    W_recv[a] += down_noise[j][k]
 
         rows = row_map[offsets[draws.cohorts[k], None, None] + draws.batches[k]]
         # a lone replica steps from a 1-D start: the (1, P) form costs it a few percent
@@ -353,18 +374,21 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
                                            W_recv[0] if len(live) == 1 else W_recv, eta, rows,
                                            loss_model.n_classes)
         w_ends, accs = w_ends.reshape(len(live), r, d), accs.reshape(len(live), r, d)
-        W_next = W_recv - eta * accs.mean(axis=1)
+        W_next = W_recv - eta * (np.add.reduce(accs, axis=1) / r)
 
         snr_up = [None] * len(live)
         if any(v_up):
-            for a, v in enumerate(v_up):
-                if v > 0:
-                    W_next[a] += (draws.uplink[k] * np.sqrt(v)).mean(axis=0)
+            for a, j in enumerate(live):
+                if v_up[a] > 0:
+                    W_next[a] += up_means[j][k]
                     delta = W_recv[a] - w_ends[a]
-                    snr_up[a] = float((np.vecdot(delta, delta) / (d * v)).mean())
+                    snr = np.vecdot(delta, delta) / (d * v_up[a])
+                    snr_up[a] = float(np.add.reduce(snr) / r)
 
-        # the norm is nan or inf when a coordinate is, so this also catches those
-        ok = (np.sqrt(np.vecdot(W_next, W_next)) <= DIVERGENCE_NORM).tolist()
+        # the norm is nan or inf when a coordinate is, so this also catches those;
+        # an overflow to inf is the signal here, not a fault to warn about
+        with np.errstate(over="ignore"):
+            ok = (np.sqrt(np.vecdot(W_next, W_next)) <= DIVERGENCE_NORM).tolist()
         for a, j in enumerate(live):
             w = W[a]
             metrics[j].append(RoundMetrics(
@@ -464,7 +488,9 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
         row = RoundMetrics(t, train_loss, gns, v_up, v_dn,
                            float(g @ g) / (d * v_up) if v_up > 0 else None,
                            float(w @ w) / (d * v_dn) if v_dn > 0 else None)
-        if not np.isfinite(w_next).all() or np.linalg.norm(w_next) > DIVERGENCE_NORM:
+        with np.errstate(over="ignore"):  # an overflow to inf is what this guard catches
+            diverged = not np.isfinite(w_next).all() or np.linalg.norm(w_next) > DIVERGENCE_NORM
+        if diverged:
             metrics.append(dataclasses.replace(row, diverged=True))
             status, div_at = "diverged", t
             break

@@ -118,21 +118,6 @@ def full_gradient(model: LossModel, params, X, y) -> np.ndarray:
     return gradient(model, params, X, y)
 
 
-def finite_difference_gradient(model: LossModel, params, X, y, step: float) -> np.ndarray:
-    """Central-difference gradient, the test oracle for gradient()."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    params = np.asarray(params, dtype=np.float64)
-    g = np.empty_like(params)
-    for j in range(params.shape[0]):
-        wp = params.copy()
-        wm = params.copy()
-        wp[j] += step
-        wm[j] -= step
-        g[j] = (loss(model, wp, X, y) - loss(model, wm, X, y)) / (2.0 * step)
-    return g
-
-
 def _power_iteration_gram(X: np.ndarray, tol: float) -> float:
     """Top eigenvalue of (1/m) X^T X by power iteration on the Gram matrix.
 

@@ -1,5 +1,6 @@
-"""numpy's own keyed draws, one Generator per key: the oracles the replayed draws of
-``noisyfed.streams`` and ``noisyfed.fedavg.round_draws`` are checked against.
+"""Test oracles: numpy's own keyed draws, one Generator per key, that the replayed draws
+of ``noisyfed.streams`` and ``noisyfed.fedavg.round_draws`` are checked against, and a
+central-difference gradient for the model's analytic one.
 
 A key is any sequence of non-negative ints, such as ``[seed, k, i, purpose]``
 or a row of ``streams.key_rows``; both seed ``np.random.default_rng`` alike.
@@ -12,6 +13,7 @@ import numpy as np
 from noisyfed.data import sample_batch
 from noisyfed.fedavg import (_BATCH, _DOWNLINK, _SAMPLE, _UPLINK, RoundDraws, _stream,
                              client_sample)
+from noisyfed.model import LossModel, loss
 
 
 def _rng(key):
@@ -63,3 +65,18 @@ def keyed_stream_draws(cfg, task, seed, channels=()):
         uplink = np.stack([[_stream(seed, k, i, _UPLINK).standard_normal(d) for i in cohort]
                            for k, cohort in enumerate(cohorts)])
     return RoundDraws(cohorts, batches, downlink, uplink)
+
+
+def finite_difference_gradient(model: LossModel, params, X, y, step: float) -> np.ndarray:
+    """Central-difference gradient of ``model.loss``: the oracle for ``model.gradient``."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    params = np.asarray(params, dtype=np.float64)
+    g = np.empty_like(params)
+    for j in range(params.shape[0]):
+        wp = params.copy()
+        wm = params.copy()
+        wp[j] += step
+        wm[j] -= step
+        g[j] = (loss(model, wp, X, y) - loss(model, wm, X, y)) / (2.0 * step)
+    return g

@@ -24,10 +24,10 @@ from noisyfed.experiment import (_pweighted_grad, bound_inputs, build_task,
                                  schedule_power_sums, sweep_variants)
 from noisyfed.fedavg import learning_rate, run_noisy_fedavg, sample_kstar
 from noisyfed.fedavg import FedAvgConfig, Task
-from noisyfed.model import (LossModel, finite_difference_gradient, full_gradient,
-                            gradient, smoothness_constant)
+from noisyfed.model import LossModel, full_gradient, gradient, smoothness_constant
 from noisyfed.theory import (TheoryParams, bcd_gap, bcd_witness, fedavg_error_bound,
                              zeta)
+from oracles import finite_difference_gradient
 
 SEEDS = (1, 2, 3)
 

@@ -1,4 +1,5 @@
-"""The softmax kernel's class-wise reductions, bitwise against numpy's."""
+"""The kernels bitwise against references written as numpy ops: the softmax class-wise
+reductions, the mse gradient and the step loop."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,29 @@ def old_softmax_loss_and_gradient(X, y, w, weights, n_classes):
     f = float(weights @ (np.log(sums[:, 0]) - z[np.arange(y.shape[0]), y]))
     p *= weights[:, None]
     return f, (p.T @ X).ravel()
+
+
+def old_mse_gradient(Xb, yb, w):
+    """The mse branch out of place: the reference for its in-place updates."""
+    resid = np.matmul(Xb, w[..., None])[..., 0] - yb
+    return np.matmul(Xb.swapaxes(-1, -2), resid[..., None])[..., 0] / Xb.shape[-2]
+
+
+def old_local_steps(kind, X, y, w0, eta, batches, n_classes=0):
+    """The step loop out of place, acc = acc + g and w = w - eta * g, on the references."""
+    Xg, yg, lead = X[batches], y[batches], batches.shape[:-2]
+    if w0.ndim > 1:
+        yg = np.broadcast_to(yg, w0.shape[:-1] + yg.shape)
+    start = w0.reshape(w0.shape[:-1] + (1,) * len(lead) + w0.shape[-1:])
+    w = np.broadcast_to(start, w0.shape[:-1] + lead + w0.shape[-1:]).copy()
+    acc = np.zeros_like(w)
+    for e in range(batches.shape[-2]):
+        Xb, yb = Xg[..., e, :, :], yg[..., e, :]
+        g = (old_mse_gradient(Xb, yb, w) if kind == "mse_linear"
+             else old_stacked_gradient(Xb, yb, w, n_classes))
+        acc = acc + g
+        w = w - eta * g
+    return w, acc
 
 
 def logits(rng, shape, ties, log_scale):
@@ -103,3 +127,46 @@ class TestSoftmaxKernel:
         f_ref, g_ref = old_softmax_loss_and_gradient(X, y, w, weights, C)
         assert np.array_equal(bits(np.float64(f)), bits(np.float64(f_ref)))
         assert np.array_equal(bits(g), bits(g_ref))
+
+
+class TestMseKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(lead=LEADS, b=st.integers(1, 20), d=st.integers(1, 8), shared=st.booleans(),
+           ties=st.booleans(), log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_gradient_equals_reference(self, lead, b, d, shared, ties, log_scale,
+                                               seed):
+        # ties draws X, y and w from a few values, signed zeros among them
+        rng = np.random.default_rng(seed)
+        lead = tuple(lead)
+        Xb = logits(rng, lead + (b, d), ties, log_scale)
+        yb = logits(rng, lead + (b,), ties, log_scale)
+        w = logits(rng, (d,) if shared else lead + (d,), ties, -log_scale)
+        got = backend.stacked_gradient("mse_linear", Xb, yb, w)
+        assert np.array_equal(bits(got), bits(old_mse_gradient(Xb, yb, w)))
+
+
+class TestStepLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["mse_linear", "softmax_linear"]), cohort=st.booleans(),
+           r=st.integers(1, 5), E=st.integers(1, 4), b=st.integers(1, 12),
+           R=st.one_of(st.none(), st.integers(1, 3)), d=st.integers(1, 5),
+           C=st.integers(2, 5), ties=st.booleans(), log_scale=st.floats(-3.0, 3.0),
+           eta=st.floats(1e-4, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_local_steps_equal_out_of_place_steps(self, kind, cohort, r, E, b, R, d, C, ties,
+                                                  log_scale, eta, seed):
+        # a client's (E, b) or a cohort's (r, E, b) batches, from a (P,) start or R
+        # replicas' (R, P) starts
+        rng = np.random.default_rng(seed)
+        m = 3 * b
+        X = logits(rng, (m, d), ties, log_scale)
+        if kind == "mse_linear":
+            P, C, y = d, 0, logits(rng, (m,), ties, log_scale)
+        else:
+            P, y = C * d, rng.integers(0, C, size=m)
+        batches = rng.integers(0, m, size=((r,) if cohort else ()) + (E, b))
+        w0 = logits(rng, (P,) if R is None else (R, P), ties, -log_scale)
+        w, acc = backend.local_steps(kind, X, y, w0, eta, batches, C)
+        w_ref, acc_ref = old_local_steps(kind, X, y, w0, eta, batches, C)
+        assert w.shape == acc.shape == w_ref.shape
+        assert np.array_equal(bits(w), bits(w_ref))
+        assert np.array_equal(bits(acc), bits(acc_ref))

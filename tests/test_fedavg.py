@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,71 @@ class TestRunNoisyFedavg:
         assert res.metrics[-1].diverged
         assert res.k_star is None
         assert len(res.metrics) <= 50
+
+    def test_divergence_guard_does_not_warn(self, tiny_softmax_task):
+        # at eta = 1e200 the model's squared norm overflows to inf in round 0: the very
+        # signal the guard tests for, so it must not surface as a RuntimeWarning
+        cfg = tiny_config(r=3, E=2, K=10, batch_size=10, learning_rate_override=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run_noisy_fedavg(cfg, tiny_softmax_task, 0)
+        assert res.status == "diverged" and res.diverged_at == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["mse_linear", "softmax_linear"]), n=st.integers(2, 6),
+           per=st.integers(3, 10), extra=st.integers(0, 5), d=st.integers(1, 3),
+           r_frac=st.floats(0.0, 1.0), b_frac=st.floats(0.0, 1.0), E=st.integers(1, 3),
+           K=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.tuples(*[st.sampled_from(["off", "constant", "poly_decay"])] * 2),
+                          min_size=1, max_size=3))
+    def test_channels_equal_a_per_round_oracle(self, kind, n, per, extra, d, r_frac, b_frac,
+                                               E, K, seed, kinds):
+        # each round written out: the downlink draw scaled onto the broadcast, every client
+        # stepped alone on its shard, the client means, the uplink draws scaled and then
+        # averaged, and both SNRs; the loop computes the channel terms before its rounds
+        task = ragged_task(kind, n, per, extra, d, seed)
+        cfg = FedAvgConfig(n=n, r=1 + round(r_frac * (n - 1)), E=E, K=K, gamma=18.0,
+                           batch_size=1 + round(b_frac * (per - 1)))
+
+        def link(direction, kind):
+            if kind == "poly_decay":
+                return NoiseSchedule(direction, "poly_decay", 0.3, 0.5, e_squared_scaling=True)
+            return schedule(direction, kind)
+
+        channels = [(link("uplink", up), link("downlink", dn)) for up, dn in kinds]
+        draws = keyed_stream_draws(cfg, task, seed, channels)
+        model, X, y, P = task.model, task.dataset.X, task.dataset.y, task.model.dim
+        for res, (up, dn) in zip(run_replicas(cfg, task, seed, channels), channels):
+            w, want = np.zeros(P), []
+            for k in range(K):
+                v_up, v_dn = variance_at(up, k, E), variance_at(dn, k, E)
+                w_recv = w + draws.downlink[k] * np.sqrt(v_dn) if v_dn > 0 else w
+                ends, accs = [], []
+                for i, batches in zip(draws.cohorts[k], draws.batches[k]):
+                    shard = task.partition.shards[i]
+                    w1, acc = backend.local_steps(model.kind, X[shard], y[shard], w_recv,
+                                                  res.eta, batches, model.n_classes)
+                    ends.append(w1)
+                    accs.append(acc)
+                w_next = w_recv - res.eta * np.mean(accs, axis=0)
+                snr_up = snr_down = None
+                if v_up > 0:
+                    w_next = w_next + (draws.uplink[k] * np.sqrt(v_up)).mean(axis=0)
+                    sq = np.array([float((w_recv - e) @ (w_recv - e)) for e in ends])
+                    snr_up = float((sq / (P * v_up)).mean())
+                if v_dn > 0:
+                    snr_down = float(w @ w) / (P * v_dn)
+                want.append(fedavg.RoundMetrics(
+                    k, *_global_metrics(model, task.metric_inputs, w), v_up, v_dn, snr_up,
+                    snr_down))
+                w = w_next
+            assert res.status == "completed"
+            assert np.array_equal(res.final_params.view(np.int64), w.view(np.int64))
+            assert len(res.metrics) == len(want)
+            for got, row in zip(res.metrics, want):
+                for field in dataclasses.fields(row):
+                    assert getattr(got, field.name) == getattr(row, field.name), field.name
+            assert res.final_loss == _global_metrics(model, task.metric_inputs, w)[0]
 
     def test_partition_mismatch_rejected(self, tiny_task):
         with pytest.raises(ValueError):
@@ -835,6 +901,15 @@ class TestRunNoisySgd:
             w = w - eta * (g + e * np.sqrt(variance_at(up, t)))
         assert res.status == "completed" and len(res.metrics) == T
         assert np.array_equal(res.final_params, w)
+
+    def test_divergence_guard_does_not_warn(self):
+        # at eta = 1e200 the first step's norm overflows to inf: the guard's signal
+        ds, model = self._task()
+        off_u, off_d = NoiseSchedule("uplink"), NoiseSchedule("downlink")
+        with pytest.warns(UserWarning, match="exceeds 1/L"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run_noisy_sgd(model, ds, 1e200, 10, 16, off_u, off_d, seed=0)
+        assert res.status == "diverged" and res.diverged_at == 0
 
     def test_warns_above_inverse_smoothness(self):
         ds, model = self._task()

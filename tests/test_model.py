@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from noisyfed.model import (LossModel, _power_iteration_gram, finite_difference_gradient,
-                            full_gradient, gradient, loss, smoothness_constant)
+from noisyfed.model import (LossModel, _power_iteration_gram, full_gradient, gradient, loss,
+                            smoothness_constant)
+from oracles import finite_difference_gradient
 
 
 def random_mse_case(rng, m=12, d=5):
