@@ -19,12 +19,8 @@ import sys
 
 from .config import ConfigError, load_config
 from .channel import compare_policies
-from .experiment import bound_inputs, build_task, run_experiment, run_sweep
+from .experiment import _fmt, bound_inputs, build_task, run_experiment, run_sweep
 from .theory import bcd_gap, bcd_witness, fedavg_error_bound, min_rounds
-
-
-def _fmt(x) -> str:
-    return f"{x:.12g}"
 
 
 def _cmd_run(args) -> int:

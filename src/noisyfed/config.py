@@ -1,4 +1,4 @@
-"""Experiment configuration: JSON schema, validation, presets.
+"""Experiment configuration: JSON schema and validation.
 
 A config file is one JSON object. Each block's keys, types, defaults and
 order come from its dataclass (``DataConfig``, ``FedAvgConfig``,
@@ -19,7 +19,7 @@ from functools import cache
 from typing import get_args, get_type_hints
 
 from .channel import NoiseSchedule
-from .fedavg import FedAvgConfig, learning_rate
+from .fedavg import FedAvgConfig
 
 TASKS = ("regression_v5a", "classification_synth")
 MODES = ("fedavg", "sgd")
@@ -235,86 +235,3 @@ def canonical_dict(cfg: ExperimentConfig) -> dict:
 
 def serialize(cfg: ExperimentConfig) -> str:
     return json.dumps(canonical_dict(cfg), indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# bundled presets (the reference experiment family)
-# ---------------------------------------------------------------------------
-
-V5A_SEEDS = [1, 2, 3]
-V5A_DATA = {"m": 15000, "d": 60, "seed": 2024,
-            "label_noise_variance": 0.05, "normalize_hessian": True}
-V5A_FED = {"n": 50, "r": 10, "E": 5, "K": 100, "gamma": 18.0, "batch_size": 16}
-CONST_NOISE = {"kind": "constant", "base_std": 0.2}
-OFF = {"kind": "off"}
-
-
-def _v5a(uplink, downlink, out_prefix, override=None) -> dict:
-    fed = dict(V5A_FED)
-    if override is not None:
-        fed["learning_rate_override"] = override
-    return {
-        "task": "regression_v5a",
-        "mode": "fedavg",
-        "data": dict(V5A_DATA),
-        "fedavg": fed,
-        "uplink": dict(uplink),
-        "downlink": dict(downlink),
-        "repeat_seeds": list(V5A_SEEDS),
-        "out_prefix": out_prefix,
-    }
-
-
-def preset_documents() -> dict:
-    """Name -> config dict for every bundled preset."""
-    control_up = {"kind": "poly_decay", "base_std": 0.2, "decay_exponent": 0.5}
-    control_dn = {"kind": "poly_decay", "base_std": 0.2, "decay_exponent": 1.0,
-                  "e_squared_scaling": True}
-    # the sweep preset pins the learning rate at the base-configuration value
-    # so that axis changes vary only the noise path, not the optimizer; each
-    # axis point then runs at the prescribed rate of
-    # gamma_eff = sqrt(r/K) / (eta L E), not at the configured gamma
-    fixed_eta = learning_rate(V5A_FED["gamma"], 1.0, V5A_FED["E"], V5A_FED["r"], V5A_FED["K"])
-    docs = {
-        "v5a_noise_free": _v5a(OFF, OFF, "out/v5a_noise_free"),
-        "v5a_uplink_only": _v5a(CONST_NOISE, OFF, "out/v5a_uplink_only"),
-        "v5a_downlink_only": _v5a(OFF, CONST_NOISE, "out/v5a_downlink_only"),
-        "v5a_constant_noise": _v5a(CONST_NOISE, CONST_NOISE, "out/v5a_constant_noise"),
-        "v5a_snr_control": _v5a(control_up, control_dn, "out/v5a_snr_control"),
-        "v5a_sweep": _v5a(CONST_NOISE, CONST_NOISE, "out/v5a_sweep", override=fixed_eta),
-        "classification_noniid": {
-            "task": "classification_synth",
-            "mode": "fedavg",
-            "data": {"m": 2000, "d": 10, "seed": 7, "n_classes": 4,
-                     "cluster_separation": 4.0, "partition": "label_shard",
-                     "labels_per_client": 2},
-            "fedavg": {"n": 20, "r": 5, "E": 5, "K": 40, "gamma": 18.0, "batch_size": 10},
-            "uplink": dict(OFF),
-            "downlink": dict(OFF),
-            "repeat_seeds": [1, 2, 3],
-            "out_prefix": "out/classification_noniid",
-        },
-    }
-    return docs
-
-
-def preset(name: str) -> ExperimentConfig:
-    docs = preset_documents()
-    if name not in docs:
-        raise ConfigError(f"unknown preset {name!r}; have {sorted(docs)}")
-    return parse_config(json.dumps(docs[name]), source=f"preset:{name}")
-
-
-def write_presets(directory) -> list:
-    """Materialize every preset as a JSON file; returns the paths."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for name, doc in preset_documents().items():
-        path = os.path.join(directory, f"{name}.json")
-        cfg = parse_config(json.dumps(doc), source=name)
-        with open(path, "w") as fh:
-            fh.write(serialize(cfg))
-        paths.append(path)
-    return paths

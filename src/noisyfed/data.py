@@ -25,7 +25,6 @@ from .model import LossModel, smoothness_constant
 class SyntheticRegressionSpec:
     m: int
     d: int
-    theta_star: np.ndarray | None = None
     label_noise_variance: float = 0.0
     normalize_hessian: bool = True
 
@@ -34,8 +33,6 @@ class SyntheticRegressionSpec:
             raise ValueError("need m >= d >= 1")
         if self.label_noise_variance < 0:
             raise ValueError("label_noise_variance must be >= 0")
-        if self.theta_star is not None and np.asarray(self.theta_star).shape != (self.d,):
-            raise ValueError("theta_star must have length d")
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,6 @@ class Dataset:
     y: np.ndarray
     n_classes: int = 0
     theta_eff: np.ndarray | None = None
-    feature_scale: float = 1.0
 
     def __len__(self):
         return self.X.shape[0]
@@ -82,28 +78,24 @@ class ClientPartition:
 def generate_regression(spec: SyntheticRegressionSpec, seed: int) -> Dataset:
     """Draw the synthetic linear-regression dataset.
 
-    Features are N(0, I); targets y = <theta_star, x> + c with
+    Features and theta_star are N(0, I); targets y = <theta_star, x> + c with
     c ~ N(0, label_noise_variance). When ``normalize_hessian`` is set, every
     feature vector is divided by one global scalar so that
     smoothness_constant(mse model) = 1 within 1e-6; the reported
     ``theta_eff`` absorbs the same scalar so residuals are unchanged.
     """
     rng = np.random.default_rng([int(seed), 0xDA7A])
-    if spec.theta_star is None:
-        theta = rng.standard_normal(spec.d)
-    else:
-        theta = np.asarray(spec.theta_star, dtype=np.float64).copy()
+    theta = rng.standard_normal(spec.d)
     X = rng.standard_normal((spec.m, spec.d))
     noise = rng.standard_normal(spec.m) * np.sqrt(spec.label_noise_variance)
     y = X @ theta + noise
-    scale = 1.0
     if spec.normalize_hessian:
         probe = LossModel(kind="mse_linear", dim=spec.d)
         lam = smoothness_constant(probe, X)
         scale = float(np.sqrt(lam))
         X = X / scale
         theta = theta * scale
-    return Dataset(kind="regression", X=X, y=y, theta_eff=theta, feature_scale=scale)
+    return Dataset(kind="regression", X=X, y=y, theta_eff=theta)
 
 
 def generate_classification(m: int, d: int, n_classes: int,

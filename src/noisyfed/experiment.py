@@ -27,8 +27,6 @@ from .fedavg import RunResult, Task, kstar_weights, run_noisy_fedavg, run_noisy_
 from .model import LossModel, loss, smoothness_constant
 from .theory import TheoryParams, empirical_sigma2, fedavg_error_bound, min_rounds
 
-SWEEP_VARIANTS = ("noise_free", "uplink_only", "downlink_only")
-
 
 def build_task(cfg: ExperimentConfig) -> Task:
     """Materialize the Task (dataset, loss model, partition) of a config.
@@ -195,7 +193,7 @@ def run_experiment(cfg: ExperimentConfig, out_prefix: str | None = None,
 
 
 def sweep_variants(cfg: ExperimentConfig):
-    """The three channel variants a sweep compares."""
+    """The three channel variants a sweep compares, in the order its CSV lists them."""
     if cfg.uplink.off or cfg.downlink.off:
         raise ValueError("sweep base config must define both channel schedules")
     off_up, off_dn = NoiseSchedule("uplink"), NoiseSchedule("downlink")
@@ -247,7 +245,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
             for name, res in zip(variants, fedavg.run_replicas(fed, task, s, channels)):
                 finals[name].append(res.final_loss)
         means = {name: float(np.mean(fl)) for name, fl in finals.items()}
-        for name in SWEEP_VARIANTS:
+        for name in variants:
             rows.append((v, name, means[name], means[name] - means["noise_free"]))
         table[v] = means
 

@@ -62,7 +62,7 @@ from .data import Dataset, ClientPartition
 from .data import sample_batch  # noqa: F401 (perfbench's hook table wraps fedavg.sample_batch)
 from .model import LossModel, check_params, check_rows
 from .model import loss  # noqa: F401 (not called here; perfbench's hook table wraps fedavg.loss)
-from .theory import learning_rate, min_rounds, zeta  # noqa: F401 (min_rounds: re-exported)
+from .theory import learning_rate, zeta
 
 DIVERGENCE_NORM = 1e12
 
@@ -340,68 +340,70 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
     live = list(range(len(channels)))  # replicas still stepping; W[a] is live[a]'s model
     W = np.zeros((len(channels), d))
 
-    for k in range(K):
-        evals = [_global_metrics(loss_model, inputs, w) for w in W]
-        finite = [math.isfinite(f) for f, _ in evals]
-        if not all(finite):
-            for a, j in enumerate(live):
-                if finite[a]:
-                    continue
-                prev = metrics[j][-1] if metrics[j] else None
-                metrics[j].append(RoundMetrics(k, prev.train_loss if prev else 0.0,
-                                               prev.grad_norm_sq if prev else 0.0,
-                                               V_up[j][k], V_dn[j][k], None, None,
-                                               diverged=True))
-                ends[j] = (W[a], k)
-            live = [j for j, ok in zip(live, finite) if ok]
-            evals = [ev for ev, ok in zip(evals, finite) if ok]
-            W = W[finite]
-            if not live:
-                break
-        v_up = [V_up[j][k] for j in live]
-        v_dn = [V_dn[j][k] for j in live]
+    # a diverging replica overflows to inf or nan in its steps, its aggregate or its SNR
+    # before the guards below drop it: those values are their signal, not a fault to warn
+    # about, so the whole loop runs under one errstate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            evals = [_global_metrics(loss_model, inputs, w) for w in W]
+            finite = [math.isfinite(f) for f, _ in evals]
+            if not all(finite):
+                for a, j in enumerate(live):
+                    if finite[a]:
+                        continue
+                    prev = metrics[j][-1] if metrics[j] else None
+                    metrics[j].append(RoundMetrics(k, prev.train_loss if prev else 0.0,
+                                                   prev.grad_norm_sq if prev else 0.0,
+                                                   V_up[j][k], V_dn[j][k], None, None,
+                                                   diverged=True))
+                    ends[j] = (W[a], k)
+                live = [j for j, ok in zip(live, finite) if ok]
+                evals = [ev for ev, ok in zip(evals, finite) if ok]
+                W = W[finite]
+                if not live:
+                    break
+            v_up = [V_up[j][k] for j in live]
+            v_dn = [V_dn[j][k] for j in live]
 
-        W_recv = W
-        if any(v_dn):
-            W_recv = W.copy()
-            for a, j in enumerate(live):
-                if v_dn[a] > 0:
-                    W_recv[a] += down_noise[j][k]
+            W_recv = W
+            if any(v_dn):
+                W_recv = W.copy()
+                for a, j in enumerate(live):
+                    if v_dn[a] > 0:
+                        W_recv[a] += down_noise[j][k]
 
-        rows = row_map[offsets[draws.cohorts[k], None, None] + draws.batches[k]]
-        # a lone replica steps from a 1-D start: the (1, P) form costs it a few percent
-        w_ends, accs = backend.local_steps(loss_model.kind, dataset.X, dataset.y,
-                                           W_recv[0] if len(live) == 1 else W_recv, eta, rows,
-                                           loss_model.n_classes)
-        w_ends, accs = w_ends.reshape(len(live), r, d), accs.reshape(len(live), r, d)
-        W_next = W_recv - eta * (np.add.reduce(accs, axis=1) / r)
+            rows = row_map[offsets[draws.cohorts[k], None, None] + draws.batches[k]]
+            # a lone replica steps from a 1-D start: the (1, P) form costs it a few percent
+            w_ends, accs = backend.local_steps(loss_model.kind, dataset.X, dataset.y,
+                                               W_recv[0] if len(live) == 1 else W_recv, eta, rows,
+                                               loss_model.n_classes)
+            w_ends, accs = w_ends.reshape(len(live), r, d), accs.reshape(len(live), r, d)
+            W_next = W_recv - eta * (np.add.reduce(accs, axis=1) / r)
 
-        snr_up = [None] * len(live)
-        if any(v_up):
-            for a, j in enumerate(live):
-                if v_up[a] > 0:
-                    W_next[a] += up_means[j][k]
-                    delta = W_recv[a] - w_ends[a]
-                    snr = np.vecdot(delta, delta) / (d * v_up[a])
-                    snr_up[a] = float(np.add.reduce(snr) / r)
+            snr_up = [None] * len(live)
+            if any(v_up):
+                for a, j in enumerate(live):
+                    if v_up[a] > 0:
+                        W_next[a] += up_means[j][k]
+                        delta = W_recv[a] - w_ends[a]
+                        snr = np.vecdot(delta, delta) / (d * v_up[a])
+                        snr_up[a] = float(np.add.reduce(snr) / r)
 
-        # the norm is nan or inf when a coordinate is, so this also catches those;
-        # an overflow to inf is the signal here, not a fault to warn about
-        with np.errstate(over="ignore"):
+            # the norm is nan or inf when a coordinate is, so this also catches those
             ok = (np.sqrt(np.vecdot(W_next, W_next)) <= DIVERGENCE_NORM).tolist()
-        for a, j in enumerate(live):
-            w = W[a]
-            metrics[j].append(RoundMetrics(
-                k, *evals[a], v_up[a], v_dn[a], snr_up[a],
-                float(w @ w) / (d * v_dn[a]) if v_dn[a] > 0 else None, diverged=not ok[a]))
-            if not ok[a]:
-                ends[j] = (w, k)
-        if not all(ok):
-            live = [j for j, kept in zip(live, ok) if kept]
-            W_next = W_next[ok]
-            if not live:
-                break
-        W = W_next
+            for a, j in enumerate(live):
+                w = W[a]
+                metrics[j].append(RoundMetrics(
+                    k, *evals[a], v_up[a], v_dn[a], snr_up[a],
+                    float(w @ w) / (d * v_dn[a]) if v_dn[a] > 0 else None, diverged=not ok[a]))
+                if not ok[a]:
+                    ends[j] = (w, k)
+            if not all(ok):
+                live = [j for j, kept in zip(live, ok) if kept]
+                W_next = W_next[ok]
+                if not live:
+                    break
+            W = W_next
 
     for a, j in enumerate(live):
         ends[j] = (W[a], None)

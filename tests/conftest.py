@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from noisyfed.config import preset
 from noisyfed.data import SyntheticRegressionSpec, generate_regression, partition_iid
-from noisyfed.experiment import build_task, run_one_seed
+from noisyfed.experiment import build_task
 from noisyfed.fedavg import run_replicas
 from noisyfed.model import LossModel, smoothness_constant
+from presets import preset
 
 V5A_PRESETS = ("v5a_noise_free", "v5a_uplink_only", "v5a_downlink_only",
                "v5a_constant_noise", "v5a_snr_control")
@@ -21,16 +21,12 @@ def v5a_task():
 def v5a_runs(v5a_task):
     """All reference-preset runs, keyed preset name -> {seed: RunResult}.
 
-    The presets differ only in their channels, so each seed's runs step side
-    by side in one run_replicas call; should that stop holding, each preset
-    runs on its own.
+    The presets differ only in their channels (test_cli's
+    test_v5a_presets_differ_only_in_their_channels), so each seed's runs step
+    side by side in one run_replicas call.
     """
     cfgs = [preset(name) for name in V5A_PRESETS]
     base = cfgs[0]
-    if any((c.mode, c.data, c.fedavg, c.repeat_seeds) != (base.mode, base.data, base.fedavg,
-                                                          base.repeat_seeds) for c in cfgs):
-        return {name: {s: run_one_seed(cfg, v5a_task, s) for s in cfg.repeat_seeds}
-                for name, cfg in zip(V5A_PRESETS, cfgs)}
     out = {name: {} for name in V5A_PRESETS}
     for s in base.repeat_seeds:
         runs = run_replicas(base.fedavg, v5a_task, s, [(c.uplink, c.downlink) for c in cfgs])

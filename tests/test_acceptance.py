@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from noisyfed.channel import NoiseSchedule, compare_policies, perturb
-from noisyfed.config import preset
 from noisyfed.data import (SyntheticRegressionSpec, generate_regression,
                            partition_iid, partition_label_shard,
                            generate_classification)
@@ -28,6 +27,7 @@ from noisyfed.model import LossModel, full_gradient, gradient, smoothness_consta
 from noisyfed.theory import (TheoryParams, bcd_gap, bcd_witness, fedavg_error_bound,
                              zeta)
 from oracles import finite_difference_gradient
+from presets import preset
 
 SEEDS = (1, 2, 3)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from noisyfed import backend, fedavg, streams
 from noisyfed.channel import NoiseSchedule, variance_at
-from noisyfed.config import parse_config, preset
+from noisyfed.config import parse_config
 from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
                            generate_regression, partition_iid, partition_label_shard,
                            sample_batch)
@@ -18,10 +18,12 @@ from noisyfed.experiment import (build_task, run_experiment, run_one_seed, run_s
                                  sweep_variants)
 from noisyfed.fedavg import (_BATCH, _SAMPLE, FedAvgConfig, Task, _global_metrics,
                              _metric_inputs, _stream, client_sample, kstar_weights,
-                             learning_rate, min_rounds, round_draws, run_noisy_fedavg,
-                             run_noisy_sgd, run_replicas, sample_kstar)
+                             learning_rate, round_draws, run_noisy_fedavg, run_noisy_sgd,
+                             run_replicas, sample_kstar)
 from noisyfed.model import LossModel, full_gradient, loss, smoothness_constant
+from noisyfed.theory import min_rounds
 from oracles import client_batches, keyed_stream_draws
+from presets import preset
 
 
 class TestLearningRate:
@@ -295,14 +297,20 @@ class TestRunNoisyFedavg:
         assert res.k_star is None
         assert len(res.metrics) <= 50
 
-    def test_divergence_guard_does_not_warn(self, tiny_softmax_task):
+    def test_divergence_guard_does_not_warn(self, tiny_task, tiny_softmax_task):
         # at eta = 1e200 the model's squared norm overflows to inf in round 0: the very
-        # signal the guard tests for, so it must not surface as a RuntimeWarning
-        cfg = tiny_config(r=3, E=2, K=10, batch_size=10, learning_rate_override=1e200)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            res = run_noisy_fedavg(cfg, tiny_softmax_task, 0)
-        assert res.status == "diverged" and res.diverged_at == 0
+        # signal the guard tests for, so it must not surface as a RuntimeWarning. On
+        # mse_linear with the uplink on, the uplink SNR (E = 1), the local steps (E = 2)
+        # and the steps' matmul (E = 5) overflow or turn nan before the guard sees it
+        uplink = NoiseSchedule("uplink", "constant", 0.2)
+        cases = [(tiny_softmax_task, 2, NoiseSchedule("uplink"))]
+        cases += [(tiny_task, E, uplink) for E in (1, 2, 5)]
+        for task, E, up in cases:
+            cfg = tiny_config(r=3, E=E, K=10, batch_size=10, learning_rate_override=1e200)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                res = run_noisy_fedavg(cfg, task, 0, up)
+            assert res.status == "diverged" and res.diverged_at == 0, (task.model.kind, E)
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["mse_linear", "softmax_linear"]), n=st.integers(2, 6),
