@@ -56,23 +56,29 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ClientPartition:
+    """Client shards of dataset indices: non-empty and pairwise disjoint.
+
+    The shards' indices are concatenated and sorted once, when the partition
+    is built: equal neighbours in that order are the duplicates, and
+    ``covers`` compares the same sorted indices with range(m).
+    """
     shards: list = field(default_factory=list)  # list of int64 index arrays
+    _sorted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = [len(s) for s in self.shards]
-        if any(sz == 0 for sz in sizes):
+        if any(len(s) == 0 for s in self.shards):
             raise ValueError("every shard must be non-empty")
-        allidx = np.concatenate(self.shards) if self.shards else np.array([], dtype=np.int64)
-        if len(np.unique(allidx)) != allidx.size:
+        rows = np.sort(np.concatenate(self.shards)) if self.shards else np.array([], np.int64)
+        if (rows[1:] == rows[:-1]).any():
             raise ValueError("shards must be pairwise disjoint")
+        object.__setattr__(self, "_sorted", rows)
 
     @property
     def n_clients(self) -> int:
         return len(self.shards)
 
     def covers(self, m: int) -> bool:
-        allidx = np.concatenate(self.shards)
-        return allidx.size == m and np.array_equal(np.sort(allidx), np.arange(m))
+        return np.array_equal(self._sorted, np.arange(m))
 
 
 def generate_regression(spec: SyntheticRegressionSpec, seed: int) -> Dataset:
@@ -82,7 +88,9 @@ def generate_regression(spec: SyntheticRegressionSpec, seed: int) -> Dataset:
     c ~ N(0, label_noise_variance). When ``normalize_hessian`` is set, every
     feature vector is divided by one global scalar so that
     smoothness_constant(mse model) = 1 within 1e-6; the reported
-    ``theta_eff`` absorbs the same scalar so residuals are unchanged.
+    ``theta_eff`` absorbs the same scalar so residuals are unchanged. The
+    division is done in place on the one drawn X, so no second copy of the
+    features is ever held.
     """
     rng = np.random.default_rng([int(seed), 0xDA7A])
     theta = rng.standard_normal(spec.d)
@@ -93,7 +101,7 @@ def generate_regression(spec: SyntheticRegressionSpec, seed: int) -> Dataset:
         probe = LossModel(kind="mse_linear", dim=spec.d)
         lam = smoothness_constant(probe, X)
         scale = float(np.sqrt(lam))
-        X = X / scale
+        X /= scale
         theta = theta * scale
     return Dataset(kind="regression", X=X, y=y, theta_eff=theta)
 

@@ -161,9 +161,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class Task:
     """The dataset, loss model and covering partition every run of an invocation shares.
 
-    The rest is built on first use and read-only: client i's local row j
-    is dataset row ``row_map[offsets[i] + j]``, and ``metric_inputs`` is
-    what _global_metrics evaluates from.
+    The cover check reads the indices the partition sorted when it checked
+    them for duplicates. The rest is built on first use and read-only:
+    client i's local row j is dataset row ``row_map[offsets[i] + j]``, and
+    ``metric_inputs`` is what _global_metrics evaluates from, gathered one
+    shard at a time for mse_linear, so the task holds one copy of X.
     """
     dataset: Dataset
     model: LossModel
@@ -187,8 +189,8 @@ class Task:
 
     @cached_property
     def metric_inputs(self) -> tuple:
-        X, y, shards = self.dataset.X, self.dataset.y, self.partition.shards
-        inputs = _metric_inputs(self.model, [X[s] for s in shards], [y[s] for s in shards])
+        inputs = _metric_inputs(self.model, self.dataset.X, self.dataset.y,
+                                self.partition.shards)
         return tuple(_read_only(v) if isinstance(v, np.ndarray) else v for v in inputs)
 
 
@@ -236,13 +238,15 @@ def round_draws(config: FedAvgConfig, task: Task, seed: int, channels=()) -> Rou
     return RoundDraws(_read_only(cohorts), _read_only(batches), downlink, uplink)
 
 
-def _metric_inputs(loss_model, shard_X, shard_y):
-    """What _global_metrics evaluates from, built once per task.
+def _metric_inputs(loss_model, X, y, shards):
+    """What _global_metrics evaluates from, built once per task from the rows
+    (X, y) and ``shards``, a list of row indexers (index arrays or slices).
 
     For mse_linear: the client means A = mean_i X_i^T X_i / m_i,
     b = mean_i X_i^T y_i / m_i and c = mean_i y_i^T y_i / m_i. They are
     unweighted over clients, like the metrics, so ragged shards need no
-    special care.
+    special care. Each shard's rows are gathered as its terms are summed,
+    so at most one shard's copy of X is held at a time.
 
     For softmax_linear: every shard's rows back to back, their int64 labels
     and a per-row weight 1/(n m_i), m_i the size of the row's shard, so one
@@ -250,19 +254,20 @@ def _metric_inputs(loss_model, shard_X, shard_y):
     shard's shape and label range are checked here, once per task.
     """
     if loss_model.kind != "mse_linear":
-        shards = [check_rows(loss_model, X, y) for X, y in zip(shard_X, shard_y)]
-        sizes = np.array([y.shape[0] for _, y in shards])
-        weights = np.repeat(1.0 / (len(shards) * sizes), sizes)
-        return (np.concatenate([X for X, _ in shards]),
-                np.concatenate([y for _, y in shards]), weights)
+        rows = [check_rows(loss_model, X[s], y[s]) for s in shards]
+        sizes = np.array([ys.shape[0] for _, ys in rows])
+        weights = np.repeat(1.0 / (len(rows) * sizes), sizes)
+        return (np.concatenate([Xs for Xs, _ in rows]),
+                np.concatenate([ys for _, ys in rows]), weights)
     d = loss_model.dim
     A, b, c = np.zeros((d, d)), np.zeros(d), 0.0
-    for X, y in zip(shard_X, shard_y):
-        m = y.shape[0]
-        A += (X.T @ X) / m
-        b += (X.T @ y) / m
-        c += float(y @ y) / m
-    n = len(shard_y)
+    for s in shards:
+        Xs, ys = X[s], y[s]
+        m = ys.shape[0]
+        A += (Xs.T @ Xs) / m
+        b += (Xs.T @ ys) / m
+        c += float(ys @ ys) / m
+    n = len(shards)
     return A / n, b / n, c / n
 
 
@@ -462,7 +467,7 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
     metrics: list[RoundMetrics] = []
     status, div_at = "completed", None
 
-    inputs = _metric_inputs(loss_model, [dataset.X], [dataset.y])
+    inputs = _metric_inputs(loss_model, dataset.X, dataset.y, [slice(None)])
 
     for t in range(T):
         train_loss, gns = _global_metrics(loss_model, inputs, w)

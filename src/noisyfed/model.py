@@ -125,25 +125,29 @@ def _power_iteration_gram(X: np.ndarray, tol: float) -> float:
     tighter than the requested tolerance because successive Rayleigh
     differences understate the true error when the spectrum is flat.
     Returns NaN as soon as an iterate C v is not finite, which a
-    non-finite C gives at once.
+    non-finite C gives at once; the overflow that makes it raises no
+    warning, since the NaN is the signal LossModel rejects. The norm of
+    C v is sqrt(w . w), np.linalg.norm's own arithmetic on a 1-D float64
+    vector without its wrapper.
     """
     m, d = X.shape
-    C = (X.T @ X) / m
-    v = np.full(d, 1.0 / np.sqrt(d))
-    lam = 0.0
-    for _ in range(200_000):
-        w = C @ v
-        lam_new = float(v @ w)
-        norm = np.linalg.norm(w)
-        # a finite w can still overflow its norm; only a non-finite one stops here
-        if not math.isfinite(norm) and not np.isfinite(w).all():
-            return math.nan
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(lam_new - lam) <= 0.01 * tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = (X.T @ X) / m
+        v = np.full(d, 1.0 / np.sqrt(d))
+        lam = 0.0
+        for _ in range(200_000):
+            w = C @ v
+            lam_new = float(v @ w)
+            norm = math.sqrt(w.dot(w))
+            # a finite w can still overflow its norm; only a non-finite one stops here
+            if not math.isfinite(norm) and not np.isfinite(w).all():
+                return math.nan
+            if norm == 0.0:
+                return 0.0
+            v = w / norm
+            if abs(lam_new - lam) <= 0.01 * tol * max(1.0, abs(lam_new)):
+                return lam_new
+            lam = lam_new
     return lam
 
 

@@ -1,12 +1,15 @@
 """Test oracles: numpy's own keyed draws, one Generator per key, that the replayed draws
-of ``noisyfed.streams`` and ``noisyfed.fedavg.round_draws`` are checked against, and a
-central-difference gradient for the model's analytic one.
+of ``noisyfed.streams`` and ``noisyfed.fedavg.round_draws`` are checked against, a
+central-difference gradient for the model's analytic one, and the power iteration with
+``np.linalg.norm`` that ``noisyfed.model._power_iteration_gram`` must match bit for bit.
 
 A key is any sequence of non-negative ints, such as ``[seed, k, i, purpose]``
 or a row of ``streams.key_rows``; both seed ``np.random.default_rng`` alike.
 ``numpy_choices`` and ``numpy_normals`` take the arguments of
 ``streams.choices`` and ``streams.normals`` and can stand in for them.
 """
+
+import math
 
 import numpy as np
 
@@ -80,3 +83,25 @@ def finite_difference_gradient(model: LossModel, params, X, y, step: float) -> n
         wm[j] -= step
         g[j] = (loss(model, wp, X, y) - loss(model, wm, X, y)) / (2.0 * step)
     return g
+
+
+def power_iteration_gram(X, tol):
+    """(top eigenvalue of (1/m) X^T X, iterations run): the power iteration with the
+    iterate's norm taken by ``np.linalg.norm``, the oracle for ``_power_iteration_gram``."""
+    m, d = X.shape
+    C = (X.T @ X) / m
+    v = np.full(d, 1.0 / np.sqrt(d))
+    lam = 0.0
+    for it in range(1, 200_001):
+        w = C @ v
+        lam_new = float(v @ w)
+        norm = np.linalg.norm(w)
+        if not math.isfinite(norm) and not np.isfinite(w).all():
+            return math.nan, it
+        if norm == 0.0:
+            return 0.0, it
+        v = w / norm
+        if abs(lam_new - lam) <= 0.01 * tol * max(1.0, abs(lam_new)):
+            return lam_new, it
+        lam = lam_new
+    return lam, 200_000

@@ -333,16 +333,17 @@ class TestBadClassificationInput:
         assert main(["bounds", "--config", cfgp]) == 2
         assert capsys.readouterr().err.startswith(f"error: {cfgp}:")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # matmul overflow and nan
     def test_non_finite_smoothness_exits_2(self, tmp_path, capsys):
-        # smoothness_constant gives nan here; the run used to exit 0 with NaN in its JSON
+        # smoothness_constant gives nan here; the run used to exit 0 with NaN in its JSON.
+        # The overflow behind the nan must not reach stderr as a numpy warning either.
         cfgp = write_doc(tmp_path, classification_doc("data", "cluster_separation", 1e160))
         out = tmp_path / "o"
+        error = f"error: {cfgp}: smoothness must be finite and >= 0, got nan\n"
         assert main(["run", "--config", cfgp, "--out", str(out / "run")]) == 2
-        assert "smoothness must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == error
         assert not out.exists()
         assert main(["bounds", "--config", cfgp]) == 2
-        assert "smoothness must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == error
 
 
 class TestSweepCommand:

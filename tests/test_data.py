@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from noisyfed.data import (ClientPartition, SyntheticRegressionSpec,
                            generate_classification, generate_regression,
@@ -118,6 +119,68 @@ class TestLabelShardPartition:
         ds = generate_regression(SyntheticRegressionSpec(m=50, d=3), seed=0)
         with pytest.raises(ValueError):
             partition_label_shard(ds, n=5, labels_per_client=1, seed=0)
+
+
+def unique_oracle(shards):
+    """np.unique of every shard's indices: (sorted distinct indices, any duplicate)."""
+    allidx = np.concatenate(shards) if shards else np.array([], dtype=np.int64)
+    distinct = np.unique(allidx)
+    return distinct, distinct.size != allidx.size
+
+
+def assert_partition_laws(part, m):
+    distinct, dup = unique_oracle(part.shards)
+    assert all(s.size > 0 for s in part.shards)
+    assert not dup
+    assert np.array_equal(distinct, np.arange(m))
+    assert part.covers(m)
+
+
+class TestPartitionLaws:
+    """ClientPartition's sort-based check and the partitioners, against np.unique."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shards=st.lists(st.lists(st.integers(0, 40), min_size=1, max_size=9), max_size=7))
+    @example(shards=[])
+    @example(shards=[[3, 0, 2, 1]])
+    @example(shards=[[5, 1, 5]])
+    @example(shards=[[0, 1, 2], [3], [4, 5]])
+    @example(shards=[[0, 1, 2], [3], [4, 2]])
+    def test_rejects_exactly_the_duplicates(self, shards):
+        shards = [np.array(s, dtype=np.int64) for s in shards]
+        distinct, dup = unique_oracle(shards)
+        if dup:
+            with pytest.raises(ValueError, match="disjoint"):
+                ClientPartition(shards=shards)
+            return
+        part = ClientPartition(shards=shards)
+        for m in {distinct.size, distinct.size + 1, int(distinct.max(initial=-1)) + 1}:
+            assert part.covers(m) == np.array_equal(distinct, np.arange(m))
+
+    def test_empty_shard_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ClientPartition(shards=[np.array([0, 1]), np.array([], dtype=np.int64)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 12), extra=st.integers(0, 100), seed=st.integers(0, 2**32 - 1))
+    def test_iid_laws(self, n, extra, seed):
+        m = n + extra
+        part = partition_iid(m, n, seed)
+        assert part.n_clients == n
+        assert_partition_laws(part, m)
+        sizes = [s.size for s in part.shards]
+        assert max(sizes) - min(sizes) <= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(C=st.integers(2, 5), n=st.integers(1, 8), per=st.integers(1, 3),
+           extra=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    def test_label_shard_laws(self, C, n, per, extra, seed):
+        per = max(per, -(-C // n))  # n * per must reach every class
+        m = C * -(-n * per // C) + extra  # every class holds its slices
+        ds = generate_classification(m, 1, C, 3.0, seed)
+        part = partition_label_shard(ds, n, per, seed)
+        assert part.n_clients == n
+        assert_partition_laws(part, m)
 
 
 class TestSampleBatch:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -410,8 +411,7 @@ def row_metrics(model, dataset, partition, w):
 
 
 def assert_metrics_match(model, dataset, partition, w):
-    inputs = _metric_inputs(model, [dataset.X[s] for s in partition.shards],
-                            [dataset.y[s] for s in partition.shards])
+    inputs = _metric_inputs(model, dataset.X, dataset.y, partition.shards)
     f, g2 = _global_metrics(model, inputs, w)
     f_ref, g2_ref = row_metrics(model, dataset, partition, w)
     assert f == pytest.approx(f_ref, rel=1e-10, abs=0.0)
@@ -472,8 +472,7 @@ def softmax_case(m, d, C, seed):
 
 
 def shard_inputs(model, dataset, partition):
-    return _metric_inputs(model, [dataset.X[s] for s in partition.shards],
-                          [dataset.y[s] for s in partition.shards])
+    return _metric_inputs(model, dataset.X, dataset.y, partition.shards)
 
 
 class TestSoftmaxMetrics:
@@ -519,13 +518,13 @@ class TestSoftmaxMetrics:
         y = dataset.y.copy()
         y[7] = 2
         with pytest.raises(ValueError, match="labels"):
-            _metric_inputs(model, [dataset.X[:20], dataset.X[20:]], [y[:20], y[20:]])
+            _metric_inputs(model, dataset.X, y, [slice(0, 20), slice(20, None)])
         with pytest.raises(ValueError):
-            _metric_inputs(model, [dataset.X[:20, :2]], [dataset.y[:20]])
+            _metric_inputs(model, dataset.X[:, :2], dataset.y, [slice(0, 20)])
 
     def test_bad_params_rejected_when_evaluated(self):
         dataset, model = softmax_case(40, 3, 2, seed=1)
-        inputs = _metric_inputs(model, [dataset.X], [dataset.y])
+        inputs = _metric_inputs(model, dataset.X, dataset.y, [slice(None)])
         for w in (np.full(model.dim, np.nan), np.zeros(model.dim + 1)):
             with pytest.raises(ValueError, match="params"):
                 _global_metrics(model, inputs, w)
@@ -815,6 +814,36 @@ class TestTask:
         ds = generate_regression(SyntheticRegressionSpec(m=301, d=5), seed=21)
         with pytest.raises(ValueError, match="cover"):
             Task(ds, tiny_task.model, tiny_task.partition)
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the bytes tracemalloc saw allocated and still live during the
+    call); numpy reports its array buffers to tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestTaskMemory:
+    """A v5a task is built and summarized without a second copy of its X."""
+
+    def test_build_task_holds_one_copy_of_X(self):
+        cfg = preset("v5a_constant_noise")
+        task, peak = traced_peak(lambda: build_task(cfg))
+        assert peak < 1.5 * task.dataset.X.nbytes
+
+    def test_metric_inputs_gather_one_shard_at_a_time(self):
+        task = build_task(preset("v5a_constant_noise"))
+        _, peak = traced_peak(lambda: task.metric_inputs)
+        assert peak < 0.25 * task.dataset.X.nbytes
 
 
 class TestRunNoisySgd:

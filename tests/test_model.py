@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from noisyfed.data import SyntheticRegressionSpec, generate_regression
+from noisyfed.experiment import build_task
 from noisyfed.model import (LossModel, _power_iteration_gram, full_gradient, gradient, loss,
                             smoothness_constant)
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, power_iteration_gram
+from presets import preset
 
 
 def random_mse_case(rng, m=12, d=5):
@@ -200,3 +204,52 @@ class TestSmoothness:
             w = rng.standard_normal(d)
             g = np.linalg.norm(full_gradient(model, w, X, y))
             assert g <= (L + 1e-9) * np.linalg.norm(w - w_min) + 1e-12
+
+
+def spectrum_case(m, d, gap, seed):
+    """An (m, d) X whose (1/m) X^T X has top eigenvalue 1 and the rest at most 1 - gap,
+    rotated by random orthogonal factors; a small gap makes a near-flat spectrum."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((m, d)))
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    lam = np.concatenate(([1.0], (1.0 - gap) * rng.uniform(0.5, 1.0, d - 1) ** 4))
+    lam[1] = 1.0 - gap
+    return (U * np.sqrt(m * lam)) @ V.T
+
+
+def same_bits(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+class TestPowerIterationBits:
+    """_power_iteration_gram against the np.linalg.norm loop it replaced, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 8), extra=st.integers(0, 30), flat=st.booleans(),
+           log_gap=st.floats(-3.0, 0.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_norm_loop(self, d, extra, flat, log_gap, seed):
+        m = d + extra
+        if flat:
+            X = spectrum_case(m, d, 10.0 ** log_gap, seed)
+        else:
+            X = np.random.default_rng(seed).standard_normal((m, d)) * 10.0 ** (3 * log_gap)
+        want, _ = power_iteration_gram(X, 1e-8)
+        assert same_bits(_power_iteration_gram(X, 1e-8), want)
+
+    def test_near_flat_spectrum_runs_long(self):
+        X = spectrum_case(12, 5, 1e-3, seed=1)
+        want, iterations = power_iteration_gram(X, 1e-8)
+        assert iterations > 1000
+        assert same_bits(_power_iteration_gram(X, 1e-8), want)
+
+    def test_v5a_task(self):
+        # both power iterations of a v5a build: the scale of X, then the smoothness
+        cfg = preset("v5a_constant_noise")
+        task = build_task(cfg)
+        spec = SyntheticRegressionSpec(m=cfg.data.m, d=cfg.data.d,
+                                       label_noise_variance=cfg.data.label_noise_variance,
+                                       normalize_hessian=False)
+        raw = generate_regression(spec, cfg.data.seed).X
+        lam, _ = power_iteration_gram(raw, 1e-8)
+        assert np.array_equal(task.dataset.X, raw / np.sqrt(lam))
+        assert same_bits(task.model.smoothness, power_iteration_gram(task.dataset.X, 1e-8)[0])
