@@ -4,6 +4,8 @@ All gradient arithmetic goes through ``stacked_gradient``, which takes a
 stack of gathered batches and runs every product through ``np.matmul``.
 ``softmax_loss_and_gradient`` evaluates a weighted softmax loss and its
 gradient over many rows at once, from the same softmax steps, for metrics.
+``row_residuals`` gives each row's gradient as a residual to take the outer
+product with the row, from the same steps, for the exact sigma^2.
 matmul computes each slice of a stacked product with the same BLAS gemv or
 gemm call as a lone 2-D product, so a client's steps give the same bits
 whether it steps alone, in a cohort, or in a cohort stepped for several
@@ -55,6 +57,25 @@ def stacked_gradient(kind, Xb, yb, w, n_classes=0):
     p, _, _ = _softmax_residual(np.matmul(Xb, W.swapaxes(-1, -2)), yb, n_classes)
     G = np.matmul(p.swapaxes(-1, -2), Xb) / b
     return G.reshape(G.shape[:-2] + (-1,))
+
+
+def row_residuals(kind, X, y, W, n_classes=0):
+    """Every row's gradient factor at every params row, from one ``X @ W^T``.
+
+    ``X`` is (m, d) rows, ``y`` their (m,) targets and ``W`` (k, P) params.
+    Returns R, (m, k, c): row j's own-loss gradient at ``W[i]`` is the
+    outer product of R[j, i] and X[j], flattened row-major like the params.
+    mse_linear: c = 1 and R = <w, x> - y. softmax: c = C and
+    R = softmax(W x) - onehot(y).
+    """
+    m, k = X.shape[0], W.shape[0]
+    if kind == "mse_linear":
+        R = X @ W.T
+        R -= y[:, None]
+        return R[..., None]
+    z = (X @ W.reshape(k * n_classes, X.shape[1]).T).reshape(m, k, n_classes)
+    R, _, _ = _softmax_residual(z, np.broadcast_to(y[:, None], (m, k)), n_classes)
+    return R
 
 
 def _class_max(z):

@@ -6,8 +6,8 @@ snr_down, diverged; numeric fields carry 12 significant digits, SNR fields
 are empty while the channel is off, and the diverged flag is 0/1. A
 ``{prefix}_summary.json`` aggregates final losses, sampled round indices,
 and, for federated runs at the prescribed learning rate, the error-bound
-report evaluated with the measured initial loss and gradient-variance
-estimate. Outputs are byte-deterministic for a fixed config.
+report evaluated with the measured initial loss and the exact
+stochastic-gradient variance. Outputs are byte-deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -99,21 +99,20 @@ def schedule_power_sums(cfg: ExperimentConfig, dim: int) -> tuple[float, float]:
     return sum_u2, sum_n2
 
 
-def bound_inputs(cfg: ExperimentConfig, task: Task, probe_params=None,
-                 trials: int = 20) -> TheoryParams:
+def bound_inputs(cfg: ExperimentConfig, task: Task, probe_params=None) -> TheoryParams:
     """Measured TheoryParams for the configured run (no simulation).
 
     f0 is the loss at the zero start, from the run metrics' evaluation
     (called through the fedavg module, so a wrapper installed on
-    ``fedavg._global_metrics`` sees this call too); sigma2 is the
-    Monte-Carlo variance estimate at the probe points (defaults to the start
-    alone).
+    ``fedavg._global_metrics`` sees this call too); sigma2 is the exact
+    stochastic-gradient variance of the configured batch size, maximized over
+    the client shards and the probe points (defaults to the start alone).
     """
     fb, model = cfg.fedavg, task.model
     w0 = np.zeros(model.dim)
     probes = [w0] if probe_params is None else probe_params
     f0, _ = fedavg._global_metrics(model, task.metric_inputs, w0)
-    sigma2 = empirical_sigma2(task, probes, fb.batch_size, trials, cfg.data.seed)
+    sigma2 = empirical_sigma2(task, probes, fb.batch_size)
     sum_u2, sum_n2 = schedule_power_sums(cfg, model.dim)
     return TheoryParams(n=fb.n, r=fb.r, E=fb.E, K=fb.K, gamma=fb.gamma,
                         L=model.smoothness, eta=step_size(fb, model.smoothness),

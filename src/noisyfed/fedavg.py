@@ -250,15 +250,17 @@ def _metric_inputs(loss_model, X, y, shards):
 
     For softmax_linear: every shard's rows back to back, their int64 labels
     and a per-row weight 1/(n m_i), m_i the size of the row's shard, so one
-    weighted pass over all rows gives the unweighted mean over clients. Each
-    shard's shape and label range are checked here, once per task.
+    weighted pass over all rows gives the unweighted mean over clients. The
+    rows are gathered once, into the one copy of X the task keeps, and their
+    shape and label range are checked there, once per task.
     """
     if loss_model.kind != "mse_linear":
-        rows = [check_rows(loss_model, X[s], y[s]) for s in shards]
-        sizes = np.array([ys.shape[0] for _, ys in rows])
-        weights = np.repeat(1.0 / (len(rows) * sizes), sizes)
-        return (np.concatenate([Xs for Xs, _ in rows]),
-                np.concatenate([ys for _, ys in rows]), weights)
+        index = np.arange(len(y))
+        parts = [index[s] for s in shards]  # slices as index arrays too
+        rows = np.concatenate(parts)
+        Xs, ys = check_rows(loss_model, X[rows], y[rows])
+        sizes = np.array([len(p) for p in parts])
+        return Xs, ys, np.repeat(1.0 / (len(parts) * sizes), sizes)
     d = loss_model.dim
     A, b, c = np.zeros((d, d)), np.zeros(d), 0.0
     for s in shards:

@@ -4,8 +4,8 @@ Implements the non-convex guarantees for the noisy single-machine loop and
 the federated loop: the four-term bound for noisy SGD, the
 leading/uplink/variance/downlink decomposition for noisy federated
 averaging with the geometric round-sampling distribution, the quadratic
-counterexample showing bounded-client-dissimilarity fails, and a
-Monte-Carlo estimator for the stochastic-gradient variance bound.
+counterexample showing bounded-client-dissimilarity fails, and the exact
+stochastic-gradient variance sigma^2 of the client shards.
 
 Noise totals everywhere are TOTAL expected squared norms, i.e. dimension
 times the per-coordinate variance.
@@ -19,15 +19,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import backend, streams
+from . import backend
 from .data import sample_batch  # noqa: F401 (perfbench's hook table wraps theory.sample_batch)
 from .model import check_params, check_rows
 from .model import full_gradient  # noqa: F401 (perfbench's hook table wraps theory.full_gradient)
 
 if TYPE_CHECKING:
     from .fedavg import Task
-
-_SIGMA2_STREAM = 0x516  # empirical_sigma2 draws from stream [seed, 0x516]
 
 
 def learning_rate(gamma: float, L: float, E: int, r: int, K: int) -> float:
@@ -203,48 +201,38 @@ def bcd_witness(G: float, n: int) -> float:
     return 2.0 * G / (1.0 - 1.0 / n)
 
 
-def empirical_sigma2(task: Task, probe_params, batch_size: int, trials: int,
-                     seed: int) -> float:
-    """Monte-Carlo bound on the per-client stochastic-gradient variance.
+def empirical_sigma2(task: Task, probe_params, batch_size: int) -> float:
+    """Exact per-client stochastic-gradient variance, the sigma^2 of the error bounds.
 
-    For every client shard of ``task`` and probe point, estimates
-    E || batch gradient - shard gradient ||^2 over ``trials`` batch draws and
-    returns the maximum, inflated by a 1.5x safety factor so it can serve as
-    the variance bound fed to the error bounds. Batch rows map to dataset
-    rows through ``task.row_map`` and ``task.offsets``. Shard by shard, each
-    probe's trials take successive ``sample_batch`` draws of the shard's
-    local rows from the one stream [seed, 0x516].
+    For a batch of b rows drawn without replacement from a shard of m rows,
+    the batch-mean gradient's expected squared distance from the shard's
+    mean gradient g is (m - b) / (b (m - 1)) * (1/m) sum_j ||g_j - g||^2, g_j
+    being row j's gradient (the finite-population correction). Returns its
+    maximum over the client shards of ``task`` and the probe points; shard
+    rows map to dataset rows through ``task.row_map`` and ``task.offsets``.
 
-    Each shard takes one stack: one backend.stacked_gradient call gives
-    every probe's shard gradient (the shard rows against (probes, P)
-    params), and one gives every probe's trial gradients ((probes, trials,
-    b, d) rows against (probes, 1, P)). Each slice is the product a lone
-    full_gradient or batch gradient computes, and cumsum adds the squared
-    norms left to right like a per-trial loop, so the result is the same
-    to the bit.
+    Row j's gradient is the outer product of a residual r_j and x_j
+    (``backend.row_residuals``), so ||g_j||^2 = ||r_j||^2 ||x_j||^2 and
+    sum_j ||g_j - g||^2 = sum_j ||r_j||^2 ||x_j||^2 - m ||g||^2. Per shard that
+    is one product for every probe's residuals, one for m g and one for the
+    weighted norms, with no (probes, m, P) stack of row gradients.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
     model, X, y = task.model, task.dataset.X, task.dataset.y
     if len(probe_params) == 0:
         raise ValueError("need at least one probe point")
     W = np.stack([check_params(model, w) for w in probe_params])
-    if batch_size < 1 or batch_size > min(task.shard_sizes):
+    b = batch_size
+    if b < 1 or b > min(task.shard_sizes):
         raise ValueError("need 1 <= batch_size <= shard size")
-    sizes = np.repeat(task.shard_sizes, len(W) * trials)
-    # in numpy's order, not sorted: the gradient sums depend on the row order
-    batches = streams.choices(streams.key_rows(seed, _SIGMA2_STREAM), sizes[None], batch_size,
-                              len(sizes))
-    batches = batches.reshape(len(task.shard_sizes), len(W), trials, batch_size)
     worst = 0.0
-    for start, m, local in zip(task.offsets.tolist(), task.shard_sizes, batches):
+    for start, m in zip(task.offsets.tolist(), task.shard_sizes):
         shard = task.row_map[start:start + m]
-        Xs, ys = check_rows(model, X[shard], y[shard])  # and so every trial batch
-        ref = backend.stacked_gradient(model.kind, Xs, np.broadcast_to(ys, (len(W), m)), W,
-                                       model.n_classes)
-        rows = task.row_map[start + local]
-        diffs = backend.stacked_gradient(model.kind, X[rows], y[rows], W[:, None],
-                                         model.n_classes) - ref[:, None]
-        sq = np.cumsum(np.vecdot(diffs, diffs), axis=1)[:, -1]
-        worst = max(worst, *(sq / trials).tolist())
-    return 1.5 * worst
+        Xs, ys = check_rows(model, X[shard], y[shard])
+        if m == b:
+            continue  # every batch is the whole shard
+        R = backend.row_residuals(model.kind, Xs, ys, W, model.n_classes)
+        weighted = np.vecdot(Xs, Xs) @ np.vecdot(R, R)
+        sums = (R.reshape(m, -1).T @ Xs).reshape(len(W), -1)  # m g, one row per probe
+        spread = weighted - np.vecdot(sums, sums) / m
+        worst = max(worst, *((m - b) / (b * (m - 1)) * spread / m).tolist())
+    return worst

@@ -1,7 +1,9 @@
 """Test oracles: numpy's own keyed draws, one Generator per key, that the replayed draws
 of ``noisyfed.streams`` and ``noisyfed.fedavg.round_draws`` are checked against, a
-central-difference gradient for the model's analytic one, and the power iteration with
-``np.linalg.norm`` that ``noisyfed.model._power_iteration_gram`` must match bit for bit.
+central-difference gradient for the model's analytic one, the power iteration with
+``np.linalg.norm`` that ``noisyfed.model._power_iteration_gram`` must match bit for bit,
+and two for ``noisyfed.theory.empirical_sigma2``'s exact sigma^2: a Monte-Carlo
+estimate from trial batches and the direct sum over a stack of row gradients.
 
 A key is any sequence of non-negative ints, such as ``[seed, k, i, purpose]``
 or a row of ``streams.key_rows``; both seed ``np.random.default_rng`` alike.
@@ -13,10 +15,11 @@ import math
 
 import numpy as np
 
+from noisyfed import backend, streams
 from noisyfed.data import sample_batch
 from noisyfed.fedavg import (_BATCH, _DOWNLINK, _SAMPLE, _UPLINK, RoundDraws, _stream,
                              client_sample)
-from noisyfed.model import LossModel, loss
+from noisyfed.model import LossModel, check_params, check_rows, loss
 
 
 def _rng(key):
@@ -105,3 +108,63 @@ def power_iteration_gram(X, tol):
             return lam_new, it
         lam = lam_new
     return lam, 200_000
+
+
+TRIAL_STREAM = 0x516  # monte_carlo_sigma2 draws its trial batches from stream [seed, 0x516]
+
+
+def monte_carlo_sigma2(task, probe_params, batch_size, trials, seed):
+    """(shards, probes, trials): ||batch gradient - shard gradient||^2 of ``trials`` batches
+    per shard and probe, whose means estimate what ``empirical_sigma2`` computes exactly.
+
+    Shard by shard, each probe's trials take successive ``sample_batch`` draws of the
+    shard's local rows from the one stream [seed, TRIAL_STREAM]. One
+    ``backend.stacked_gradient`` call gives every probe's shard gradient and one every
+    probe's trial gradients; each slice is the product a lone full_gradient or batch
+    gradient computes.
+    """
+    model, X, y = task.model, task.dataset.X, task.dataset.y
+    W = np.stack([check_params(model, w) for w in probe_params])
+    sizes = np.repeat(task.shard_sizes, len(W) * trials)
+    # in numpy's order, not sorted: the gradient sums depend on the row order
+    batches = streams.choices(streams.key_rows(seed, TRIAL_STREAM), sizes[None], batch_size,
+                              len(sizes))
+    batches = batches.reshape(len(task.shard_sizes), len(W), trials, batch_size)
+    out = []
+    for start, m, local in zip(task.offsets.tolist(), task.shard_sizes, batches):
+        shard = task.row_map[start:start + m]
+        Xs, ys = check_rows(model, X[shard], y[shard])
+        ref = backend.stacked_gradient(model.kind, Xs, np.broadcast_to(ys, (len(W), m)), W,
+                                       model.n_classes)
+        rows = task.row_map[start + local]
+        diffs = backend.stacked_gradient(model.kind, X[rows], y[rows], W[:, None],
+                                         model.n_classes) - ref[:, None]
+        out.append(np.vecdot(diffs, diffs))
+    return np.stack(out)
+
+
+def row_gradients(model: LossModel, w, X, y) -> np.ndarray:
+    """(m, P): every row's own-loss gradient, written out per loss from numpy primitives."""
+    if model.kind == "mse_linear":
+        return X * (X @ w - y)[:, None]
+    z = X @ w.reshape(model.n_classes, X.shape[1]).T
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(len(y)), y] -= 1.0
+    return (p[:, :, None] * X[:, None, :]).reshape(len(y), -1)
+
+
+def centered_sigma2(task, probe_params, batch_size):
+    """``empirical_sigma2`` from the direct centered sum: for every shard and probe, the
+    stack of row gradients, their squared distances from the shard mean summed, times the
+    finite-population factor (m - b) / (b (m - 1)) / m."""
+    worst, b = 0.0, batch_size
+    for shard in task.partition.shards:
+        m = len(shard)
+        if m == b:
+            continue
+        for w in probe_params:
+            G = row_gradients(task.model, w, task.dataset.X[shard], task.dataset.y[shard])
+            spread = float(np.sum((G - G.mean(axis=0)) ** 2))
+            worst = max(worst, (m - b) / (b * (m - 1)) * spread / m)
+    return worst

@@ -833,7 +833,7 @@ def traced_peak(fn):
 
 
 class TestTaskMemory:
-    """A v5a task is built and summarized without a second copy of its X."""
+    """A task is built and summarized without a second copy of its X."""
 
     def test_build_task_holds_one_copy_of_X(self):
         cfg = preset("v5a_constant_noise")
@@ -844,6 +844,13 @@ class TestTaskMemory:
         task = build_task(preset("v5a_constant_noise"))
         _, peak = traced_peak(lambda: task.metric_inputs)
         assert peak < 0.25 * task.dataset.X.nbytes
+
+    def test_softmax_metric_inputs_gather_X_once(self):
+        # the gathered rows are the one copy kept; the rest are per-row index, label and
+        # weight arrays (a second copy of X, as a list of shards, read 2.35 X here)
+        task = build_task(preset("classification_noniid"))
+        _, peak = traced_peak(lambda: task.metric_inputs)
+        assert peak < task.dataset.X.nbytes + 8 * task.dataset.y.nbytes
 
 
 class TestRunNoisySgd:

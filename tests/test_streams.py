@@ -15,7 +15,7 @@ from noisyfed.cli import main
 from noisyfed.data import SyntheticRegressionSpec, generate_regression, partition_iid
 from noisyfed.fedavg import Task
 from noisyfed.model import LossModel
-from noisyfed.theory import _SIGMA2_STREAM, empirical_sigma2
+from noisyfed.theory import empirical_sigma2
 from oracles import numpy_choices, numpy_normals
 
 words32 = st.integers(0, 2**32 - 1)
@@ -274,17 +274,20 @@ class TestChoices:
 
 
 class TestTrialBatches:
-    """empirical_sigma2's batches: one key's successive draws, one shard size per draw."""
+    """The Monte-Carlo sigma^2 oracle's trial batches: one key's successive draws, one
+    shard size per draw."""
+
+    STREAM = 0x516
 
     @staticmethod
     def sequential(sizes, count, b, seed):
-        rng = np.random.default_rng([seed, _SIGMA2_STREAM])
+        rng = np.random.default_rng([seed, TestTrialBatches.STREAM])
         return np.stack([rng.choice(m, b, replace=False) for m in sizes for _ in range(count)])
 
     @staticmethod
     def replayed(sizes, count, b, seed):
         sizes = np.repeat(sizes, count)
-        return streams.choices(streams.key_rows(seed, _SIGMA2_STREAM), sizes[None], b,
+        return streams.choices(streams.key_rows(seed, TestTrialBatches.STREAM), sizes[None], b,
                                len(sizes))[0]
 
     @settings(max_examples=100, deadline=None)
@@ -319,7 +322,7 @@ class TestTrialBatches:
         got = self.replayed(sizes, 3, 5, 4)
         monkeypatch.undo()
         assert len(calls) == 3 and 0 == calls[0] < calls[1] < calls[2]  # a window per shard
-        assert redrawn == [(4, _SIGMA2_STREAM)]  # the whole key, from its first draw
+        assert redrawn == [(4, self.STREAM)]  # the whole key, from its first draw
         assert np.array_equal(got, self.sequential(sizes, 3, 5, 4))
 
     def test_tail_shuffle_shard_redraws_everything_from_numpy(self):
@@ -331,7 +334,7 @@ class TestTrialBatches:
         task = Task(dataset, LossModel("mse_linear", dim=1), partition_iid(9, 2, seed=0))
         assert task.shard_sizes == (5, 4)
         with pytest.raises(ValueError, match="batch_size"):
-            empirical_sigma2(task, [np.zeros(1)], 5, trials=1, seed=0)
+            empirical_sigma2(task, [np.zeros(1)], 5)
 
 
 def test_outputs_equal_with_every_key_drawn_by_numpy(tmp_path, monkeypatch, capsys):

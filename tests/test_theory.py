@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from noisyfed.data import partition_iid
 from noisyfed.fedavg import Task, learning_rate
@@ -154,6 +154,33 @@ class TestBcdCounterexample:
             assert bcd_gap(w, 2) > G * G
 
 
+def sigma2_case(kind, C, n, per, extra, d, n_probes, seed):
+    """A task of m = n * per + extra % n rows in n iid shards of per or per + 1 rows, and
+    the zero probe plus n_probes - 1 Gaussian ones; a softmax case needs m >= C."""
+    from noisyfed.data import SyntheticRegressionSpec, generate_classification, generate_regression
+    from noisyfed.model import LossModel
+
+    m = n * per + extra % n
+    assume(m >= C)
+    if kind == "mse_linear":
+        ds = generate_regression(SyntheticRegressionSpec(m=m, d=d), seed)
+        model = LossModel(kind, dim=d)
+    else:
+        ds = generate_classification(m, d, C, 2.0, seed)
+        model = LossModel(kind, dim=C * d, n_classes=C)
+    rng = np.random.default_rng(seed)
+    probes = [np.zeros(model.dim)] + [rng.standard_normal(model.dim)
+                                      for _ in range(n_probes - 1)]
+    return Task(ds, model, partition_iid(m, n, seed)), probes
+
+
+sigma2_cases = dict(case=st.sampled_from([("mse_linear", 0), ("softmax_linear", 3),
+                                          ("softmax_linear", 9)]),
+                    n=st.integers(2, 6), per=st.integers(2, 20), extra=st.integers(0, 5),
+                    d=st.integers(1, 4), n_probes=st.integers(1, 4),
+                    b_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+
+
 class TestEmpiricalSigma2:
     def _task(self, m=300, d=5, seed=0):
         from noisyfed.data import SyntheticRegressionSpec, generate_regression
@@ -166,26 +193,57 @@ class TestEmpiricalSigma2:
         return Task(ds, model, partition_iid(m, 3, seed))
 
     def test_full_batch_has_no_variance(self):
-        got = empirical_sigma2(self._task(), [np.zeros(5)], batch_size=100, trials=3, seed=0)
-        assert got < 1e-20
-
-    def test_monte_carlo_stabilizes(self):
-        task = self._task()
-        a = empirical_sigma2(task, [np.zeros(5)], 10, trials=400, seed=1)
-        b = empirical_sigma2(task, [np.zeros(5)], 10, trials=800, seed=2)
-        assert abs(a - b) / a < 0.10
+        assert empirical_sigma2(self._task(), [np.zeros(5)], batch_size=100) == 0.0
 
     def test_scales_inversely_with_batch_size(self):
+        # shards of m = 100: (m - b) / (b (m - 1)) gives v5 / v20 = 4 (m - 5) / (m - 20)
         task = self._task()
-        v5 = empirical_sigma2(task, [np.zeros(5)], 5, trials=600, seed=3)
-        v20 = empirical_sigma2(task, [np.zeros(5)], 20, trials=600, seed=4)
-        assert 3.0 < v5 / v20 < 5.5
+        v5 = empirical_sigma2(task, [np.zeros(5)], 5)
+        v20 = empirical_sigma2(task, [np.zeros(5)], 20)
+        assert v5 / v20 == pytest.approx(4 * 95 / 80, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**sigma2_cases)
+    def test_equals_direct_centered_sum(self, case, n, per, extra, d, n_probes, b_frac, seed):
+        from oracles import centered_sigma2
+
+        task, probes = sigma2_case(*case, n, per, extra, d, n_probes, seed)
+        b = 1 + round(b_frac * (per - 1))
+        want = centered_sigma2(task, probes, b)
+        assert empirical_sigma2(task, probes, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**sigma2_cases)
+    def test_equals_monte_carlo_mean(self, case, n, per, extra, d, n_probes, b_frac, seed):
+        # |max_i a_i - max_i c_i| <= max_i |a_i - c_i|, so the exact maximum lies within
+        # the widest shard-and-probe CLT interval of the maximum of the trial means; a
+        # whole-shard batch in another row order leaves a rounding residue of ~1e-32 |g|^2
+        from oracles import monte_carlo_sigma2
+
+        task, probes = sigma2_case(*case, n, per, extra, d, n_probes, seed)
+        b = 1 + round(b_frac * (per - 1))
+        trials = 400
+        sq = monte_carlo_sigma2(task, probes, b, trials, seed)
+        se = sq.std(axis=-1, ddof=1) / np.sqrt(trials)
+        exact = empirical_sigma2(task, probes, b)
+        assert abs(exact - sq.mean(axis=-1).max()) <= 6.0 * se.max() + 1e-12 * exact + 1e-20
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=sigma2_cases["case"], n=st.integers(2, 6), per=st.integers(1, 20),
+           d=st.integers(1, 4), n_probes=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_whole_shard_batches_have_no_variance(self, case, n, per, d, n_probes, seed):
+        task, probes = sigma2_case(*case, n, per, 0, d, n_probes, seed)
+        assert set(task.shard_sizes) == {per}
+        assert empirical_sigma2(task, probes, per) == 0.0
 
     @pytest.mark.parametrize("kind", ["mse_linear", "softmax_linear"])
     def test_equals_per_trial_gradient_loop_bitwise(self, kind):
+        # the Monte-Carlo oracle's stacked products against one model.gradient call per
+        # trial batch, each drawn by sample_batch from numpy's own stream
         from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
                                    generate_regression, sample_batch)
         from noisyfed.model import LossModel, full_gradient, gradient
+        from oracles import TRIAL_STREAM, monte_carlo_sigma2
 
         if kind == "mse_linear":
             ds = generate_regression(SyntheticRegressionSpec(m=103, d=4,
@@ -197,20 +255,18 @@ class TestEmpiricalSigma2:
         part = partition_iid(103, 5, 6)  # ragged: shards of 20 and 21 rows
         rng = np.random.default_rng(6)
         probes = [np.zeros(model.dim), rng.standard_normal(model.dim)]
-        # the loop empirical_sigma2 stacks: one model.gradient call per trial batch
-        oracle = np.random.default_rng([6, 0x516])
-        worst = 0.0
+        oracle = np.random.default_rng([6, TRIAL_STREAM])
+        want = []
         for shard in part.shards:
             Xs, ys = ds.X[shard], ds.y[shard]
             for w in probes:
                 ref = full_gradient(model, w, Xs, ys)
-                acc = 0.0
                 for _ in range(7):
                     b = sample_batch(np.arange(shard.size), 9, oracle)
                     diff = gradient(model, w, Xs[b], ys[b]) - ref
-                    acc += float(diff @ diff)
-                worst = max(worst, acc / 7)
-        assert empirical_sigma2(Task(ds, model, part), probes, 9, trials=7, seed=6) == 1.5 * worst
+                    want.append(float(diff @ diff))
+        got = monte_carlo_sigma2(Task(ds, model, part), probes, 9, 7, 6)
+        assert got.ravel().tolist() == want
 
     @settings(max_examples=25, deadline=None)
     @given(case=st.sampled_from([("mse_linear", 0), ("softmax_linear", 3),
@@ -220,44 +276,34 @@ class TestEmpiricalSigma2:
            b_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
     def test_stacked_equals_per_probe_loop_bitwise(self, case, n, per, extra, d, n_probes,
                                                     trials, b_frac, seed):
-        from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
-                                   generate_regression, sample_batch)
-        from noisyfed.model import LossModel, full_gradient
+        from noisyfed.data import sample_batch
+        from noisyfed.model import full_gradient
+        from oracles import TRIAL_STREAM, monte_carlo_sigma2
 
-        kind, C = case
-        m = n * per + extra % n  # ragged: shards of per and per + 1 rows
-        if kind == "mse_linear":
-            ds = generate_regression(SyntheticRegressionSpec(m=m, d=d), seed)
-            model = LossModel(kind, dim=d)
-        else:
-            ds = generate_classification(m, d, C, 2.0, seed)
-            model = LossModel(kind, dim=C * d, n_classes=C)
-        part = partition_iid(m, n, seed)
-        rng = np.random.default_rng(seed)
-        probes = [np.zeros(model.dim)] + [rng.standard_normal(model.dim)
-                                          for _ in range(n_probes - 1)]
+        task, probes = sigma2_case(*case, n, per, extra, d, n_probes, seed)
+        ds, model = task.dataset, task.model
         b = 1 + round(b_frac * (per - 1))
         # per (shard, probe): one full_gradient call, then one per trial batch
-        oracle = np.random.default_rng([seed, 0x516])
-        worst = 0.0
-        for shard in part.shards:
+        oracle = np.random.default_rng([seed, TRIAL_STREAM])
+        want = []
+        for shard in task.partition.shards:
             Xs, ys = ds.X[shard], ds.y[shard]
             for w in probes:
                 ref = full_gradient(model, w, Xs, ys)
-                acc = 0.0
                 for _ in range(trials):
                     rows = sample_batch(np.arange(shard.size), b, oracle)
                     diff = full_gradient(model, w, Xs[rows], ys[rows]) - ref
-                    acc += float(diff @ diff)
-                worst = max(worst, acc / trials)
-        got = empirical_sigma2(Task(ds, model, part), probes, b, trials, seed)
-        assert got == 1.5 * worst
+                    want.append(float(diff @ diff))
+        got = monte_carlo_sigma2(task, probes, b, trials, seed)
+        assert got.ravel().tolist() == want
 
     def test_bad_probes_rejected(self):
         task = self._task()
         with pytest.raises(ValueError, match="probe"):
-            empirical_sigma2(task, [], 10, trials=3, seed=0)  # used to return 0.0
+            empirical_sigma2(task, [], 10)  # used to return 0.0
         with pytest.raises(ValueError, match="params"):
-            empirical_sigma2(task, [np.zeros(5), np.zeros(4)], 10, trials=3, seed=0)
+            empirical_sigma2(task, [np.zeros(5), np.zeros(4)], 10)
         with pytest.raises(ValueError, match="params"):
-            empirical_sigma2(task, [np.full(5, np.nan)], 10, trials=3, seed=0)
+            empirical_sigma2(task, [np.full(5, np.nan)], 10)
+        with pytest.raises(ValueError, match="batch_size"):
+            empirical_sigma2(task, [np.zeros(5)], 0)
