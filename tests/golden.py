@@ -1,9 +1,11 @@
 """Golden outputs: every file and the stdout of a fixed set of CLI invocations.
 
 The cases are the three benchmark workloads at workload seeds 0 and 7, each from
-``perfbench/workloads.py``'s ``config_text`` and ``cli_argv``, and ``noisyfed bounds``
-with and without ``--csv`` on ``configs/v5a_snr_control.json``. They run in one child
-process with ``workloads.THREAD_ENV`` (one BLAS thread), each in its own directory.
+``perfbench/workloads.py``'s ``config_text`` and ``cli_argv``; ``noisyfed bounds``
+with and without ``--csv`` on ``configs/v5a_snr_control.json``; ``noisyfed sweep
+--axis E`` on ``configs/v5a_sweep.json``; and an sgd-mode ``run`` of the config
+``SGD``, the one CLI path with no preset. They run in one child process with
+``workloads.THREAD_ENV`` (one BLAS thread), each in its own directory.
 
 ``tests/golden/<case>/`` holds what each case wrote, file by file, and its stdout as
 ``stdout.txt``; ``tests/golden/environment.json`` holds the numpy and BLAS that wrote
@@ -31,6 +33,15 @@ ENVIRONMENT = GOLDEN / "environment.json"
 STDOUT = "stdout.txt"
 REL_TOL = 1e-9
 
+# noisy SGD with both channels on, T spanning more than one streams.choices call
+SGD = {"task": "regression_v5a", "mode": "sgd",
+       "data": {"m": 3000, "d": 20, "seed": 5, "label_noise_variance": 0.05},
+       "fedavg": {"n": 10, "r": 5, "E": 1, "K": 10, "gamma": 18.0, "batch_size": 16},
+       "sgd": {"T": 2500, "eta": 0.05, "batch_size": 16},
+       "uplink": {"kind": "constant", "base_std": 0.1},
+       "downlink": {"kind": "poly_decay", "base_std": 0.2, "decay_exponent": 0.5},
+       "repeat_seeds": [1, 2]}
+
 _spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                ROOT / "perfbench" / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)
@@ -48,6 +59,11 @@ def cases() -> dict:
     snr = str(ROOT / "configs" / "v5a_snr_control.json")
     out["bounds_v5a_snr_control"] = (None, ["bounds", "--config", snr])
     out["bounds_csv_v5a_snr_control"] = (None, ["bounds", "--config", snr, "--csv"])
+    sweep = str(ROOT / "configs" / "v5a_sweep.json")
+    out["sweep_E_v5a_sweep"] = (None, ["sweep", "--config", sweep, "--axis", "E",
+                                       "--values", "1,3", "--out", "out/sweep"])
+    out["sgd_run"] = (json.dumps(SGD, indent=2) + "\n",
+                      ["run", "--config", "config.json", "--out", "out/sgd"])
     return out
 
 
