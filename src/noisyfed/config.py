@@ -187,6 +187,9 @@ def parse_config(text: str, source: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{source}:{_line_of(text, 'fedavg')}: fedavg: {exc}") from exc
     if data.partition == "iid" and data.m < fed.n:
         raise ConfigError(f"{source}:{_line_of(text, 'n', 'fedavg')}: need m >= n clients")
+    if top["mode"] == "fedavg" and fed.n < 2:
+        raise ConfigError(f"{source}:{_line_of(text, 'n', 'fedavg')}: fedavg mode needs n >= 2 "
+                          "clients")
 
     sgd = None
     if top["sgd"] is not None:

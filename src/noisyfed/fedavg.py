@@ -31,11 +31,13 @@ Randomness is drawn from independent streams keyed by
 toggles never perturb unrelated draws; two runs with equal configs and
 seeds are bit-identical, and paired runs differing only in one channel
 share every other draw. ``round_draws`` makes all of a seed's draws up
-front: every round's cohort and batch rows (``streams.choices``,
-bit-identical to numpy's own draws) and unit-variance channel noise, (K, d)
-for the downlink and (K, r, d) for the uplink (``streams.normals``), keyed
-by ``streams.key_rows``. Replicas share these draws: a round's downlink and
-uplink draws are scaled by each replica's own variance.
+front, keyed by ``streams.key_rows`` and seeded in two passes: every
+round's cohort, its clients' batches (``streams.choices`` on each client's
+shard, bit-identical to numpy's own draws), held as the dataset rows the
+round loop reads, and unit-variance channel noise, (K, d) for the downlink
+and (K, r, d) for the uplink (``streams.normals``). Replicas share these
+draws: a round's downlink and uplink draws are scaled by each replica's
+own variance.
 
 The reported train loss and gradient norm never feed back into training.
 For ``mse_linear`` both loops evaluate them in O(d^2) from per-client
@@ -196,14 +198,27 @@ class Task:
 
 @dataclass(frozen=True)
 class RoundDraws:
-    """Every draw of one seed's runs, read-only: (K, r) ``cohorts``, (K, r, E, b)
-    ``batches`` of shard rows sorted within each step, both int64, and unit-variance
-    noise, ``downlink`` (K, d) by round and ``uplink`` (K, r, d) with row [k, j] for
-    client ``cohorts[k, j]``; each None when no run has that channel on."""
+    """Every draw of one seed's runs, read-only: (K, r) ``cohorts`` and (K, r, E, b)
+    ``rows``, both int64, and unit-variance noise, ``downlink`` (K, d) by round and
+    ``uplink`` (K, r, d); row [k, j] of ``rows`` and ``uplink`` is client
+    ``cohorts[k, j]``'s. ``rows`` holds dataset rows: each step's batch of the
+    client's shard rows, sorted, then mapped through ``Task.row_map``. The noise
+    arrays are None when no run has that channel on."""
     cohorts: np.ndarray
-    batches: np.ndarray
+    rows: np.ndarray
     downlink: np.ndarray | None
     uplink: np.ndarray | None
+
+
+def _seeded(seed: int, *columns):
+    """``streams.seed_keys`` of ``streams.key_rows(seed, *c)`` for each tuple c of
+    ``columns``, in one seeding pass; None where c is None. The rows are equally
+    long because every key is [seed, k, i, purpose]."""
+    rows = [streams.key_rows(seed, *c) for c in columns if c is not None]
+    keys = streams.seed_keys(np.concatenate(rows))
+    ends = np.cumsum([len(r) for r in rows]).tolist()
+    seeded = iter([keys[end - len(r):end] for r, end in zip(rows, ends)])
+    return [None if c is None else next(seeded) for c in columns]
 
 
 def round_draws(config: FedAvgConfig, task: Task, seed: int, channels=()) -> RoundDraws:
@@ -216,7 +231,10 @@ def round_draws(config: FedAvgConfig, task: Task, seed: int, channels=()) -> Rou
     (seed, k, i, batch), and the channel noise is ``standard_normal(d)`` of
     streams (seed, k, 0, downlink) and (seed, k, i, uplink), for each channel
     some pair has on. Runs that differ only in their variances or learning
-    rate consume the same draws.
+    rate consume the same draws. The cohort keys are seeded first, since the
+    batch and uplink keys name the cohorts' clients; then the batch and
+    noise keys together. The batches' shard rows become dataset rows in
+    place, so the seed holds one (K, r, E, b) array.
     """
     if task.partition.n_clients != config.n:
         raise ValueError("partition must have exactly n shards")
@@ -224,18 +242,23 @@ def round_draws(config: FedAvgConfig, task: Task, seed: int, channels=()) -> Rou
     if b > min(task.shard_sizes):
         raise ValueError("batch_size exceeds a client shard")
     ks, d = np.arange(K), task.model.dim
-    cohorts = streams.choices(streams.key_rows(seed, ks, 0, _SAMPLE), n, r, 1, sort=True)[:, 0]
+    cohorts = streams.choices(streams.seed_keys(streams.key_rows(seed, ks, 0, _SAMPLE)), n, r, 1,
+                              sort=True)[:, 0]
     rounds, clients = np.repeat(ks, r), cohorts.ravel()
-    sizes = np.array(task.shard_sizes)[clients]
-    batches = streams.choices(streams.key_rows(seed, rounds, clients, _BATCH), sizes, b, E,
-                              sort=True).reshape(K, r, E, b)
-    downlink = uplink = None
-    if any(not down.off for _, down in channels):
-        downlink = _read_only(streams.normals(streams.key_rows(seed, ks, 0, _DOWNLINK), d))
-    if any(not up.off for up, _ in channels):
-        uplink = _read_only(streams.normals(streams.key_rows(seed, rounds, clients, _UPLINK),
-                                            d).reshape(K, r, d))
-    return RoundDraws(_read_only(cohorts), _read_only(batches), downlink, uplink)
+    down = any(not link.off for _, link in channels)
+    up = any(not link.off for link, _ in channels)
+    batch_keys, down_keys, up_keys = _seeded(seed, (rounds, clients, _BATCH),
+                                             (ks, 0, _DOWNLINK) if down else None,
+                                             (rounds, clients, _UPLINK) if up else None)
+    rows = streams.choices(batch_keys, np.array(task.shard_sizes)[clients], b, E, sort=True)
+    rows += task.offsets[clients, None, None]
+    # rows is both the index and the output: each slot's index is read before the slot
+    # is written, and mode "clip" (every index is in range) leaves the output unbuffered,
+    # so no second (K r, E, b) array is made
+    np.take(task.row_map, rows, out=rows, mode="clip")
+    downlink = None if down_keys is None else _read_only(streams.normals(down_keys, d))
+    uplink = None if up_keys is None else _read_only(streams.normals(up_keys, d).reshape(K, r, d))
+    return RoundDraws(_read_only(cohorts), _read_only(rows.reshape(K, r, E, b)), downlink, uplink)
 
 
 def _metric_inputs(loss_model, X, y, shards):
@@ -314,11 +337,14 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
     its parameter norm exceeds 1e12, and the offending round's row carries
     the diverged flag; the others step on. All draws come from one
     round_draws call, which also checks the seed, the shard count and the
-    batch size.
+    batch size. It needs n >= 2 clients, because k*'s weights (``zeta``) do,
+    and checks that before drawing anything.
     """
     loss_model, dataset = task.model, task.dataset
     if loss_model.smoothness is None:
         raise ValueError("loss_model.smoothness must be set (see smoothness_constant)")
+    if config.n < 2:
+        raise ValueError("need n >= 2 clients")
     channels = list(channels)
     if not channels:
         raise ValueError("need at least one (uplink, downlink) pair")
@@ -328,7 +354,7 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
     L = loss_model.smoothness
     eta = step_size(config, L)
     d = loss_model.dim
-    inputs, row_map, offsets = task.metric_inputs, task.row_map, task.offsets
+    inputs = task.metric_inputs
 
     # what the rounds read that no model changes, per replica: its variances by round,
     # its scaled downlink noise and its client-mean uplink noise, (K, d) each and None
@@ -379,11 +405,10 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
                     if v_dn[a] > 0:
                         W_recv[a] += down_noise[j][k]
 
-            rows = row_map[offsets[draws.cohorts[k], None, None] + draws.batches[k]]
             # a lone replica steps from a 1-D start: the (1, P) form costs it a few percent
             w_ends, accs = backend.local_steps(loss_model.kind, dataset.X, dataset.y,
-                                               W_recv[0] if len(live) == 1 else W_recv, eta, rows,
-                                               loss_model.n_classes)
+                                               W_recv[0] if len(live) == 1 else W_recv, eta,
+                                               draws.rows[k], loss_model.n_classes)
             w_ends, accs = w_ends.reshape(len(live), r, d), accs.reshape(len(live), r, d)
             W_next = W_recv - eta * (np.add.reduce(accs, axis=1) / r)
 
@@ -459,12 +484,14 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
         warnings.warn(f"eta={eta:.6g} exceeds 1/L={1.0 / L:.6g}")
     d = loss_model.dim
     ts = np.arange(T)
-    batches = streams.choices(streams.key_rows(seed, ts, 0, _BATCH), len(dataset), batch_size, 1,
-                              sort=True)[:, 0]
+    batch_keys, down_keys, up_keys = _seeded(seed, (ts, 0, _BATCH),
+                                             None if downlink.off else (ts, 0, _DOWNLINK),
+                                             None if uplink.off else (ts, 0, _UPLINK))
+    batches = streams.choices(batch_keys, len(dataset), batch_size, 1, sort=True)[:, 0]
     if not downlink.off:
-        down_noise = streams.normals(streams.key_rows(seed, ts, 0, _DOWNLINK), d)
+        down_noise = streams.normals(down_keys, d)
     if not uplink.off:
-        up_noise = streams.normals(streams.key_rows(seed, ts, 0, _UPLINK), d)
+        up_noise = streams.normals(up_keys, d)
     w = np.zeros(d)
     metrics: list[RoundMetrics] = []
     status, div_at = "completed", None

@@ -3,20 +3,38 @@
 A stream keyed by a list of ints is ``np.random.default_rng(key)``: a PCG64
 seeded through a SeedSequence, which hashes the ints as one row of uint32
 words, each low word first. Here a key is that row (``key_rows`` builds
-them), so a seed of any size replays. The SeedSequence hash runs for all
-keys together, and so does PCG64's seeding, one 128-bit multiply-add per
-key on uint64 limbs (``_limbs``). ``words`` and ``normals`` then put one
-private PCG64 in each key's state in turn and draw from it: ``words`` gives
-each key's first uint32 words in the order a Generator consumes them (the
-low half of each 64-bit output, then the high half), and ``normals`` its
-``standard_normal(d)``. ``choice`` replays
-``Generator.choice(m, b, replace=False)`` on such words: Floyd's algorithm
-with Lemire bounded integers, then the Fisher-Yates shuffle of the b picks.
-It works on (b, N) columns, one contiguous row per pick, so a larger call
-spreads numpy's cost per operation over more draws, until its arrays
+them), so a seed of any size replays.
+
+Keys are seeded once, by the caller: ``seed_keys`` runs the SeedSequence
+hash for all of a key set's rows together, and PCG64's seeding, one 128-bit
+multiply-add per key on uint64 limbs (``_limbs``). That pass costs about
+the same for a hundred keys as for a few thousand, so a caller seeds all
+the keys it knows at once and slices the ``SeededKeys`` it gets; the
+round loop's draws take two passes per seed, one for the cohorts and one
+for the batch and noise keys that name the cohorts' clients. ``words``,
+``normals`` and ``choices`` take ``SeededKeys``; they read the key rows
+only to hand a key to numpy itself.
+
+``words`` and ``normals`` put one private PCG64 in each key's state in turn
+and draw from it: ``words`` gives each key's first uint32 words in the
+order a Generator consumes them (the low half of each 64-bit output, then
+the high half), and ``normals`` its ``standard_normal(d)``. ``choice``
+replays ``Generator.choice(m, b, replace=False)`` on such words: Floyd's
+algorithm with Lemire bounded integers, then the Fisher-Yates shuffle of
+the b picks. It works on (2b - 1, N) columns, one contiguous row per pick
+or swap, which ``choices`` gathers from the words in one step; a larger
+call spreads numpy's cost per operation over more draws, until its arrays
 outgrow the cache: per draw, 2 048 draws per call (``_ROWS``) cost a third
 of 256 and less than 4 096. Callers that sort the picks skip the shuffle,
 whose order they would discard.
+
+Lemire's draw from [0, excl) takes the high word of word * excl and
+rejects the word when the product's low word is below
+(2**32 - excl) % excl. That threshold is a remainder modulo excl, so it is
+below excl, and a low word of excl or more is never rejected. ``_lemire``
+therefore computes the modulo only for low words below excl, about one in
+2**32 / excl, and decides every other word without it: the same decisions
+as the full test.
 
 Setting a key's state is one 32-byte write of its limbs (state lo, state
 hi, inc lo, inc hi) into the PCG64's ``pcg64_random_t``, through a
@@ -47,6 +65,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,14 +208,36 @@ def _state_seat():
     return _checked_seat(_BITGEN)
 
 
-def _seeded(keys):
-    """For each row of ``keys`` in turn, _BITGEN in the state of
-    ``np.random.default_rng(key).bit_generator``; the next step reseeds it.
+@dataclass(frozen=True)
+class SeededKeys:
+    """Key rows and the PCG64 state each one seeds: ``rows`` (N, L) int64 as
+    ``key_rows`` builds them, kept for numpy's own draws where the replay
+    cannot reproduce one, and ``limbs`` (N, 4) uint64 as ``_limbs`` computes
+    them. Indexing takes the same rows of both."""
+    rows: np.ndarray
+    limbs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.limbs)
+
+    def __getitem__(self, index) -> SeededKeys:
+        return SeededKeys(self.rows[index], self.limbs[index])
+
+
+def seed_keys(keys) -> SeededKeys:
+    """``keys``, (N, L) with L >= 1 and every word in [0, 2**32), with their PCG64
+    states: one SeedSequence hash and one seeding pass for all N rows."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return SeededKeys(keys, _limbs(_seed_words(keys)))
+
+
+def _states(limbs):
+    """For each row of ``limbs`` in turn, _BITGEN in that PCG64 state; the next
+    step reseeds it.
 
     Each state is one 32-byte write where the layout check passed, and the
     dict setter where it did not.
     """
-    limbs = _limbs(_seed_words(keys))
     seat, raw = _state_seat(), limbs.tobytes()
     for j in range(len(limbs)):
         if seat is None:
@@ -206,64 +247,76 @@ def _seeded(keys):
         yield _BITGEN
 
 
-def normals(keys, d: int) -> np.ndarray:
-    """(N, d) float64: ``np.random.default_rng(key).standard_normal(d)`` for each key row."""
+def normals(keys: SeededKeys, d: int) -> np.ndarray:
+    """(N, d) float64: ``np.random.default_rng(key).standard_normal(d)`` for each key."""
     out = np.empty((len(keys), d))
     draw = _GEN.standard_normal
-    for row, _ in zip(out, _seeded(keys)):
+    for row, _ in zip(out, _states(keys.limbs)):
         draw(out=row)
     return out
 
 
-def words(keys, n: int, start: int = 0) -> np.ndarray:
+def words(keys: SeededKeys, n: int, start: int = 0) -> np.ndarray:
     """(N, n) uint32: words start .. start + n - 1 of those each key's Generator consumes."""
     lead = start % 2
     raw = np.empty((len(keys), (lead + n + 1) // 2), dtype="<u8")
-    for row, bitgen in zip(raw, _seeded(keys)):
+    for row, bitgen in zip(raw, _states(keys.limbs)):
         if start > 1:
             bitgen.advance(start // 2)
         row[:] = bitgen.random_raw(len(row))
     return raw.view("<u4")[:, lead:lead + n]
 
 
-def _lemire(word, bound):
-    """Lemire's bounded draw in [0, bound] from uint32 words, and where numpy would reject."""
-    excl = np.asarray(bound, dtype=np.uint64) + np.uint64(1)
-    prod = word.astype(np.uint64) * excl
-    rejected = (prod & np.uint64(_MASK32)) < (np.uint64(WORD_LIMIT) - excl) % excl
-    return (prod >> np.uint64(32)).astype(np.int64), rejected
+def _lemire(word, excl):
+    """Lemire's bounded draw in [0, excl) from uint32 words, and where numpy would
+    reject; ``excl`` is uint64 and broadcasts against ``word``.
 
-
-def choice(words, m, b: int, sort: bool = False):
-    """Replay ``Generator.choice(m_i, b, replace=False)`` from each row of ``words``.
-
-    ``words`` is (N, >= 2b - 1) uint32 starting at the row's first draw; ``m``
-    is one population size or one per row, each >= b. Returns the (N, b)
-    int64 picks, in increasing order with ``sort``, and an (N,) mask of rows
-    the replay cannot reproduce: a Lemire rejection, numpy's tail-shuffle
-    branch, or m > 2**32, where numpy draws from 64-bit words. The replay
-    runs on (b, N) columns, so every step reads whole contiguous rows; the
-    duplicate test costs O(b^2) per row. ``sort`` skips the Fisher-Yates
-    shuffle, whose order sorting discards, but still checks its words for
-    rejections: a rejected word shifts every later draw.
+    The draw is the high word of the 64-bit product word * excl. numpy rejects
+    a word whose low product word is below (2**32 - excl) % excl. That
+    threshold is below excl, so only a low word below excl can be rejected,
+    and the modulo runs on those candidates alone.
     """
-    n = len(words)
+    prod = word.astype("<u8")
+    prod *= excl
+    halves = prod.view("<u4")  # each product's low word, then its high word
+    low = halves[..., 0::2]
+    rejected = low < excl
+    if rejected.any():
+        at = np.nonzero(rejected)
+        cand = np.broadcast_to(excl, low.shape)[at]
+        rejected[at] = low[at] < (np.uint64(WORD_LIMIT) - cand) % cand
+    return halves[..., 1::2].astype(np.int64), rejected
+
+
+def choice(cols, m, b: int, sort: bool = False):
+    """Replay ``Generator.choice(m_i, b, replace=False)`` from each column of ``cols``.
+
+    ``cols`` is (2b - 1, N) uint32, one column per draw: row q < b holds the
+    word of Floyd pick q and row b + i that of the shuffle's swap i. A draw
+    with m == b takes no word for pick 0 (numpy draws nothing from [0, 0]),
+    and row 0 of its column is not used. ``m`` is one population size or one
+    per column, each >= b. Returns the (N, b) int64 picks, in increasing
+    order with ``sort``, and an (N,) mask of draws the replay cannot
+    reproduce: a Lemire rejection, numpy's tail-shuffle branch, or
+    m > 2**32, where numpy draws from 64-bit words. Every step reads whole
+    contiguous rows; the duplicate test costs O(b^2) per draw. ``sort``
+    skips the Fisher-Yates shuffle, whose order sorting discards, but still
+    checks its words for rejections: a rejected word shifts every later draw.
+    """
+    n = cols.shape[1]
     m = np.broadcast_to(np.asarray(m, dtype=np.int64), (n,))
-    if b < 1 or (m < b).any() or words.shape[1] < 2 * b - 1:
-        raise ValueError("need 1 <= b <= m and 2b - 1 words per row")
-    cols = np.ascontiguousarray(words[:, :2 * b - 1].T)
-    skip = m == b
-    if skip.any():  # numpy draws nothing from [0, 0], so such a row's words come one later
-        cols = np.where(skip, np.concatenate([cols[:1], cols[:-1]]), cols)
+    if b < 1 or (m < b).any() or len(cols) != 2 * b - 1:
+        raise ValueError("need 1 <= b <= m and 2b - 1 words per draw")
     # Floyd draws pick q from [0, j_q], j_q = m - b + q; then Fisher-Yates swaps
     # pick i with one from [0, i], for i = b - 1 down to 1
-    j = m - b + np.arange(b)[:, None]
-    picks, rejected = _lemire(cols[:b], j)
-    swaps, rejected_swap = _lemire(cols[b:], np.arange(b - 1, 0, -1)[:, None])
+    lift = m - b
+    picks, rejected = _lemire(cols[:b], lift.astype(np.uint64)
+                              + np.arange(1, b + 1, dtype=np.uint64)[:, None])
+    swaps, rejected_swap = _lemire(cols[b:], np.arange(b, 1, -1, dtype=np.uint64)[:, None])
     bad = (m > 10_000) & (b > m // 50) | (m > WORD_LIMIT) | rejected.any(axis=0) \
         | rejected_swap.any(axis=0)
     for q in range(1, b):  # a value already picked becomes j_q
-        np.copyto(picks[q], j[q], where=(picks[:q] == picks[q]).any(axis=0))
+        np.copyto(picks[q], lift + q, where=(picks[:q] == picks[q]).any(axis=0))
     if sort:
         picks.sort(axis=0)
         return picks.T, bad
@@ -275,45 +328,54 @@ def choice(words, m, b: int, sort: bool = False):
     return picks.T, bad
 
 
-def choices(keys, m, b: int, count: int, sort: bool = False) -> np.ndarray:
+def choices(keys: SeededKeys, m, b: int, count: int, sort: bool = False) -> np.ndarray:
     """``count`` successive ``choice(m, b, replace=False)`` of each key's stream.
 
     Returns (N, count, b) int64: ``np.random.default_rng(key)``'s own draws
-    for every key row, each draw's picks in increasing order with ``sort``.
-    ``m`` is one population size, one per key (N,) or one per draw
-    (N, count), each >= b. Each ``choice`` call replays up to _ROWS draws: a
-    block of _ROWS // count keys, or one key's draws _ROWS at a time, from
-    words taken for just those draws. A key the replay cannot reproduce, in
-    any of its draws (every later draw of a stream depends on the words the
-    earlier ones took), is drawn from numpy itself.
+    for every key, each draw's picks in increasing order with ``sort``. ``m``
+    is one population size, one per key (N,) or one per draw (N, count),
+    each >= b. Each ``choice`` call replays up to _ROWS draws: a block of
+    _ROWS // count keys, or one key's draws _ROWS at a time, from words
+    taken for just those draws and gathered in one step into ``choice``'s
+    columns. A key the replay cannot reproduce, in any of its draws (every
+    later draw of a stream depends on the words the earlier ones took), is
+    drawn from numpy itself.
     """
-    keys = np.asarray(keys, dtype=np.int64)
     n = len(keys)
     m = np.asarray(m, dtype=np.int64)
     m = np.broadcast_to(m if m.ndim == 2 else m.reshape(-1, 1), (n, count))
-    out = np.zeros((n, count, b), dtype=np.int64)
+    out = np.empty((n, count, b), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
     # words per draw: b for Floyd (b - 1 when m == b: numpy draws nothing
     # from [0, 0]) and b - 1 for the shuffle
-    per = 2 * b - 1 - (m == b)
+    skip = m == b
+    per = 2 * b - 1 - skip
     starts = np.cumsum(per, axis=1) - per
     nkeys, ndraws = max(1, _ROWS // count), min(count, _ROWS)
-    # a draw with m == b leaves its last word unread
-    window = np.arange(2 * b - 1)[:, None, None]
+    window = np.arange(2 * b - 1)[:, None]
     for lo in range(0, n, nkeys):
         block = slice(lo, lo + nkeys)
-        keyrows = np.arange(len(keys[block]))[:, None]
         for c0 in range(0, count, ndraws):
             draws = slice(c0, c0 + ndraws)
             at = starts[block, draws]
             first = int(at[:, 0].min())
-            stream = words(keys[block], int(at[:, -1].max()) + 2 * b - 1 - first, first)
-            cols = stream[keyrows, at - first + window].reshape(2 * b - 1, -1)
-            picks, bad_w = choice(cols.T, m[block, draws].ravel(), b, sort)
+            # a draw with m == b leaves its last word unread; an even count keeps
+            # the words one contiguous block
+            span = int(at[:, -1].max()) + 2 * b - 1 - first
+            stream = words(keys[block], span + span % 2, first)
+            width = stream.shape[1]
+            # word q of a draw is its start + q, one earlier past pick 0 when m == b
+            base = (at - first + width * np.arange(len(at))[:, None]).ravel()
+            index = window + base
+            gap = skip[block, draws].ravel()
+            if gap.any():
+                index[1:] -= gap
+            picks, bad_w = choice(stream.reshape(-1).take(index), m[block, draws].ravel(), b,
+                                  sort)
             out[block, draws] = picks.reshape(at.shape + (b,))
             bad[block] |= bad_w.reshape(at.shape).any(axis=1)
     for i in np.flatnonzero(bad):
-        rng = np.random.default_rng(keys[i].tolist())
+        rng = np.random.default_rng(keys.rows[i].tolist())
         out[i] = [rng.choice(size, b, replace=False) for size in m[i].tolist()]
         if sort:
             out[i].sort(axis=1)

@@ -28,7 +28,9 @@ def _rng(key):
 
 def numpy_choices(keys, m, b, count, sort=False):
     """(N, count, b): each key's ``count`` successive ``choice(m, b, replace=False)``
-    from its one Generator; ``m`` is a size, one per key or one per draw."""
+    from its one Generator; ``m`` is a size, one per key or one per draw. ``keys`` may
+    be ``streams.SeededKeys``, whose rows are the keys."""
+    keys = getattr(keys, "rows", keys)
     m = np.asarray(m, dtype=np.int64)
     m = np.broadcast_to(m if m.ndim == 2 else m.reshape(-1, 1), (len(keys), count))
     out = np.empty((len(keys), count, b), dtype=np.int64)
@@ -41,7 +43,8 @@ def numpy_choices(keys, m, b, count, sort=False):
 
 
 def numpy_normals(keys, d):
-    """(N, d): each key's ``standard_normal(d)``."""
+    """(N, d): each key's ``standard_normal(d)``; ``keys`` may be ``streams.SeededKeys``."""
+    keys = getattr(keys, "rows", keys)
     out = np.empty((len(keys), d))
     for key, row in zip(keys, out):
         row[:] = _rng(key).standard_normal(d)
@@ -54,15 +57,26 @@ def client_batches(m, batch_size, E, rng):
     return np.stack([np.sort(sample_batch(local, batch_size, rng)) for _ in range(E)])
 
 
-def keyed_stream_draws(cfg, task, seed, channels=()):
-    """A seed's RoundDraws drawn one stream at a time: client_sample and sample_batch on
-    _stream(seed, k, i, purpose), and its unit channel noise from _stream(seed, k, 0,
-    downlink) and _stream(seed, k, i, uplink) for each channel some pair has on."""
+def keyed_stream_batches(cfg, task, seed):
+    """A seed's (K, r) cohorts and (K, r, E, b) batches of shard rows, drawn one stream at
+    a time: client_sample and sample_batch on _stream(seed, k, i, purpose)."""
     cohorts = np.stack([client_sample(cfg.n, cfg.r, _stream(seed, k, 0, _SAMPLE))
                         for k in range(cfg.K)])
     batches = np.stack([[client_batches(task.shard_sizes[i], cfg.batch_size, cfg.E,
                                         _stream(seed, k, i, _BATCH)) for i in cohort]
                         for k, cohort in enumerate(cohorts)])
+    return cohorts, batches
+
+
+def keyed_stream_draws(cfg, task, seed, channels=()):
+    """A seed's RoundDraws drawn one stream at a time: keyed_stream_batches, each batch's
+    shard rows taken from its client's shard in ``task.partition``, and the unit channel
+    noise from _stream(seed, k, 0, downlink) and _stream(seed, k, i, uplink) for each
+    channel some pair has on."""
+    cohorts, batches = keyed_stream_batches(cfg, task, seed)
+    shards = task.partition.shards
+    rows = np.stack([[shards[i][local] for i, local in zip(cohort, round_batches)]
+                     for cohort, round_batches in zip(cohorts, batches)])
     d, downlink, uplink = task.model.dim, None, None
     if any(not down.off for _, down in channels):
         downlink = np.stack([_stream(seed, k, 0, _DOWNLINK).standard_normal(d)
@@ -70,7 +84,7 @@ def keyed_stream_draws(cfg, task, seed, channels=()):
     if any(not up.off for up, _ in channels):
         uplink = np.stack([[_stream(seed, k, i, _UPLINK).standard_normal(d) for i in cohort]
                            for k, cohort in enumerate(cohorts)])
-    return RoundDraws(cohorts, batches, downlink, uplink)
+    return RoundDraws(cohorts, rows, downlink, uplink)
 
 
 def finite_difference_gradient(model: LossModel, params, X, y, step: float) -> np.ndarray:
@@ -127,8 +141,8 @@ def monte_carlo_sigma2(task, probe_params, batch_size, trials, seed):
     W = np.stack([check_params(model, w) for w in probe_params])
     sizes = np.repeat(task.shard_sizes, len(W) * trials)
     # in numpy's order, not sorted: the gradient sums depend on the row order
-    batches = streams.choices(streams.key_rows(seed, TRIAL_STREAM), sizes[None], batch_size,
-                              len(sizes))
+    batches = streams.choices(streams.seed_keys(streams.key_rows(seed, TRIAL_STREAM)), sizes[None],
+                              batch_size, len(sizes))
     batches = batches.reshape(len(task.shard_sizes), len(W), trials, batch_size)
     out = []
     for start, m, local in zip(task.offsets.tolist(), task.shard_sizes, batches):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from noisyfed.cli import main
 from noisyfed.config import (TASKS, ConfigError, SgdBlock, canonical_dict, load_config,
@@ -97,6 +97,7 @@ def config_docs(draw):
     put(doc, "sgd", st.none() | st.fixed_dictionaries(
         {"T": st.integers(1, 1000), "eta": POSITIVE, "batch_size": st.integers(1, 64)}))
     put(doc, "mode", st.sampled_from(["fedavg", "sgd"] if doc.get("sgd") else ["fedavg"]))
+    assume(n >= 2 or doc.get("mode") == "sgd")  # a federated run needs two clients
     put(doc, "uplink", schedule_blocks())
     put(doc, "downlink", schedule_blocks())
     put(doc, "out_prefix", st.text("abc/_", max_size=12))
@@ -256,6 +257,23 @@ class TestRunCommand:
         assert key in (tmp_path / "config.json").read_text().splitlines()[line - 1]
         assert f"{where} must be >= 0" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--axis", "E", "--values", "1,2"],
+                                      ["bounds"]])
+    def test_one_client_fedavg_exits_2_before_running(self, tmp_path, capsys, argv):
+        doc = tiny_doc()
+        doc["fedavg"] = dict(doc["fedavg"], n=1, r=1)
+        cfgp = write_doc(tmp_path, doc)
+        out = tmp_path / "o"
+        extra = ["--out", str(out / "run")] if argv[0] != "bounds" else []
+        assert main([argv[0], "--config", cfgp, *argv[1:], *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfgp}:") and "fedavg mode needs n >= 2 clients" in err
+        line = int(err.split(":")[2])
+        assert '"n"' in (tmp_path / "config.json").read_text().splitlines()[line - 1]
+        assert not out.exists()
+        # sgd mode has no k* weights to compute, so one client stays valid there
+        parse_config(json.dumps(dict(doc, mode="sgd", sgd={"T": 3, "eta": 0.1, "batch_size": 4})))
 
     def test_negative_seed_override_rejected(self, tmp_path, capsys):
         cfgp = write_doc(tmp_path, tiny_doc())

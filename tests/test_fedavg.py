@@ -23,7 +23,7 @@ from noisyfed.fedavg import (_BATCH, _SAMPLE, FedAvgConfig, Task, _global_metric
                              run_replicas, sample_kstar)
 from noisyfed.model import LossModel, full_gradient, loss, smoothness_constant
 from noisyfed.theory import min_rounds
-from oracles import client_batches, keyed_stream_draws
+from oracles import client_batches, keyed_stream_batches, keyed_stream_draws
 from presets import preset
 
 
@@ -289,6 +289,18 @@ class TestRunNoisyFedavg:
         assert a.metrics[0].train_loss == b.metrics[0].train_loss
         assert not np.array_equal(a.final_params, b.final_params)
 
+    def test_one_client_rejected_before_any_draw(self, monkeypatch):
+        # k*'s weights need n >= 2; a one-client run used to fail only after its rounds
+        ds = generate_regression(SyntheticRegressionSpec(m=40, d=2), seed=0)
+        task = Task(ds, LossModel("mse_linear", dim=2, smoothness=1.0), partition_iid(40, 1, 0))
+        cfg = tiny_config(n=1, r=1, batch_size=8)
+        assert round_draws(cfg, task, 0).rows.shape == (3, 1, 1, 8)  # draws still take n = 1
+        drawn = []
+        monkeypatch.setattr(fedavg, "round_draws", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="need n >= 2"):
+            run_noisy_fedavg(cfg, task, 0)
+        assert drawn == []
+
     def test_divergence_is_recorded_not_raised(self, tiny_task):
         cfg = tiny_config(K=50, learning_rate_override=5.0)
         res = run_noisy_fedavg(cfg, tiny_task, 0)
@@ -343,10 +355,9 @@ class TestRunNoisyFedavg:
                 v_up, v_dn = variance_at(up, k, E), variance_at(dn, k, E)
                 w_recv = w + draws.downlink[k] * np.sqrt(v_dn) if v_dn > 0 else w
                 ends, accs = [], []
-                for i, batches in zip(draws.cohorts[k], draws.batches[k]):
-                    shard = task.partition.shards[i]
-                    w1, acc = backend.local_steps(model.kind, X[shard], y[shard], w_recv,
-                                                  res.eta, batches, model.n_classes)
+                for rows in draws.rows[k]:
+                    w1, acc = backend.local_steps(model.kind, X, y, w_recv, res.eta, rows,
+                                                  model.n_classes)
                     ends.append(w1)
                     accs.append(acc)
                 w_next = w_recv - res.eta * np.mean(accs, axis=0)
@@ -591,7 +602,12 @@ class TestSharedDraws:
                            batch_size=b)
         dataset = generate_regression(SyntheticRegressionSpec(m=m, d=1), seed=3)
         task = Task(dataset, LossModel("mse_linear", dim=1), partition)
-        self.assert_keyed_stream_draws(round_draws(cfg, task, seed), cfg, task, seed)
+        draws = round_draws(cfg, task, seed)
+        self.assert_keyed_stream_draws(draws, cfg, task, seed)
+        # dataset rows: the oracle's shard rows through the task's row map
+        cohorts, batches = keyed_stream_batches(cfg, task, seed)
+        assert np.array_equal(draws.rows,
+                              task.row_map[task.offsets[cohorts][..., None, None] + batches])
 
     def test_rejection_redraws_only_its_stream(self, monkeypatch):
         partition = partition_iid(1003, 16, seed=5)  # ragged: shards of 62 and 63 rows
@@ -633,7 +649,7 @@ class TestSharedDraws:
            d=st.integers(1, 4))
     def test_noise_streams_equal_keyed_streams(self, seed, d):
         keys = [(0, 0, fedavg._DOWNLINK), (3, 7, fedavg._UPLINK), (2, 1, fedavg._UPLINK)]
-        got = streams.normals(streams.key_rows(seed, *zip(*keys)), d)
+        got = streams.normals(streams.seed_keys(streams.key_rows(seed, *zip(*keys))), d)
         for j in (2, 0, 1):
             assert np.array_equal(got[j], _stream(seed, *keys[j]).standard_normal(d))
 
@@ -665,7 +681,7 @@ class TestSharedDraws:
 
         def drawn_then_closed(*args):
             made.append(round_draws(*args))
-            for name in ("choices", "normals", "words"):
+            for name in ("choices", "normals", "words", "seed_keys", "key_rows"):
                 monkeypatch.setattr(streams, name, None)
             return made[-1]
         monkeypatch.setattr(fedavg, "round_draws", drawn_then_closed)
@@ -851,6 +867,18 @@ class TestTaskMemory:
         task = build_task(preset("classification_noniid"))
         _, peak = traced_peak(lambda: task.metric_inputs)
         assert peak < task.dataset.X.nbytes + 8 * task.dataset.y.nbytes
+
+
+class TestDrawMemory:
+    def test_round_draws_hold_one_rows_array(self):
+        # shard rows become dataset rows in place: a second (K, r, E, b) array, as
+        # row_map[rows] makes, read 2.13 rows here against 1.61; the rest is the keys and
+        # streams.choices' temporaries, which _ROWS bounds
+        ds = generate_regression(SyntheticRegressionSpec(m=3000, d=2), seed=0)
+        task = Task(ds, LossModel("mse_linear", dim=2), partition_iid(3000, 20, 0))
+        cfg = FedAvgConfig(n=20, r=10, E=5, K=1000, gamma=18.0, batch_size=16)
+        draws, peak = traced_peak(lambda: round_draws(cfg, task, 1))
+        assert peak < 1.9 * draws.rows.nbytes
 
 
 class TestRunNoisySgd:

@@ -25,10 +25,11 @@ seeds = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]), word
 
 
 def replay_flags(key, m, b, count):
-    """Whether the replay itself flags one of the key's ``count`` draws of choice(m, b)."""
-    per = 2 * b - 1 - (m == b)
-    words = streams.words([key], count * per + 1)
-    return any(streams.choice(words[:, c * per:c * per + 2 * b - 1], m, b)[1][0]
+    """Whether the replay itself flags one of the key's ``count`` draws of choice(m, b),
+    m > b: each draw's 2b - 1 words, in turn, as one column of ``streams.choice``."""
+    per = 2 * b - 1
+    words = streams.words(streams.seed_keys([key]), count * per)[0]
+    return any(streams.choice(words[c * per:(c + 1) * per, None], m, b)[1][0]
                for c in range(count))
 
 
@@ -78,9 +79,9 @@ class TestSeeding:
            start=st.integers(0, 40), d=st.integers(1, 5))
     def test_words_and_normals_continue_numpy(self, key, n, start, d):
         raw = np.random.default_rng(key).bit_generator.random_raw(41)
-        assert np.array_equal(streams.words([key], n, start)[0],
+        assert np.array_equal(streams.words(streams.seed_keys([key]), n, start)[0],
                               raw.astype("<u8").view("<u4")[start:start + n])
-        assert np.array_equal(streams.normals([key, key], d)[1],
+        assert np.array_equal(streams.normals(streams.seed_keys([key, key]), d)[1],
                               np.random.default_rng(key).standard_normal(d))
 
     @settings(max_examples=100, deadline=None)
@@ -88,7 +89,7 @@ class TestSeeding:
            columns=st.lists(st.tuples(words32, words32), min_size=1, max_size=6),
            d=st.integers(1, 9))
     def test_normals_equal_numpy_for_every_key(self, seed, columns, d):
-        got = streams.normals(streams.key_rows(seed, *zip(*columns)), d)
+        got = streams.normals(streams.seed_keys(streams.key_rows(seed, *zip(*columns))), d)
         assert got.shape == (len(columns), d)
         for (i, j), row in zip(columns, got):
             assert np.array_equal(row, np.random.default_rng([seed, i, j]).standard_normal(d))
@@ -97,7 +98,7 @@ class TestSeeding:
         # in the pool and past it
         for keys in ([(2**32, 0)], [(-1, 0)], [(1, 2, 3, 4, 2**32)], [(1, 2, 3, 4, 5, -1)]):
             with pytest.raises(ValueError, match="keys"):
-                streams.words(keys, 1)
+                streams.seed_keys(keys)
 
 
 # the words SeedSequence hashes for a list of ints (a numpy internal, so checked if present)
@@ -126,8 +127,9 @@ class TestKeyRows:
         columns = data.draw(st.lists(st.lists(words32, min_size=n, max_size=n), max_size=3))
         rows = streams.key_rows(seed, *columns)
         keys = [[seed, *key] for key in zip(*columns)] if columns else [[seed]]
-        assert np.array_equal(streams.normals(rows, d), numpy_normals(keys, d))
-        assert np.array_equal(streams.choices(rows, b + extra, b, count),
+        seeded = streams.seed_keys(rows)
+        assert np.array_equal(streams.normals(seeded, d), numpy_normals(keys, d))
+        assert np.array_equal(streams.choices(seeded, b + extra, b, count),
                               numpy_choices(keys, b + extra, b, count))
 
     def test_columns_broadcast(self):
@@ -144,9 +146,10 @@ class TestStateWrite:
     keys = [(0, 0, 0, 0), (2**32 - 1,) * 4, (5, 17, 3, 2), (9, 2**32 - 2, 1, 1)]
 
     def test_dict_setter_path_draws_the_same(self, monkeypatch):
-        written = streams.words(self.keys, 9, 3), streams.normals(self.keys, 6)
+        keys = streams.seed_keys(self.keys)
+        written = streams.words(keys, 9, 3), streams.normals(keys, 6)
         monkeypatch.setattr(streams, "_state_seat", lambda: None)
-        set_by_dict = streams.words(self.keys, 9, 3), streams.normals(self.keys, 6)
+        set_by_dict = streams.words(keys, 9, 3), streams.normals(keys, 6)
         for a, b in zip(written, set_by_dict):
             assert np.array_equal(a, b)
         for key, row in zip(self.keys, set_by_dict[1]):
@@ -172,7 +175,8 @@ class TestChoices:
     def test_equal_numpy_on_every_good_row(self, seed, k, clients, b, extra, count):
         # every row is good: a flagged row comes from numpy inside streams
         sizes = [b + extra[j] for j in range(len(clients))]  # m = b included
-        got = streams.choices(streams.key_rows(seed, k, clients, 1), sizes, b, count)
+        got = streams.choices(streams.seed_keys(streams.key_rows(seed, k, clients, 1)), sizes, b,
+                              count)
         assert got.shape == (len(clients), count, b) and got.dtype == np.int64
         assert np.array_equal(got, numpy_choices([(seed, k, i, 1) for i in clients], sizes, b,
                                                  count))
@@ -187,7 +191,8 @@ class TestChoices:
         keys = [(seed, j) for j in range(n_keys)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(streams, "_ROWS", per_call)  # calls that split keys and their draws
-            got = streams.choices(streams.key_rows(seed, np.arange(n_keys)), sizes, b, count)
+            got = streams.choices(streams.seed_keys(streams.key_rows(seed, np.arange(n_keys))),
+                                  sizes, b, count)
         for key, row_sizes, rows in zip(keys, sizes.tolist(), got):
             rng = np.random.default_rng(list(key))
             assert np.array_equal(rows, [rng.choice(m, b, replace=False) for m in row_sizes])
@@ -200,7 +205,7 @@ class TestChoices:
         monkeypatch.setattr(streams, "_ROWS", per_call)
         keys = [(11, j, 0, 1) for j in range(n_keys)]
         sizes = 3 + np.arange(n_keys * count).reshape(n_keys, count) % 4
-        got = streams.choices(keys, sizes, 2, count)
+        got = streams.choices(streams.seed_keys(keys), sizes, 2, count)
         for key, row_sizes, rows in zip(keys, sizes.tolist(), got):
             rng = np.random.default_rng(list(key))
             assert np.array_equal(rows, [rng.choice(m, 2, replace=False) for m in row_sizes])
@@ -210,15 +215,15 @@ class TestChoices:
         keys = [(7, k, 0, 4) for k in range(200)]
         flagged = [replay_flags(key, 3_000_000_000, 3, 2) for key in keys]
         assert 0 < sum(flagged) < len(keys)
-        got = streams.choices(keys, 3_000_000_000, 3, 2)
+        got = streams.choices(streams.seed_keys(keys), 3_000_000_000, 3, 2)
         assert np.array_equal(got, numpy_choices(keys, 3_000_000_000, 3, 2))
 
     def test_hand_made_rejection_word_is_flagged(self):
         # word 4: last Floyd draw, from [0, 9]: 0 * 10 leaves 0 < 2**32 % 10 = 6; word 7:
         # the shuffle's swap from [0, 2], which sorted draws skip but still check
         for at in (4, 7):
-            words = streams.words([(1, 2, 3, 4)] * 2, 9).copy()
-            words[1, at] = 0
+            words = streams.words(streams.seed_keys([(1, 2, 3, 4)] * 2), 9).T.copy()
+            words[at, 1] = 0
             for sort in (False, True):
                 assert streams.choice(words, 10, 5, sort)[1].tolist() == [False, True]
 
@@ -242,15 +247,15 @@ class TestChoices:
         def with_rejection(block, n, start=0):
             # the target's stream as if numpy had drawn a rejected 0 before word ``at``
             words = real(block, start + n).copy()
-            for row in np.flatnonzero(block[:, -1] == target):
+            for row in np.flatnonzero(block.rows[:, -1] == target):
                 words[row, at + 1:] = words[row, at:-1].copy()
                 words[row, at] = 0
             return words[:, start:]
         with pytest.MonkeyPatch.context() as mp:
             if b >= 3:
                 mp.setattr(streams, "words", with_rejection)
-            got = streams.choices(streams.key_rows(seed, np.arange(n_keys)), sizes, b, count,
-                                  sort=sort)
+            got = streams.choices(streams.seed_keys(streams.key_rows(seed, np.arange(n_keys))),
+                                  sizes, b, count, sort=sort)
         for key, row_sizes, rows in zip(keys, sizes.tolist(), got):
             rng = np.random.default_rng(list(key))
             want = np.array([rng.choice(m, b, replace=False) for m in row_sizes])
@@ -260,7 +265,7 @@ class TestChoices:
                                             (10_000, 5000, False), (60_000, 1201, True)])
     def test_tail_shuffle_branch_is_flagged(self, m, b, tail):
         assert replay_flags((3, 0, 0, 1), m, b, 1) == tail
-        assert np.array_equal(streams.choices([(3, 0, 0, 1)], m, b, 1),
+        assert np.array_equal(streams.choices(streams.seed_keys([(3, 0, 0, 1)]), m, b, 1),
                               numpy_choices([(3, 0, 0, 1)], m, b, 1))
 
     @pytest.mark.parametrize("m, wide", [(2**32, False), (2**32 + 5, True), (2**40, True)])
@@ -269,8 +274,69 @@ class TestChoices:
         # one 32-bit word unchanged, which the replay's Lemire step reproduces
         assert replay_flags((1, 2, 3, 4), m, 3, 2) == wide
         for sort in (False, True):
-            assert np.array_equal(streams.choices([(1, 2, 3, 4)], m, 3, 2, sort=sort),
+            assert np.array_equal(streams.choices(streams.seed_keys([(1, 2, 3, 4)]), m, 3, 2,
+                                                  sort=sort),
                                   numpy_choices([(1, 2, 3, 4)], m, 3, 2, sort=sort))
+
+
+def word_with_low(excl: int, low: int) -> int:
+    """A uint32 word whose product with ``excl`` has low word ``low`` rounded down to a
+    multiple of the largest power of two dividing excl (the low words excl can reach)."""
+    shift = (excl & -excl).bit_length() - 1
+    mod = 2 ** (32 - shift)
+    return (low >> shift) * pow(excl >> shift, -1, mod) % mod
+
+
+# excl = 641 and 6 700 417 divide 2**32 + 1, so their threshold is excl - 1, its largest
+excls = st.integers(1, 2**32) | st.sampled_from([1, 2, 3, 641, 6_700_417, 2**16, 2**31 - 1,
+                                                 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32])
+
+
+class TestLemire:
+    """_lemire's rejection mask, which runs numpy's test only on low words below excl,
+    against that test on every word: low < (2**32 - excl) % excl."""
+
+    @staticmethod
+    def assert_equals_the_full_test(word, excl):
+        prod = word.astype(np.uint64) * excl
+        full = (prod & np.uint64(2**32 - 1)) < (np.uint64(2**32) - excl) % excl
+        draws, rejected = streams._lemire(word, excl)
+        assert np.array_equal(rejected, full)
+        assert np.array_equal(draws, (prod >> np.uint64(32)).astype(np.int64))
+        return int(full.sum())
+
+    @settings(max_examples=200, deadline=None)
+    @given(b=st.integers(2, 6), n=st.integers(1, 5), picks=st.booleans(), data=st.data())
+    def test_rejections_equal_the_full_test(self, b, n, picks, data):
+        # the pick shape: (b, n) words, one excl each; the swap shape: (b - 1, n) words,
+        # one excl per row. Low words at and around excl - 1, excl, the threshold - 1 and
+        # the threshold, or any word
+        shape = (b, n) if picks else (b - 1, n)
+        excl = np.array(data.draw(st.lists(excls, min_size=shape[0] * (n if picks else 1),
+                                           max_size=shape[0] * (n if picks else 1))),
+                        dtype=np.uint64).reshape(shape if picks else (b - 1, 1))
+        word = np.empty(shape, dtype=np.uint32)
+        for (q, j), cell in np.ndenumerate(word):
+            e = int(excl[q, j if picks else 0])
+            target = data.draw(st.sampled_from([e - 1, e, (2**32 - e) % e - 1, (2**32 - e) % e]))
+            low = min(max(target + data.draw(st.integers(-1, 1)), 0), 2**32 - 1)
+            word[q, j] = data.draw(st.just(word_with_low(e, low)) | words32)
+        self.assert_equals_the_full_test(word, excl)
+
+    def test_every_threshold_edge_is_decided_alike(self):
+        # each edge excl, as picks and as swaps, at each low word around its two edges
+        edges = [1, 2, 3, 641, 6_700_417, 2**16, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30,
+                 2**32 - 1, 2**32]
+        rejected = 0
+        for e in edges:
+            t = (2**32 - e) % e
+            lows = sorted({min(max(x, 0), 2**32 - 1)
+                           for c in (e - 1, e, t - 1, t) for x in (c - 1, c, c + 1)})
+            word = np.array([[word_with_low(e, low) for low in lows]], dtype=np.uint32)
+            rejected += self.assert_equals_the_full_test(word, np.full(word.shape, e,
+                                                                        dtype=np.uint64))
+            rejected += self.assert_equals_the_full_test(word.T.copy(), np.uint64([[e]]))
+        assert rejected > 0
 
 
 class TestTrialBatches:
@@ -287,8 +353,8 @@ class TestTrialBatches:
     @staticmethod
     def replayed(sizes, count, b, seed):
         sizes = np.repeat(sizes, count)
-        return streams.choices(streams.key_rows(seed, TestTrialBatches.STREAM), sizes[None], b,
-                               len(sizes))[0]
+        return streams.choices(streams.seed_keys(streams.key_rows(seed, TestTrialBatches.STREAM)),
+                               sizes[None], b, len(sizes))[0]
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
