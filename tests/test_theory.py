@@ -156,12 +156,13 @@ class TestBcdCounterexample:
 
 def sigma2_case(kind, C, n, per, extra, d, n_probes, seed):
     """A task of m = n * per + extra % n rows in n iid shards of per or per + 1 rows, and
-    the zero probe plus n_probes - 1 Gaussian ones; a softmax case needs m >= C."""
+    the zero probe plus n_probes - 1 Gaussian ones; a softmax case needs m >= C and a
+    regression case m >= d."""
     from noisyfed.data import SyntheticRegressionSpec, generate_classification, generate_regression
     from noisyfed.model import LossModel
 
     m = n * per + extra % n
-    assume(m >= C)
+    assume(m >= (d if kind == "mse_linear" else C))
     if kind == "mse_linear":
         ds = generate_regression(SyntheticRegressionSpec(m=m, d=d), seed)
         model = LossModel(kind, dim=d)
