@@ -13,7 +13,7 @@ from .data import (ClientPartition, Dataset, SyntheticRegressionSpec,
                    partition_iid, partition_label_shard, sample_batch)
 from .fedavg import (FedAvgConfig, RoundMetrics, RunResult, client_sample,
                      run_noisy_fedavg, run_noisy_sgd, sample_kstar)
-from .model import LossModel, full_gradient, gradient, loss, smoothness_constant
+from .model import LossModel, full_gradient, loss, smoothness_constant
 from .theory import (BoundReport, TheoryParams, bcd_gap, bcd_witness,
                      empirical_sigma2, sgd_error_bound, fedavg_error_bound,
                      learning_rate, min_rounds, zeta, zeta2, zeta3)

@@ -24,7 +24,8 @@ from .config import ExperimentConfig
 from .data import (SyntheticRegressionSpec, generate_classification, generate_regression,
                    partition_iid, partition_label_shard)
 from .fedavg import RunResult, Task, kstar_weights, run_noisy_fedavg, run_noisy_sgd, step_size
-from .model import LossModel, loss, smoothness_constant
+from .model import LossModel, smoothness_constant
+from .model import loss  # noqa: F401 (perfbench's hook table wraps experiment.loss)
 from .theory import TheoryParams, empirical_sigma2, fedavg_error_bound, min_rounds
 
 
@@ -41,20 +42,15 @@ def build_task(cfg: ExperimentConfig) -> Task:
                                        normalize_hessian=d.normalize_hessian)
         dataset = generate_regression(spec, d.seed)
         model = LossModel(kind="mse_linear", dim=d.d)
-        L = smoothness_constant(model, dataset.X)
-        f_star = loss(model, dataset.theta_eff, dataset.X, dataset.y)
-        model = LossModel(kind="mse_linear", dim=d.d, smoothness=L, f_star=f_star)
         partition = partition_iid(d.m, cfg.fedavg.n, d.seed)
     else:
         dataset = generate_classification(d.m, d.d, d.n_classes, d.cluster_separation, d.seed)
         model = LossModel(kind="softmax_linear", dim=d.n_classes * d.d, n_classes=d.n_classes)
-        L = smoothness_constant(model, dataset.X)
-        model = LossModel(kind="softmax_linear", dim=d.n_classes * d.d,
-                          n_classes=d.n_classes, smoothness=L)
         if d.partition == "label_shard":
             partition = partition_label_shard(dataset, cfg.fedavg.n, d.labels_per_client, d.seed)
         else:
             partition = partition_iid(d.m, cfg.fedavg.n, d.seed)
+    model = dataclasses.replace(model, smoothness=smoothness_constant(model, dataset.X))
     return Task(dataset, model, partition)
 
 

@@ -242,15 +242,15 @@ def round_draws(config: FedAvgConfig, task: Task, seed: int, channels=()) -> Rou
     if b > min(task.shard_sizes):
         raise ValueError("batch_size exceeds a client shard")
     ks, d = np.arange(K), task.model.dim
-    cohorts = streams.choices(streams.seed_keys(streams.key_rows(seed, ks, 0, _SAMPLE)), n, r, 1,
-                              sort=True)[:, 0]
+    cohort_keys = streams.seed_keys(streams.key_rows(seed, ks, 0, _SAMPLE))
+    cohorts = streams.choices(cohort_keys, n, r, 1)[:, 0]
     rounds, clients = np.repeat(ks, r), cohorts.ravel()
     down = any(not link.off for _, link in channels)
     up = any(not link.off for link, _ in channels)
     batch_keys, down_keys, up_keys = _seeded(seed, (rounds, clients, _BATCH),
                                              (ks, 0, _DOWNLINK) if down else None,
                                              (rounds, clients, _UPLINK) if up else None)
-    rows = streams.choices(batch_keys, np.array(task.shard_sizes)[clients], b, E, sort=True)
+    rows = streams.choices(batch_keys, np.array(task.shard_sizes)[clients], b, E)
     rows += task.offsets[clients, None, None]
     # rows is both the index and the output: each slot's index is read before the slot
     # is written, and mode "clip" (every index is in range) leaves the output unbuffered,
@@ -487,7 +487,7 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
     batch_keys, down_keys, up_keys = _seeded(seed, (ts, 0, _BATCH),
                                              None if downlink.off else (ts, 0, _DOWNLINK),
                                              None if uplink.off else (ts, 0, _UPLINK))
-    batches = streams.choices(batch_keys, len(dataset), batch_size, 1, sort=True)[:, 0]
+    batches = streams.choices(batch_keys, len(dataset), batch_size, 1)[:, 0]
     if not downlink.off:
         down_noise = streams.normals(down_keys, d)
     if not uplink.off:

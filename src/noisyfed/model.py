@@ -30,14 +30,13 @@ class LossModel:
     n_classes * feature count for softmax_linear. ``smoothness`` is an upper
     bound on the gradient Lipschitz constant over the attached dataset and
     must be supplied (or computed via smoothness_constant) before it is used
-    for learning rates. ``f_star`` is the known minimum loss when available.
+    for learning rates.
     """
 
     kind: str
     dim: int
     n_classes: int = 0
     smoothness: float | None = None
-    f_star: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -105,17 +104,12 @@ def loss(model: LossModel, params, X, y) -> float:
     return f
 
 
-def gradient(model: LossModel, params, X, y) -> np.ndarray:
-    """Mean gradient over the batch, through backend.batch_gradient."""
+def full_gradient(model: LossModel, params, X, y) -> np.ndarray:
+    """Mean gradient over all the rows (X, y), through backend.batch_gradient."""
     params = check_params(model, params)
     X, y = check_rows(model, X, y)
     idx = np.arange(X.shape[0], dtype=np.int64)
     return backend.batch_gradient(model.kind, X, y, params, idx, model.n_classes)
-
-
-def full_gradient(model: LossModel, params, X, y) -> np.ndarray:
-    """Gradient over the entire dataset; alias of gradient on all rows."""
-    return gradient(model, params, X, y)
 
 
 def _power_iteration_gram(X: np.ndarray, tol: float) -> float:

@@ -19,14 +19,18 @@ only to hand a key to numpy itself.
 and draw from it: ``words`` gives each key's first uint32 words in the
 order a Generator consumes them (the low half of each 64-bit output, then
 the high half), and ``normals`` its ``standard_normal(d)``. ``choice``
-replays ``Generator.choice(m, b, replace=False)`` on such words: Floyd's
-algorithm with Lemire bounded integers, then the Fisher-Yates shuffle of
-the b picks. It works on (2b - 1, N) columns, one contiguous row per pick
-or swap, which ``choices`` gathers from the words in one step; a larger
-call spreads numpy's cost per operation over more draws, until its arrays
-outgrow the cache: per draw, 2 048 draws per call (``_ROWS``) cost a third
-of 256 and less than 4 096. Callers that sort the picks skip the shuffle,
-whose order they would discard.
+replays ``Generator.choice(m, b, replace=False)`` on such words, sorted,
+which is the one form every caller uses: Floyd's algorithm with Lemire
+bounded integers, then the picks sorted. numpy ends a draw with a
+Fisher-Yates shuffle of the b picks; sorting discards its order, so it is
+not replayed, but its b - 1 swap words are still checked for Lemire
+rejections, because a rejected word makes numpy take one more and shifts
+every later draw of the stream. ``choice`` works on (2b - 1, N) columns,
+one contiguous row per pick or swap, which ``choices`` gathers in one step
+from one ``words`` read per block of keys; a larger call spreads numpy's
+cost per operation over more draws, until its arrays outgrow the cache:
+per draw, 2 048 draws per call (``_ROWS``) cost a third of 256 and less
+than 4 096.
 
 Lemire's draw from [0, excl) takes the high word of word * excl and
 rejects the word when the product's low word is below
@@ -70,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 WORD_LIMIT = 1 << 32  # every key word is below this
-_ROWS = 2048  # draws replayed per choice call
+_ROWS = 2048  # draws replayed per choice call, unless one key has more
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -256,15 +260,12 @@ def normals(keys: SeededKeys, d: int) -> np.ndarray:
     return out
 
 
-def words(keys: SeededKeys, n: int, start: int = 0) -> np.ndarray:
-    """(N, n) uint32: words start .. start + n - 1 of those each key's Generator consumes."""
-    lead = start % 2
-    raw = np.empty((len(keys), (lead + n + 1) // 2), dtype="<u8")
+def words(keys: SeededKeys, n: int) -> np.ndarray:
+    """(N, n) uint32: the first n words each key's Generator consumes."""
+    raw = np.empty((len(keys), (n + 1) // 2), dtype="<u8")
     for row, bitgen in zip(raw, _states(keys.limbs)):
-        if start > 1:
-            bitgen.advance(start // 2)
         row[:] = bitgen.random_raw(len(row))
-    return raw.view("<u4")[:, lead:lead + n]
+    return raw.view("<u4")[:, :n]
 
 
 def _lemire(word, excl):
@@ -288,95 +289,76 @@ def _lemire(word, excl):
     return halves[..., 1::2].astype(np.int64), rejected
 
 
-def choice(cols, m, b: int, sort: bool = False):
-    """Replay ``Generator.choice(m_i, b, replace=False)`` from each column of ``cols``.
+def choice(cols, m, b: int):
+    """Replay ``np.sort(Generator.choice(m_i, b, replace=False))`` from each column
+    of ``cols``.
 
     ``cols`` is (2b - 1, N) uint32, one column per draw: row q < b holds the
-    word of Floyd pick q and row b + i that of the shuffle's swap i. A draw
-    with m == b takes no word for pick 0 (numpy draws nothing from [0, 0]),
-    and row 0 of its column is not used. ``m`` is one population size or one
-    per column, each >= b. Returns the (N, b) int64 picks, in increasing
-    order with ``sort``, and an (N,) mask of draws the replay cannot
-    reproduce: a Lemire rejection, numpy's tail-shuffle branch, or
-    m > 2**32, where numpy draws from 64-bit words. Every step reads whole
-    contiguous rows; the duplicate test costs O(b^2) per draw. ``sort``
-    skips the Fisher-Yates shuffle, whose order sorting discards, but still
-    checks its words for rejections: a rejected word shifts every later draw.
+    word of Floyd pick q and row b + i that of the shuffle's swap i. (numpy
+    takes no word for pick 0 when m == b, but such a draw's sorted picks are
+    arange(b) whatever its column holds.) ``m`` is one population size or one
+    per column, each >= b. Returns the (N, b) int64 picks in increasing
+    order, and an (N,) mask of draws the replay cannot reproduce: a Lemire
+    rejection, numpy's tail-shuffle branch, or m > 2**32, where numpy draws
+    from 64-bit words. Every step reads whole contiguous rows; the duplicate
+    test costs O(b^2) per draw. Sorting discards the shuffle's order, so the
+    shuffle is not replayed, but its words are still checked for
+    rejections: a rejected swap word makes numpy take one more word, which
+    shifts every later draw of the stream.
     """
     n = cols.shape[1]
     m = np.broadcast_to(np.asarray(m, dtype=np.int64), (n,))
     if b < 1 or (m < b).any() or len(cols) != 2 * b - 1:
         raise ValueError("need 1 <= b <= m and 2b - 1 words per draw")
-    # Floyd draws pick q from [0, j_q], j_q = m - b + q; then Fisher-Yates swaps
-    # pick i with one from [0, i], for i = b - 1 down to 1
+    # Floyd draws pick q from [0, j_q], j_q = m - b + q; the Fisher-Yates shuffle
+    # then draws swap i from [0, i], for i = b - 1 down to 1
     lift = m - b
     picks, rejected = _lemire(cols[:b], lift.astype(np.uint64)
                               + np.arange(1, b + 1, dtype=np.uint64)[:, None])
-    swaps, rejected_swap = _lemire(cols[b:], np.arange(b, 1, -1, dtype=np.uint64)[:, None])
+    _, rejected_swap = _lemire(cols[b:], np.arange(b, 1, -1, dtype=np.uint64)[:, None])
     bad = (m > 10_000) & (b > m // 50) | (m > WORD_LIMIT) | rejected.any(axis=0) \
         | rejected_swap.any(axis=0)
     for q in range(1, b):  # a value already picked becomes j_q
         np.copyto(picks[q], lift + q, where=(picks[:q] == picks[q]).any(axis=0))
-    if sort:
-        picks.sort(axis=0)
-        return picks.T, bad
-    flat, at = picks.reshape(-1), swaps * n + np.arange(n)  # flat index of each swap's pick
-    for q, i in enumerate(range(b - 1, 0, -1)):
-        held = flat.take(at[q])
-        flat.put(at[q], picks[i])
-        picks[i] = held
+    picks.sort(axis=0)
     return picks.T, bad
 
 
-def choices(keys: SeededKeys, m, b: int, count: int, sort: bool = False) -> np.ndarray:
-    """``count`` successive ``choice(m, b, replace=False)`` of each key's stream.
+def choices(keys: SeededKeys, m, b: int, count: int) -> np.ndarray:
+    """``count`` successive ``choice(m, b, replace=False)`` of each key's stream,
+    each sorted.
 
     Returns (N, count, b) int64: ``np.random.default_rng(key)``'s own draws
-    for every key, each draw's picks in increasing order with ``sort``. ``m``
-    is one population size, one per key (N,) or one per draw (N, count),
-    each >= b. Each ``choice`` call replays up to _ROWS draws: a block of
-    _ROWS // count keys, or one key's draws _ROWS at a time, from words
-    taken for just those draws and gathered in one step into ``choice``'s
-    columns. A key the replay cannot reproduce, in any of its draws (every
-    later draw of a stream depends on the words the earlier ones took), is
-    drawn from numpy itself.
+    for every key, each draw's picks in increasing order. ``m`` is one
+    population size or one per key (N,), each >= b. Each ``choice`` call
+    replays a block of max(1, _ROWS // count) keys, from one ``words`` read
+    of all of their draws gathered in one step into ``choice``'s columns; a
+    key with more than _ROWS draws is a block of its own. Every draw is read
+    as 2b - 1 words. numpy takes one fewer when m == b (none for pick 0, from
+    [0, 0]), but then every draw of the key is arange(b) once sorted, whatever
+    words it reads. A key the replay cannot reproduce, in any of its draws
+    (every later draw of a stream depends on the words the earlier ones
+    took), is drawn from numpy itself.
     """
     n = len(keys)
-    m = np.asarray(m, dtype=np.int64)
-    m = np.broadcast_to(m if m.ndim == 2 else m.reshape(-1, 1), (n, count))
+    m = np.broadcast_to(np.asarray(m, dtype=np.int64), (n,))
     out = np.empty((n, count, b), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
-    # words per draw: b for Floyd (b - 1 when m == b: numpy draws nothing
-    # from [0, 0]) and b - 1 for the shuffle
-    skip = m == b
-    per = 2 * b - 1 - skip
-    starts = np.cumsum(per, axis=1) - per
-    nkeys, ndraws = max(1, _ROWS // count), min(count, _ROWS)
-    window = np.arange(2 * b - 1)[:, None]
+    nkeys, per = max(1, _ROWS // count), 2 * b - 1
+    span = count * per
+    span += span % 2  # an even word count keeps each block's words one contiguous array
+    # word q of a key's draw c is word c * per + q of the key's row
+    window, draws = np.arange(per)[:, None], per * np.arange(count)
     for lo in range(0, n, nkeys):
         block = slice(lo, lo + nkeys)
-        for c0 in range(0, count, ndraws):
-            draws = slice(c0, c0 + ndraws)
-            at = starts[block, draws]
-            first = int(at[:, 0].min())
-            # a draw with m == b leaves its last word unread; an even count keeps
-            # the words one contiguous block
-            span = int(at[:, -1].max()) + 2 * b - 1 - first
-            stream = words(keys[block], span + span % 2, first)
-            width = stream.shape[1]
-            # word q of a draw is its start + q, one earlier past pick 0 when m == b
-            base = (at - first + width * np.arange(len(at))[:, None]).ravel()
-            index = window + base
-            gap = skip[block, draws].ravel()
-            if gap.any():
-                index[1:] -= gap
-            picks, bad_w = choice(stream.reshape(-1).take(index), m[block, draws].ravel(), b,
-                                  sort)
-            out[block, draws] = picks.reshape(at.shape + (b,))
-            bad[block] |= bad_w.reshape(at.shape).any(axis=1)
+        stream = words(keys[block], span)
+        base = (draws + span * np.arange(len(stream))[:, None]).ravel()
+        cols = stream.reshape(-1).take(window + base)
+        picks, bad_w = choice(cols, np.repeat(m[block], count), b)
+        out[block] = picks.reshape(-1, count, b)
+        bad[block] = bad_w.reshape(-1, count).any(axis=1)
     for i in np.flatnonzero(bad):
         rng = np.random.default_rng(keys.rows[i].tolist())
-        out[i] = [rng.choice(size, b, replace=False) for size in m[i].tolist()]
-        if sort:
-            out[i].sort(axis=1)
+        out[i] = [rng.choice(int(m[i]), b, replace=False) for _ in range(count)]
+        out[i].sort(axis=1)
     return out

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from noisyfed import backend, streams
+from noisyfed import backend
 from noisyfed.data import sample_batch
 from noisyfed.fedavg import (_BATCH, _DOWNLINK, _SAMPLE, _UPLINK, RoundDraws, _stream,
                              client_sample)
@@ -26,19 +26,17 @@ def _rng(key):
     return np.random.default_rng([int(word) for word in key])
 
 
-def numpy_choices(keys, m, b, count, sort=False):
+def numpy_choices(keys, m, b, count):
     """(N, count, b): each key's ``count`` successive ``choice(m, b, replace=False)``
-    from its one Generator; ``m`` is a size, one per key or one per draw. ``keys`` may
-    be ``streams.SeededKeys``, whose rows are the keys."""
+    from its one Generator, each draw sorted; ``m`` is a size or one per key. ``keys``
+    may be ``streams.SeededKeys``, whose rows are the keys."""
     keys = getattr(keys, "rows", keys)
-    m = np.asarray(m, dtype=np.int64)
-    m = np.broadcast_to(m if m.ndim == 2 else m.reshape(-1, 1), (len(keys), count))
+    m = np.broadcast_to(np.asarray(m, dtype=np.int64), (len(keys),))
     out = np.empty((len(keys), count, b), dtype=np.int64)
-    for key, sizes, rows in zip(keys, m.tolist(), out):
+    for key, size, rows in zip(keys, m.tolist(), out):
         rng = _rng(key)
-        rows[:] = [rng.choice(size, b, replace=False) for size in sizes]
-    if sort:
-        out.sort(axis=2)
+        rows[:] = [rng.choice(size, b, replace=False) for _ in range(count)]
+    out.sort(axis=2)
     return out
 
 
@@ -88,7 +86,7 @@ def keyed_stream_draws(cfg, task, seed, channels=()):
 
 
 def finite_difference_gradient(model: LossModel, params, X, y, step: float) -> np.ndarray:
-    """Central-difference gradient of ``model.loss``: the oracle for ``model.gradient``."""
+    """Central-difference gradient of ``model.loss``: the oracle for ``model.full_gradient``."""
     if step <= 0:
         raise ValueError("step must be positive")
     params = np.asarray(params, dtype=np.float64)
@@ -131,18 +129,18 @@ def monte_carlo_sigma2(task, probe_params, batch_size, trials, seed):
     """(shards, probes, trials): ||batch gradient - shard gradient||^2 of ``trials`` batches
     per shard and probe, whose means estimate what ``empirical_sigma2`` computes exactly.
 
-    Shard by shard, each probe's trials take successive ``sample_batch`` draws of the
-    shard's local rows from the one stream [seed, TRIAL_STREAM]. One
+    Shard by shard, each probe's trials take successive
+    ``choice(m, batch_size, replace=False)`` draws of the shard's local rows from numpy's
+    own Generator of the one stream [seed, TRIAL_STREAM], in numpy's order. One
     ``backend.stacked_gradient`` call gives every probe's shard gradient and one every
     probe's trial gradients; each slice is the product a lone full_gradient or batch
     gradient computes.
     """
     model, X, y = task.model, task.dataset.X, task.dataset.y
     W = np.stack([check_params(model, w) for w in probe_params])
-    sizes = np.repeat(task.shard_sizes, len(W) * trials)
-    # in numpy's order, not sorted: the gradient sums depend on the row order
-    batches = streams.choices(streams.seed_keys(streams.key_rows(seed, TRIAL_STREAM)), sizes[None],
-                              batch_size, len(sizes))
+    rng = np.random.default_rng([seed, TRIAL_STREAM])
+    batches = np.array([rng.choice(m, batch_size, replace=False)
+                        for m in np.repeat(task.shard_sizes, len(W) * trials).tolist()])
     batches = batches.reshape(len(task.shard_sizes), len(W), trials, batch_size)
     out = []
     for start, m, local in zip(task.offsets.tolist(), task.shard_sizes, batches):

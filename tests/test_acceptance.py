@@ -23,7 +23,7 @@ from noisyfed.experiment import (_pweighted_grad, bound_inputs, build_task,
                                  schedule_power_sums, sweep_variants)
 from noisyfed.fedavg import learning_rate, run_noisy_fedavg, sample_kstar
 from noisyfed.fedavg import FedAvgConfig, Task
-from noisyfed.model import LossModel, full_gradient, gradient, smoothness_constant
+from noisyfed.model import LossModel, full_gradient, smoothness_constant
 from noisyfed.theory import (TheoryParams, bcd_gap, bcd_witness, fedavg_error_bound,
                              zeta)
 from oracles import finite_difference_gradient
@@ -205,7 +205,7 @@ class TestAcceptance:
                 y = (rng.standard_normal(m) if C == 0
                      else rng.integers(0, C, m).astype(np.int64))
                 w = rng.standard_normal(dim)
-                g = gradient(model, w, X, y)
+                g = full_gradient(model, w, X, y)
                 fd = finite_difference_gradient(model, w, X, y, 1e-6)
                 worst = max(worst, np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-12))
         checks["finite-difference"] = worst < 1e-6

@@ -616,10 +616,10 @@ class TestSharedDraws:
                     LossModel("mse_linear", dim=2), partition)
         real = streams.words
 
-        def with_rejection(keys, n, start=0):
+        def with_rejection(keys, n):
             # first Floyd draw of row 0, from [0, 11] for cohorts and [0, 54 or 55] for
             # batches: 0 * (j + 1) leaves 0 < 2**32 % (j + 1) unless j + 1 is a power of two
-            words = real(keys, n, start).copy()
+            words = real(keys, n).copy()
             words[0, 0] = 0
             return words
         redrawn = []

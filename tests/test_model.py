@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from noisyfed.data import SyntheticRegressionSpec, generate_regression
 from noisyfed.experiment import build_task
-from noisyfed.model import (LossModel, _power_iteration_gram, full_gradient, gradient, loss,
+from noisyfed.model import (LossModel, _power_iteration_gram, full_gradient, loss,
                             smoothness_constant)
 from oracles import finite_difference_gradient, power_iteration_gram
 from presets import preset
@@ -78,7 +78,7 @@ class TestGradient:
         for maker in (random_mse_case, random_softmax_case):
             for _ in range(100):
                 model, w, X, y = maker(rng)
-                g = gradient(model, w, X, y)
+                g = full_gradient(model, w, X, y)
                 fd = finite_difference_gradient(model, w, X, y, step=1e-6)
                 rel = np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-12)
                 assert rel < 1e-6
@@ -90,14 +90,14 @@ class TestGradient:
         X = rng.standard_normal((40, d))
         y = X @ theta
         model = LossModel("mse_linear", dim=d)
-        assert np.linalg.norm(gradient(model, theta, X, y)) < 1e-12
+        assert np.linalg.norm(full_gradient(model, theta, X, y)) < 1e-12
 
     def test_batch_partition_linearity(self):
         rng = np.random.default_rng(5)
         model, w, X, y = random_mse_case(rng, m=12, d=4)
         g_full = full_gradient(model, w, X, y)
         parts = [np.arange(0, 4), np.arange(4, 9), np.arange(9, 12)]
-        weighted = sum(len(p) * gradient(model, w, X[p], y[p]) for p in parts) / 12
+        weighted = sum(len(p) * full_gradient(model, w, X[p], y[p]) for p in parts) / 12
         np.testing.assert_allclose(weighted, g_full, rtol=1e-12, atol=1e-14)
 
     def test_unbiased_over_exhaustive_batches(self):
@@ -107,7 +107,7 @@ class TestGradient:
         model, w, X, y = random_mse_case(rng, m=10, d=3)
         g_full = full_gradient(model, w, X, y)
         batches = list(combinations(range(10), 3))
-        mean = np.mean([gradient(model, w, X[list(b)], y[list(b)]) for b in batches], axis=0)
+        mean = np.mean([full_gradient(model, w, X[list(b)], y[list(b)]) for b in batches], axis=0)
         np.testing.assert_allclose(mean, g_full, rtol=0, atol=1e-12)
 
 
@@ -122,7 +122,7 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(13)
         model, w, X, y = random_mse_case(rng, m=8, d=4)
         fd = finite_difference_gradient(model, w, X, y, step=1e-3)
-        np.testing.assert_allclose(fd, gradient(model, w, X, y), atol=1e-9)
+        np.testing.assert_allclose(fd, full_gradient(model, w, X, y), atol=1e-9)
 
     def test_zero_on_constant_function(self):
         # all-zero features make the loss independent of the parameters
@@ -188,7 +188,7 @@ class TestSmoothness:
         for _ in range(1000):
             w1 = rng.standard_normal(5)
             w2 = rng.standard_normal(5)
-            lhs = np.linalg.norm(gradient(model, w1, X, y) - gradient(model, w2, X, y))
+            lhs = np.linalg.norm(full_gradient(model, w1, X, y) - full_gradient(model, w2, X, y))
             assert lhs <= (L + 1e-9) * np.linalg.norm(w1 - w2)
 
     def test_full_gradient_bounded_near_optimum(self):

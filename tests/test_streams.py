@@ -12,10 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from noisyfed import streams
 from noisyfed.cli import main
-from noisyfed.data import SyntheticRegressionSpec, generate_regression, partition_iid
-from noisyfed.fedavg import Task
-from noisyfed.model import LossModel
-from noisyfed.theory import empirical_sigma2
 from oracles import numpy_choices, numpy_normals
 
 words32 = st.integers(0, 2**32 - 1)
@@ -75,12 +71,12 @@ class TestSeeding:
             assert limb_state(got) == numpy_state(np.random.PCG64(FixedSeed(row)))
 
     @settings(max_examples=50, deadline=None)
-    @given(key=st.lists(words32, min_size=4, max_size=4), n=st.integers(1, 40),
-           start=st.integers(0, 40), d=st.integers(1, 5))
-    def test_words_and_normals_continue_numpy(self, key, n, start, d):
-        raw = np.random.default_rng(key).bit_generator.random_raw(41)
-        assert np.array_equal(streams.words(streams.seed_keys([key]), n, start)[0],
-                              raw.astype("<u8").view("<u4")[start:start + n])
+    @given(key=st.lists(words32, min_size=4, max_size=4), n=st.integers(1, 80),
+           d=st.integers(1, 5))
+    def test_words_and_normals_continue_numpy(self, key, n, d):
+        raw = np.random.default_rng(key).bit_generator.random_raw(40)
+        assert np.array_equal(streams.words(streams.seed_keys([key]), n)[0],
+                              raw.astype("<u8").view("<u4")[:n])
         assert np.array_equal(streams.normals(streams.seed_keys([key, key]), d)[1],
                               np.random.default_rng(key).standard_normal(d))
 
@@ -147,9 +143,9 @@ class TestStateWrite:
 
     def test_dict_setter_path_draws_the_same(self, monkeypatch):
         keys = streams.seed_keys(self.keys)
-        written = streams.words(keys, 9, 3), streams.normals(keys, 6)
+        written = streams.words(keys, 9), streams.normals(keys, 6)
         monkeypatch.setattr(streams, "_state_seat", lambda: None)
-        set_by_dict = streams.words(keys, 9, 3), streams.normals(keys, 6)
+        set_by_dict = streams.words(keys, 9), streams.normals(keys, 6)
         for a, b in zip(written, set_by_dict):
             assert np.array_equal(a, b)
         for key, row in zip(self.keys, set_by_dict[1]):
@@ -185,30 +181,28 @@ class TestChoices:
     @given(seed=st.one_of(words32, st.integers(2**32, 2**70)), n_keys=st.integers(1, 7),
            count=st.integers(1, 9), b=st.integers(1, 6), per_call=st.integers(1, 12),
            data=st.data())
-    def test_sizes_per_draw_equal_numpy(self, seed, n_keys, count, b, per_call, data):
-        sizes = np.array(data.draw(st.lists(st.integers(b, b + 4), min_size=n_keys * count,
-                                            max_size=n_keys * count))).reshape(n_keys, count)
+    def test_sizes_per_key_equal_numpy(self, seed, n_keys, count, b, per_call, data):
+        sizes = data.draw(st.lists(st.integers(b, b + 4), min_size=n_keys, max_size=n_keys))
         keys = [(seed, j) for j in range(n_keys)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(streams, "_ROWS", per_call)  # calls that split keys and their draws
+            mp.setattr(streams, "_ROWS", per_call)  # blocks of several keys, or of one key
             got = streams.choices(streams.seed_keys(streams.key_rows(seed, np.arange(n_keys))),
                                   sizes, b, count)
-        for key, row_sizes, rows in zip(keys, sizes.tolist(), got):
+        for key, m, rows in zip(keys, sizes, got):
             rng = np.random.default_rng(list(key))
-            assert np.array_equal(rows, [rng.choice(m, b, replace=False) for m in row_sizes])
+            want = [rng.choice(m, b, replace=False) for _ in range(count)]
+            assert np.array_equal(rows, np.sort(want, axis=1))
 
     @pytest.mark.parametrize("per_call, n_keys, count", [(5, 2, 7), (256, 3, 300), (5, 7, 2)])
     def test_calls_that_do_not_divide_a_window_equal_numpy(self, monkeypatch, per_call,
                                                            n_keys, count):
-        # per_call // count keys per block, or per_call draws per window of one key, leave a
-        # short last block or window
+        # per_call // count keys per block leave a short last block; a key with more than
+        # per_call draws is a block of its own, replayed in one larger call
         monkeypatch.setattr(streams, "_ROWS", per_call)
         keys = [(11, j, 0, 1) for j in range(n_keys)]
-        sizes = 3 + np.arange(n_keys * count).reshape(n_keys, count) % 4
+        sizes = 3 + np.arange(n_keys) % 4
         got = streams.choices(streams.seed_keys(keys), sizes, 2, count)
-        for key, row_sizes, rows in zip(keys, sizes.tolist(), got):
-            rng = np.random.default_rng(list(key))
-            assert np.array_equal(rows, [rng.choice(m, 2, replace=False) for m in row_sizes])
+        assert np.array_equal(got, numpy_choices(keys, sizes, 2, count))
 
     def test_natural_lemire_rejections_are_flagged(self):
         # near m = 3e9 about one word in three is rejected; those keys come from numpy
@@ -220,46 +214,44 @@ class TestChoices:
 
     def test_hand_made_rejection_word_is_flagged(self):
         # word 4: last Floyd draw, from [0, 9]: 0 * 10 leaves 0 < 2**32 % 10 = 6; word 7:
-        # the shuffle's swap from [0, 2], which sorted draws skip but still check
+        # the shuffle's swap from [0, 2], which the sorted replay skips but still checks
         for at in (4, 7):
             words = streams.words(streams.seed_keys([(1, 2, 3, 4)] * 2), 9).T.copy()
             words[at, 1] = 0
-            for sort in (False, True):
-                assert streams.choice(words, 10, 5, sort)[1].tolist() == [False, True]
+            assert streams.choice(words, 10, 5)[1].tolist() == [False, True]
 
     @settings(max_examples=120, deadline=None)
     @given(seed=st.one_of(words32, st.integers(2**32, 2**70)), n_keys=st.integers(1, 5),
            count=st.integers(1, 4), b=st.one_of(st.integers(1, 6), st.just(201)),
-           sort=st.booleans(), data=st.data())
-    def test_sorted_and_unsorted_draws_equal_numpy(self, seed, n_keys, count, b, sort, data):
+           data=st.data())
+    def test_sorted_draws_equal_numpy(self, seed, n_keys, count, b, data):
         # b = 201 with m > 10 000 takes numpy's tail-shuffle branch
         size = st.integers(b, b + 4) | (st.integers(10_001, 10_100) if b == 201 else st.nothing())
-        sizes = np.array(data.draw(st.lists(size, min_size=n_keys * count,
-                                            max_size=n_keys * count))).reshape(n_keys, count)
+        sizes = np.array(data.draw(st.lists(size, min_size=n_keys, max_size=n_keys)))
         keys = [(seed, j) for j in range(n_keys)]
         real = streams.words
         target = data.draw(st.integers(0, n_keys - 1))
         per = 2 * b - 1 - (sizes[target] == b)
         draw = data.draw(st.integers(0, count - 1))
         # the shuffle's swap from [0, 2] in that draw (b >= 3), where numpy rejects a 0
-        at = int(per[:draw].sum()) + 2 * b - 3 - (sizes[target, draw] == b)
+        at = int(draw * per + 2 * b - 3 - (sizes[target] == b))
 
-        def with_rejection(block, n, start=0):
+        def with_rejection(block, n):
             # the target's stream as if numpy had drawn a rejected 0 before word ``at``
-            words = real(block, start + n).copy()
+            words = real(block, n).copy()
             for row in np.flatnonzero(block.rows[:, -1] == target):
                 words[row, at + 1:] = words[row, at:-1].copy()
                 words[row, at] = 0
-            return words[:, start:]
+            return words
         with pytest.MonkeyPatch.context() as mp:
             if b >= 3:
                 mp.setattr(streams, "words", with_rejection)
             got = streams.choices(streams.seed_keys(streams.key_rows(seed, np.arange(n_keys))),
-                                  sizes, b, count, sort=sort)
-        for key, row_sizes, rows in zip(keys, sizes.tolist(), got):
+                                  sizes, b, count)
+        for key, m, rows in zip(keys, sizes.tolist(), got):
             rng = np.random.default_rng(list(key))
-            want = np.array([rng.choice(m, b, replace=False) for m in row_sizes])
-            assert np.array_equal(rows, np.sort(want, axis=1) if sort else want)
+            want = [rng.choice(m, b, replace=False) for _ in range(count)]
+            assert np.array_equal(rows, np.sort(want, axis=1))
 
     @pytest.mark.parametrize("m, b, tail", [(10_001, 201, True), (10_001, 200, False),
                                             (10_000, 5000, False), (60_000, 1201, True)])
@@ -273,10 +265,33 @@ class TestChoices:
         # numpy draws from [0, j] with 64-bit words once j >= 2**32; j = 2**32 - 1 takes
         # one 32-bit word unchanged, which the replay's Lemire step reproduces
         assert replay_flags((1, 2, 3, 4), m, 3, 2) == wide
-        for sort in (False, True):
-            assert np.array_equal(streams.choices(streams.seed_keys([(1, 2, 3, 4)]), m, 3, 2,
-                                                  sort=sort),
-                                  numpy_choices([(1, 2, 3, 4)], m, 3, 2, sort=sort))
+        assert np.array_equal(streams.choices(streams.seed_keys([(1, 2, 3, 4)]), m, 3, 2),
+                              numpy_choices([(1, 2, 3, 4)], m, 3, 2))
+
+    @pytest.mark.parametrize("bad_draw", [0, 4, 8])
+    def test_numpy_takes_over_from_a_rejection(self, monkeypatch, bad_draw):
+        # one key's 9 draws of choice(13, 5), 9 words each, read in one words call though
+        # they outnumber _ROWS; a rejection in any draw redraws the whole key from numpy
+        keys = [(4, 0x516)]
+        real_words, real_rng, calls, redrawn = streams.words, np.random.default_rng, [], []
+
+        def with_rejection(keys, n):
+            words = real_words(keys, n).copy()
+            words[0, 9 * bad_draw] = 0  # its first Floyd draw, from [0, 8]: 0 < 2**32 % 9 = 4
+            calls.append(n)
+            return words
+
+        def spy(key):
+            redrawn.append(tuple(key))
+            return real_rng(key)
+        monkeypatch.setattr(streams, "words", with_rejection)
+        monkeypatch.setattr(streams, "_ROWS", 3)
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        got = streams.choices(streams.seed_keys(keys), 13, 5, 9)
+        monkeypatch.undo()
+        assert calls == [82]  # 81 words, made even
+        assert redrawn == keys  # the whole key, from its first draw
+        assert np.array_equal(got, numpy_choices(keys, 13, 5, 9))
 
 
 def word_with_low(excl: int, low: int) -> int:
@@ -337,70 +352,6 @@ class TestLemire:
                                                                         dtype=np.uint64))
             rejected += self.assert_equals_the_full_test(word.T.copy(), np.uint64([[e]]))
         assert rejected > 0
-
-
-class TestTrialBatches:
-    """The Monte-Carlo sigma^2 oracle's trial batches: one key's successive draws, one
-    shard size per draw."""
-
-    STREAM = 0x516
-
-    @staticmethod
-    def sequential(sizes, count, b, seed):
-        rng = np.random.default_rng([seed, TestTrialBatches.STREAM])
-        return np.stack([rng.choice(m, b, replace=False) for m in sizes for _ in range(count)])
-
-    @staticmethod
-    def replayed(sizes, count, b, seed):
-        sizes = np.repeat(sizes, count)
-        return streams.choices(streams.seed_keys(streams.key_rows(seed, TestTrialBatches.STREAM)),
-                               sizes[None], b, len(sizes))[0]
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
-           b=st.integers(1, 8), extra=st.lists(st.integers(0, 3), min_size=1, max_size=6),
-           count=st.integers(1, 5), per_call=st.integers(1, 9))
-    def test_equal_the_sequential_loop(self, seed, b, extra, count, per_call):
-        sizes = tuple(b + e for e in extra)  # ragged, m = b included
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(streams, "_ROWS", per_call)  # windows that split shards
-            got = self.replayed(sizes, count, b, seed)
-        assert np.array_equal(got, self.sequential(sizes, count, b, seed))
-
-    @pytest.mark.parametrize("bad_shard", [0, 1, 2])
-    def test_numpy_takes_over_from_a_rejection(self, monkeypatch, bad_shard):
-        real_words, real_rng, calls, redrawn = streams.words, np.random.default_rng, [], []
-
-        def with_rejection(keys, n, start=0):
-            words = real_words(keys, n, start).copy()
-            if len(calls) == bad_shard:
-                words[0, 0] = 0  # first Floyd draw, from [0, 8]: 0 * 9 leaves 0 < 2**32 % 9 = 4
-            calls.append(start)
-            return words
-
-        def spy(key):
-            redrawn.append(tuple(key))
-            return real_rng(key)
-        monkeypatch.setattr(streams, "words", with_rejection)
-        monkeypatch.setattr(streams, "_ROWS", 3)  # one shard's batches per words window
-        monkeypatch.setattr(np.random, "default_rng", spy)
-        sizes = (13, 13, 13)
-        got = self.replayed(sizes, 3, 5, 4)
-        monkeypatch.undo()
-        assert len(calls) == 3 and 0 == calls[0] < calls[1] < calls[2]  # a window per shard
-        assert redrawn == [(4, self.STREAM)]  # the whole key, from its first draw
-        assert np.array_equal(got, self.sequential(sizes, 3, 5, 4))
-
-    def test_tail_shuffle_shard_redraws_everything_from_numpy(self):
-        sizes = (10_001, 10_050)
-        assert np.array_equal(self.replayed(sizes, 2, 250, 8), self.sequential(sizes, 2, 250, 8))
-
-    def test_batch_larger_than_a_shard_rejected(self):
-        dataset = generate_regression(SyntheticRegressionSpec(m=9, d=1), seed=0)
-        task = Task(dataset, LossModel("mse_linear", dim=1), partition_iid(9, 2, seed=0))
-        assert task.shard_sizes == (5, 4)
-        with pytest.raises(ValueError, match="batch_size"):
-            empirical_sigma2(task, [np.zeros(1)], 5)
 
 
 def test_outputs_equal_with_every_key_drawn_by_numpy(tmp_path, monkeypatch, capsys):

@@ -239,11 +239,11 @@ class TestEmpiricalSigma2:
 
     @pytest.mark.parametrize("kind", ["mse_linear", "softmax_linear"])
     def test_equals_per_trial_gradient_loop_bitwise(self, kind):
-        # the Monte-Carlo oracle's stacked products against one model.gradient call per
-        # trial batch, each drawn by sample_batch from numpy's own stream
+        # the Monte-Carlo oracle's stacked products against one model.full_gradient call
+        # per trial batch, each drawn by sample_batch from numpy's own stream
         from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
                                    generate_regression, sample_batch)
-        from noisyfed.model import LossModel, full_gradient, gradient
+        from noisyfed.model import LossModel, full_gradient
         from oracles import TRIAL_STREAM, monte_carlo_sigma2
 
         if kind == "mse_linear":
@@ -264,7 +264,7 @@ class TestEmpiricalSigma2:
                 ref = full_gradient(model, w, Xs, ys)
                 for _ in range(7):
                     b = sample_batch(np.arange(shard.size), 9, oracle)
-                    diff = gradient(model, w, Xs[b], ys[b]) - ref
+                    diff = full_gradient(model, w, Xs[b], ys[b]) - ref
                     want.append(float(diff @ diff))
         got = monte_carlo_sigma2(Task(ds, model, part), probes, 9, 7, 6)
         assert got.ravel().tolist() == want
@@ -308,3 +308,13 @@ class TestEmpiricalSigma2:
             empirical_sigma2(task, [np.full(5, np.nan)], 10)
         with pytest.raises(ValueError, match="batch_size"):
             empirical_sigma2(task, [np.zeros(5)], 0)
+
+    def test_batch_larger_than_a_shard_rejected(self):
+        from noisyfed.data import SyntheticRegressionSpec, generate_regression
+        from noisyfed.model import LossModel
+
+        dataset = generate_regression(SyntheticRegressionSpec(m=9, d=1), seed=0)
+        task = Task(dataset, LossModel("mse_linear", dim=1), partition_iid(9, 2, seed=0))
+        assert task.shard_sizes == (5, 4)
+        with pytest.raises(ValueError, match="batch_size"):
+            empirical_sigma2(task, [np.zeros(1)], 5)
