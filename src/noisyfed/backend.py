@@ -20,8 +20,9 @@ one elementwise op per class on a (rows, C) view (``_class_max``,
 ``_class_sum``), for local steps and metrics alike. numpy's reductions
 along a last axis as short as C = 4 cost several times the exp itself. A
 max is exact in any order (up to the sign of a zero max, which no output
-carries), and the sum adds the classes in numpy's own pairwise order for a
-contiguous axis, so every output keeps numpy's bits.
+carries), and below 8 classes the sum adds them left to right, numpy's own
+order for so short a contiguous axis; from 8 on it is numpy's sum. So every
+output keeps numpy's bits.
 """
 
 from __future__ import annotations
@@ -92,31 +93,18 @@ def _class_max(z):
     return top
 
 
-def _class_sum(p, lo=0, hi=None):
-    """p[:, lo:hi].sum(axis=-1) of non-negative (N, C) ``p``, hi - lo >= 2,
-    bit for bit.
+def _class_sum(p):
+    """p.sum(axis=1) of (N, C) ``p``, C >= 2, bit for bit.
 
-    One elementwise add per class, in the pairwise order numpy's sum takes
-    along a contiguous axis of n = hi - lo entries: left to right for
-    n < 8; for 8 <= n <= 128, eight partial sums over the full blocks of 8,
-    combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to
-    right; above 128, the two halves split at a multiple of 8.
+    For C < 8, one elementwise add per class, left to right: the order of
+    numpy's pairwise sum along a contiguous axis that short. For C >= 8,
+    numpy's sum itself, whose blocked order an emulation would only repeat;
+    no workload has that many classes.
     """
-    hi = p.shape[1] if hi is None else hi
-    n = hi - lo
-    if n > 128:
-        mid = lo + n // 2 - n // 2 % 8
-        return _class_sum(p, lo, mid) + _class_sum(p, mid, hi)
-    if n < 8:
-        s, tail = p[:, lo] + p[:, lo + 1], lo + 2
-    else:
-        r = [p[:, lo + j].copy() for j in range(8)]
-        tail = hi - n % 8
-        for i in range(lo + 8, tail, 8):
-            for j in range(8):
-                r[j] += p[:, i + j]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for c in range(tail, hi):
+    if p.shape[1] >= 8:
+        return p.sum(axis=1)
+    s = p[:, 0] + p[:, 1]
+    for c in range(2, p.shape[1]):
         s += p[:, c]
     return s
 

@@ -119,22 +119,15 @@ def run_experiment(cfg: ExperimentConfig, out_prefix: str | None = None,
                    seed_override: int | None = None) -> dict:
     """Execute one run per repeat seed and write metrics plus a summary.
 
-    Returns the summary document. Divergence is recorded, not an error.
+    Returns the summary document. Divergence is recorded, not an error. The
+    bound report is computed before any file is written, so a ValueError
+    from its inputs leaves no output behind.
     """
     prefix = out_prefix or cfg.out_prefix
     seeds = [seed_override] if seed_override is not None else list(cfg.repeat_seeds)
     task = build_task(cfg)
     results = [run_one_seed(cfg, task, s) for s in seeds]
-
-    outdir = os.path.dirname(prefix)
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-    paths = []
-    for seed, res in zip(seeds, results):
-        path = f"{prefix}_seed{seed}.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(metrics_csv_text(res.metrics))
-        paths.append(path)
+    paths = [f"{prefix}_seed{seed}.csv" for seed in seeds]
 
     finals = np.array([r.final_loss for r in results], dtype=float)
     fb = cfg.fedavg
@@ -180,6 +173,12 @@ def run_experiment(cfg: ExperimentConfig, out_prefix: str | None = None,
     else:
         summary["bound_report"] = None
 
+    outdir = os.path.dirname(prefix)
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
+    for path, res in zip(paths, results):
+        with open(path, "w", newline="") as fh:
+            fh.write(metrics_csv_text(res.metrics))
     with open(f"{prefix}_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -206,7 +205,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
     (value, variant): the seed-mean final loss and its excess over the
     noise-free mean at the same value. The three variants of each
     (value, seed) run side by side in one ``fedavg.run_replicas`` call, on
-    one set of cohort and batch draws. Repeated axis values are rejected.
+    one set of cohort and batch draws. Repeated axis values are rejected. The
+    CSV and its directory are written after every run, so a failed run leaves
+    no output.
     """
     if cfg.mode != "fedavg":
         raise ValueError("sweeps apply to fedavg mode")
@@ -224,11 +225,6 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
         except ValueError as exc:
             raise ValueError(f"{axis}={v}: {exc}") from exc
 
-    prefix = out_prefix or cfg.out_prefix
-    outdir = os.path.dirname(prefix)
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-
     task = build_task(cfg)
     rows = []
     table = {}
@@ -244,6 +240,10 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
             rows.append((v, name, means[name], means[name] - means["noise_free"]))
         table[v] = means
 
+    prefix = out_prefix or cfg.out_prefix
+    outdir = os.path.dirname(prefix)
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
     path = f"{prefix}_sweep_{axis}.csv"
     with open(path, "w", newline="") as fh:
         fh.write("axis,value,variant,final_loss,excess\n")

@@ -20,11 +20,14 @@ computes, per replica, every array the rounds read that no model changes:
 the K rounds' uplink and downlink variances, the downlink noise scaled by
 its variance, (K, d), and the client mean of the scaled uplink noise,
 (K, d). The rounds then do only model-dependent work. Each round gathers
-the batch rows once and steps all replicas' cohorts in one local_steps
+the batch rows once and steps all live replicas' cohorts in one local_steps
 call; the metrics, the aggregation, the SNRs, the divergence guard and k*
-stay per replica, and a diverged replica leaves the stack while the others
-step on. Each replica's result is bit-identical to running it alone, and
-``run_noisy_fedavg`` is the one-replica case.
+stay per replica. Replica j's model is row j of one array all run, and a
+halted replica's row, never written again, is its final params. Each
+replica's result is bit-identical to running it alone, and
+``run_noisy_fedavg`` is the one-replica case. ``run_noisy_sgd`` differs
+from it only in its update rule and its uniform k*: the same guards halt
+it, and the same helpers build its halted row and its result.
 
 Randomness is drawn from independent streams keyed by
 (master seed, round, client, purpose), so client order and channel on/off
@@ -50,7 +53,6 @@ the last digits as well.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -275,25 +277,31 @@ def _metric_inputs(loss_model, X, y, shards):
     and a per-row weight 1/(n m_i), m_i the size of the row's shard, so one
     weighted pass over all rows gives the unweighted mean over clients. The
     rows are gathered once, into the one copy of X the task keeps, and their
-    shape and label range are checked there, once per task.
+    shape and label range are checked there, once per task. Built without
+    warnings; ValueError when a value is not finite (data too large for float64).
     """
-    if loss_model.kind != "mse_linear":
-        index = np.arange(len(y))
-        parts = [index[s] for s in shards]  # slices as index arrays too
-        rows = np.concatenate(parts)
-        Xs, ys = check_rows(loss_model, X[rows], y[rows])
-        sizes = np.array([len(p) for p in parts])
-        return Xs, ys, np.repeat(1.0 / (len(parts) * sizes), sizes)
-    d = loss_model.dim
-    A, b, c = np.zeros((d, d)), np.zeros(d), 0.0
-    for s in shards:
-        Xs, ys = X[s], y[s]
-        m = ys.shape[0]
-        A += (Xs.T @ Xs) / m
-        b += (Xs.T @ ys) / m
-        c += float(ys @ ys) / m
-    n = len(shards)
-    return A / n, b / n, c / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        if loss_model.kind != "mse_linear":
+            index = np.arange(len(y))
+            parts = [index[s] for s in shards]  # slices as index arrays too
+            rows = np.concatenate(parts)
+            Xs, ys = check_rows(loss_model, X[rows], y[rows])
+            sizes = np.array([len(p) for p in parts])
+            inputs = Xs, ys, np.repeat(1.0 / (len(parts) * sizes), sizes)
+        else:
+            d = loss_model.dim
+            A, b, c = np.zeros((d, d)), np.zeros(d), 0.0
+            for s in shards:
+                Xs, ys = X[s], y[s]
+                m = ys.shape[0]
+                A += (Xs.T @ Xs) / m
+                b += (Xs.T @ ys) / m
+                c += float(ys @ ys) / m
+            n = len(shards)
+            inputs = A / n, b / n, c / n
+    if not all(np.isfinite(v).all() for v in inputs):
+        raise ValueError("the data's metric statistics are not finite in float64")
+    return inputs
 
 
 def _global_metrics(loss_model, inputs, w):
@@ -316,29 +324,45 @@ def _global_metrics(loss_model, inputs, w):
     return f, float(g @ g)
 
 
+def _halted_row(rows, k, v_up, v_dn):
+    """Round k's row of a run halted on a non-finite loss: flagged diverged, with no
+    SNRs, carrying the last row's loss and gradient norm forward (zeros before any)."""
+    f, g2 = (rows[-1].train_loss, rows[-1].grad_norm_sq) if rows else (0.0, 0.0)
+    return RoundMetrics(k, f, g2, v_up, v_dn, None, None, diverged=True)
+
+
+def _finished(rows, w, diverged_at, k_star, eta, loss_model, inputs):
+    """The result of a run that ended at params ``w``: completed with ``k_star`` when
+    ``diverged_at`` is None, else diverged at that round without k*. Called under the
+    loops' errstate: a run halted on a non-finite loss ends at a w whose loss overflows."""
+    final_loss, _ = _global_metrics(loss_model, inputs, w)
+    done = diverged_at is None
+    return RunResult(metrics=rows, final_params=w, k_star=k_star if done else None,
+                     status="completed" if done else "diverged", diverged_at=diverged_at,
+                     eta=eta, final_loss=final_loss)
+
+
 def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[RunResult]:
     """Run K rounds of noisy federated averaging from master ``seed``, once per
     (uplink, downlink) schedule pair of ``channels``, in lockstep.
 
-    The replicas share the task, the seed and the round draws, so each round
-    gathers its batch rows once and steps every replica's cohort in one
-    ``backend.local_steps`` call; they share the channel noise draws too,
-    each scaled by its own schedule. Right after the draws, each replica's
-    variances for all K rounds (one ``variance_at`` call per round and
-    link), its scaled downlink noise and its client-mean scaled uplink noise
-    are computed as arrays over the rounds, in the per-round arithmetic's
-    order, so the loop holds only the work that depends on the models:
-    metrics, local steps, aggregation, SNRs, the divergence guard and k*.
-    Each result is bit-identical to a run of its pair alone. Metrics row k
-    is measured at the round-k starting model over all n client shards.
-    Batch rows are consumed in index order inside the local steps so that
-    full-batch degenerate runs match full-gradient arithmetic bit for bit.
-    A replica halts with status "diverged" when its loss goes non-finite or
-    its parameter norm exceeds 1e12, and the offending round's row carries
-    the diverged flag; the others step on. All draws come from one
-    round_draws call, which also checks the seed, the shard count and the
-    batch size. It needs n >= 2 clients, because k*'s weights (``zeta``) do,
-    and checks that before drawing anything.
+    The replicas share the task, the seed and the round draws: each round
+    gathers its batch rows once and steps every live replica's cohort in one
+    ``backend.local_steps`` call, and each replica scales the shared channel
+    noise by its own schedule, for all K rounds before the first. Each result
+    is bit-identical to a run of its pair alone. Metrics row k is measured at
+    the round-k starting model over all n client shards. Batch rows are
+    consumed in index order inside the local steps so that full-batch
+    degenerate runs match full-gradient arithmetic bit for bit.
+
+    Row j of one (R, d) array is replica j's model all run. Replica j halts as
+    "diverged" in round k on a non-finite round-k loss (row k is then
+    ``_halted_row``'s) or a next model of norm above 1e12 (row k is flagged);
+    the others step on. Row j is never written again, so the result
+    (``_finished``) holds its round-k starting model. One round_draws call
+    makes every draw and checks the seed, the shard count and the batch size.
+    It needs n >= 2 clients, because k*'s weights (``zeta``) do, and checks
+    that first.
     """
     loss_model, dataset = task.model, task.dataset
     if loss_model.smoothness is None:
@@ -368,43 +392,30 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
                           for k, s in enumerate(np.sqrt(v))]) / r if any(v) else None
                 for v in V_up]
 
+    R = len(channels)
     metrics = [[] for _ in channels]
-    ends = [None] * len(channels)    # (final params, diverged_at) of each replica
-    live = list(range(len(channels)))  # replicas still stepping; W[a] is live[a]'s model
-    W = np.zeros((len(channels), d))
+    halted = [None] * R  # the round each replica halted in, None while it steps
+    W = np.zeros((R, d))
 
-    # a diverging replica overflows to inf or nan in its steps, its aggregate or its SNR
-    # before the guards below drop it: those values are their signal, not a fault to warn
-    # about, so the whole loop runs under one errstate
+    # a diverging replica overflows to inf or nan in its steps, its aggregate, its SNR or
+    # its final loss before the guards below stop it: those values are their signal, not
+    # a fault to warn about, so the whole loop runs under one errstate
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            evals = [_global_metrics(loss_model, inputs, w) for w in W]
-            finite = [math.isfinite(f) for f, _ in evals]
-            if not all(finite):
-                for a, j in enumerate(live):
-                    if finite[a]:
-                        continue
-                    prev = metrics[j][-1] if metrics[j] else None
-                    metrics[j].append(RoundMetrics(k, prev.train_loss if prev else 0.0,
-                                                   prev.grad_norm_sq if prev else 0.0,
-                                                   V_up[j][k], V_dn[j][k], None, None,
-                                                   diverged=True))
-                    ends[j] = (W[a], k)
-                live = [j for j, ok in zip(live, finite) if ok]
-                evals = [ev for ev, ok in zip(evals, finite) if ok]
-                W = W[finite]
-                if not live:
-                    break
-            v_up = [V_up[j][k] for j in live]
-            v_dn = [V_dn[j][k] for j in live]
+            evals = {j: _global_metrics(loss_model, inputs, W[j])
+                     for j in range(R) if halted[j] is None}
+            for j, (f, _) in evals.items():
+                if not math.isfinite(f):
+                    metrics[j].append(_halted_row(metrics[j], k, V_up[j][k], V_dn[j][k]))
+                    halted[j] = k
+            live = [j for j in evals if halted[j] is None]
+            if not live:
+                break
 
-            W_recv = W
-            if any(v_dn):
-                W_recv = W.copy()
-                for a, j in enumerate(live):
-                    if v_dn[a] > 0:
-                        W_recv[a] += down_noise[j][k]
-
+            W_recv = W[live]
+            for a, j in enumerate(live):
+                if V_dn[j][k] > 0:
+                    W_recv[a] += down_noise[j][k]
             # a lone replica steps from a 1-D start: the (1, P) form costs it a few percent
             w_ends, accs = backend.local_steps(loss_model.kind, dataset.X, dataset.y,
                                                W_recv[0] if len(live) == 1 else W_recv, eta,
@@ -412,44 +423,28 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
             w_ends, accs = w_ends.reshape(len(live), r, d), accs.reshape(len(live), r, d)
             W_next = W_recv - eta * (np.add.reduce(accs, axis=1) / r)
 
-            snr_up = [None] * len(live)
-            if any(v_up):
-                for a, j in enumerate(live):
-                    if v_up[a] > 0:
-                        W_next[a] += up_means[j][k]
-                        delta = W_recv[a] - w_ends[a]
-                        snr = np.vecdot(delta, delta) / (d * v_up[a])
-                        snr_up[a] = float(np.add.reduce(snr) / r)
-
-            # the norm is nan or inf when a coordinate is, so this also catches those
-            ok = (np.sqrt(np.vecdot(W_next, W_next)) <= DIVERGENCE_NORM).tolist()
             for a, j in enumerate(live):
-                w = W[a]
+                v_up, v_dn, w, w_next = V_up[j][k], V_dn[j][k], W[j], W_next[a]
+                snr_up = None
+                if v_up > 0:
+                    w_next += up_means[j][k]
+                    delta = W_recv[a] - w_ends[a]
+                    snr_up = float(np.add.reduce(np.vecdot(delta, delta) / (d * v_up)) / r)
+                # the norm is nan or inf when a coordinate is, so this also catches those
+                ok = np.sqrt(np.vecdot(w_next, w_next)) <= DIVERGENCE_NORM
                 metrics[j].append(RoundMetrics(
-                    k, *evals[a], v_up[a], v_dn[a], snr_up[a],
-                    float(w @ w) / (d * v_dn[a]) if v_dn[a] > 0 else None, diverged=not ok[a]))
-                if not ok[a]:
-                    ends[j] = (w, k)
-            if not all(ok):
-                live = [j for j, kept in zip(live, ok) if kept]
-                W_next = W_next[ok]
-                if not live:
-                    break
-            W = W_next
+                    k, *evals[j], v_up, v_dn, snr_up,
+                    float(w @ w) / (d * v_dn) if v_dn > 0 else None, diverged=not ok))
+                if ok:
+                    w[:] = w_next
+                else:
+                    halted[j] = k
 
-    for a, j in enumerate(live):
-        ends[j] = (W[a], None)
-    k_star = None
-    if live:
-        k_star = sample_kstar(zeta(eta, L, E, n, r), K, _stream(seed, 0, 0, _KSTAR))
-    results = []
-    for j, (w, div_at) in enumerate(ends):
-        fl, _ = _global_metrics(loss_model, inputs, w)
-        results.append(RunResult(metrics=metrics[j], final_params=w,
-                                 k_star=None if div_at is not None else k_star,
-                                 status="completed" if div_at is None else "diverged",
-                                 diverged_at=div_at, eta=eta, final_loss=fl))
-    return results
+        k_star = None
+        if None in halted:
+            k_star = sample_kstar(zeta(eta, L, E, n, r), K, _stream(seed, 0, 0, _KSTAR))
+        return [_finished(metrics[j], W[j], halted[j], k_star, eta, loss_model, inputs)
+                for j in range(R)]
 
 
 def run_noisy_fedavg(config: FedAvgConfig, task: Task, seed: int,
@@ -470,6 +465,10 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
     evaluated; the uplink draw rides on the gradient itself inside the step.
     Warns when eta exceeds 1/L. Metrics are measured at w_t over the whole
     dataset, taken as one shard of the federated loop's evaluation.
+
+    The rules around the update are ``run_replicas``': noise scaled before the
+    loop, one errstate, the same halts and final params, and ``_finished``'s
+    result. Only k* differs: it is uniform over the T steps.
     """
     if seed < 0:
         raise ValueError("seed must be >= 0")
@@ -488,54 +487,34 @@ def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
                                              None if downlink.off else (ts, 0, _DOWNLINK),
                                              None if uplink.off else (ts, 0, _UPLINK))
     batches = streams.choices(batch_keys, len(dataset), batch_size, 1)[:, 0]
-    if not downlink.off:
-        down_noise = streams.normals(down_keys, d)
-    if not uplink.off:
-        up_noise = streams.normals(up_keys, d)
-    w = np.zeros(d)
-    metrics: list[RoundMetrics] = []
-    status, div_at = "completed", None
-
+    V_up = [variance_at(uplink, t) for t in range(T)]
+    V_dn = [variance_at(downlink, t) for t in range(T)]
+    down_noise = None if downlink.off else streams.normals(down_keys, d) * np.sqrt(V_dn)[:, None]
+    up_noise = None if uplink.off else streams.normals(up_keys, d) * np.sqrt(V_up)[:, None]
     inputs = _metric_inputs(loss_model, dataset.X, dataset.y, [slice(None)])
 
-    for t in range(T):
-        train_loss, gns = _global_metrics(loss_model, inputs, w)
-        v_up = variance_at(uplink, t)
-        v_dn = variance_at(downlink, t)
+    w = np.zeros(d)
+    metrics: list[RoundMetrics] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            train_loss, gns = _global_metrics(loss_model, inputs, w)
+            v_up, v_dn = V_up[t], V_dn[t]
+            if not math.isfinite(train_loss):
+                metrics.append(_halted_row(metrics, t, v_up, v_dn))
+                break
+            point = w + down_noise[t] if v_dn > 0 else w
+            g = backend.batch_gradient(loss_model.kind, dataset.X, dataset.y, point, batches[t],
+                                       loss_model.n_classes)
+            w_next = w - eta * (g + up_noise[t] if v_up > 0 else g)
+            ok = np.sqrt(np.vecdot(w_next, w_next)) <= DIVERGENCE_NORM
+            metrics.append(RoundMetrics(t, train_loss, gns, v_up, v_dn,
+                                        float(g @ g) / (d * v_up) if v_up > 0 else None,
+                                        float(w @ w) / (d * v_dn) if v_dn > 0 else None,
+                                        diverged=not ok))
+            if not ok:
+                break
+            w = w_next
 
-        if not np.isfinite(train_loss):
-            prev = metrics[-1] if metrics else None
-            metrics.append(RoundMetrics(t, prev.train_loss if prev else 0.0,
-                                        prev.grad_norm_sq if prev else 0.0,
-                                        v_up, v_dn, None, None, diverged=True))
-            status, div_at = "diverged", t
-            break
-
-        point = w
-        if v_dn > 0:
-            point = w + down_noise[t] * np.sqrt(v_dn)
-        g = backend.batch_gradient(loss_model.kind, dataset.X, dataset.y, point, batches[t],
-                                   loss_model.n_classes)
-        step = g
-        if v_up > 0:
-            step = g + up_noise[t] * np.sqrt(v_up)
-        w_next = w - eta * step
-
-        row = RoundMetrics(t, train_loss, gns, v_up, v_dn,
-                           float(g @ g) / (d * v_up) if v_up > 0 else None,
-                           float(w @ w) / (d * v_dn) if v_dn > 0 else None)
-        with np.errstate(over="ignore"):  # an overflow to inf is what this guard catches
-            diverged = not np.isfinite(w_next).all() or np.linalg.norm(w_next) > DIVERGENCE_NORM
-        if diverged:
-            metrics.append(dataclasses.replace(row, diverged=True))
-            status, div_at = "diverged", t
-            break
-        metrics.append(row)
-        w = w_next
-
-    k_star = None
-    if status == "completed":
-        k_star = sample_kstar(0.0, T, _stream(seed, 0, 0, _KSTAR))
-    fl, _ = _global_metrics(loss_model, inputs, w)
-    return RunResult(metrics=metrics, final_params=w, k_star=k_star,
-                     status=status, diverged_at=div_at, eta=eta, final_loss=fl)
+        div_at = t if metrics[-1].diverged else None
+        k_star = sample_kstar(0.0, T, _stream(seed, 0, 0, _KSTAR)) if div_at is None else None
+        return _finished(metrics, w, div_at, k_star, eta, loss_model, inputs)

@@ -118,11 +118,13 @@ def _power_iteration_gram(X: np.ndarray, tol: float) -> float:
     Deterministic start vector; the stopping threshold is two orders
     tighter than the requested tolerance because successive Rayleigh
     differences understate the true error when the spectrum is flat.
-    Returns NaN as soon as an iterate C v is not finite, which a
-    non-finite C gives at once; the overflow that makes it raises no
-    warning, since the NaN is the signal LossModel rejects. The norm of
-    C v is sqrt(w . w), np.linalg.norm's own arithmetic on a 1-D float64
-    vector without its wrapper.
+    Returns NaN as soon as the norm of an iterate C v is not finite, which
+    a non-finite C gives at once and a finite one whose top eigenvalue is
+    above about 1.34e154 gives too, since w . w overflows: such a lambda has
+    no finite square, which ``theory.zeta``'s L**2 needs. The overflow
+    raises no warning, since the NaN is the signal LossModel rejects. The
+    norm of C v is sqrt(w . w), np.linalg.norm's own arithmetic on a 1-D
+    float64 vector without its wrapper.
     """
     m, d = X.shape
     with np.errstate(over="ignore", invalid="ignore"):
@@ -133,8 +135,7 @@ def _power_iteration_gram(X: np.ndarray, tol: float) -> float:
             w = C @ v
             lam_new = float(v @ w)
             norm = math.sqrt(w.dot(w))
-            # a finite w can still overflow its norm; only a non-finite one stops here
-            if not math.isfinite(norm) and not np.isfinite(w).all():
+            if not math.isfinite(norm):
                 return math.nan
             if norm == 0.0:
                 return 0.0

@@ -38,7 +38,8 @@ rejects the word when the product's low word is below
 below excl, and a low word of excl or more is never rejected. ``_lemire``
 therefore computes the modulo only for low words below excl, about one in
 2**32 / excl, and decides every other word without it: the same decisions
-as the full test.
+as the full test. A swap word needs only the test, and ``_swap_rejected``
+runs it on wrapping uint32 products, without the draw.
 
 Setting a key's state is one 32-byte write of its limbs (state lo, state
 hi, inc lo, inc hi) into the PCG64's ``pcg64_random_t``, through a
@@ -270,7 +271,7 @@ def words(keys: SeededKeys, n: int) -> np.ndarray:
 
 def _lemire(word, excl):
     """Lemire's bounded draw in [0, excl) from uint32 words, and where numpy would
-    reject; ``excl`` is uint64 and broadcasts against ``word``.
+    reject; ``excl`` is uint64, of ``word``'s shape.
 
     The draw is the high word of the 64-bit product word * excl. numpy rejects
     a word whose low product word is below (2**32 - excl) % excl. That
@@ -284,9 +285,17 @@ def _lemire(word, excl):
     rejected = low < excl
     if rejected.any():
         at = np.nonzero(rejected)
-        cand = np.broadcast_to(excl, low.shape)[at]
+        cand = excl[at]
         rejected[at] = low[at] < (np.uint64(WORD_LIMIT) - cand) % cand
     return halves[..., 1::2].astype(np.int64), rejected
+
+
+def _swap_rejected(words):
+    """numpy's Lemire rejections of the shuffle's (b - 1, N) uint32 swap ``words``, row
+    i from [0, b - i), on wrapping uint32 products: no 64-bit product, no draw."""
+    excl = range(len(words) + 1, 1, -1)
+    thresh = np.array([(WORD_LIMIT - e) % e for e in excl], dtype=np.uint32)[:, None]
+    return words * np.array(excl, dtype=np.uint32)[:, None] < thresh
 
 
 def choice(cols, m, b: int):
@@ -315,9 +324,8 @@ def choice(cols, m, b: int):
     lift = m - b
     picks, rejected = _lemire(cols[:b], lift.astype(np.uint64)
                               + np.arange(1, b + 1, dtype=np.uint64)[:, None])
-    _, rejected_swap = _lemire(cols[b:], np.arange(b, 1, -1, dtype=np.uint64)[:, None])
     bad = (m > 10_000) & (b > m // 50) | (m > WORD_LIMIT) | rejected.any(axis=0) \
-        | rejected_swap.any(axis=0)
+        | _swap_rejected(cols[b:]).any(axis=0)
     for q in range(1, b):  # a value already picked becomes j_q
         np.copyto(picks[q], lift + q, where=(picks[:q] == picks[q]).any(axis=0))
     picks.sort(axis=0)

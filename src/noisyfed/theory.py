@@ -13,6 +13,7 @@ times the per-coordinate variance.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -95,6 +96,9 @@ class TheoryParams:
             raise ValueError("gamma must exceed 4")
         if min(self.L, self.eta) <= 0:
             raise ValueError("L and eta must be positive")
+        if not all(map(math.isfinite, (self.gamma, self.L, self.eta, self.sigma2, self.f0,
+                                       self.sum_U2, self.sum_N2))):
+            raise ValueError("gamma, L, eta, sigma2, f0 and noise sums must be finite")
         if min(self.sigma2, self.f0, self.sum_U2, self.sum_N2) < 0:
             raise ValueError("sigma2, f0 and noise sums must be >= 0")
 
@@ -215,7 +219,8 @@ def empirical_sigma2(task: Task, probe_params, batch_size: int) -> float:
     (``backend.row_residuals``), so ||g_j||^2 = ||r_j||^2 ||x_j||^2 and
     sum_j ||g_j - g||^2 = sum_j ||r_j||^2 ||x_j||^2 - m ||g||^2. Per shard that
     is one product for every probe's residuals, one for m g and one for the
-    weighted norms, with no (probes, m, P) stack of row gradients.
+    weighted norms, with no (probes, m, P) stack of row gradients. They are
+    computed without warnings; ValueError when a shard's spread is not finite.
     """
     model, X, y = task.model, task.dataset.X, task.dataset.y
     if len(probe_params) == 0:
@@ -230,9 +235,12 @@ def empirical_sigma2(task: Task, probe_params, batch_size: int) -> float:
         Xs, ys = check_rows(model, X[shard], y[shard])
         if m == b:
             continue  # every batch is the whole shard
-        R = backend.row_residuals(model.kind, Xs, ys, W, model.n_classes)
-        weighted = np.vecdot(Xs, Xs) @ np.vecdot(R, R)
-        sums = (R.reshape(m, -1).T @ Xs).reshape(len(W), -1)  # m g, one row per probe
-        spread = weighted - np.vecdot(sums, sums) / m
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = backend.row_residuals(model.kind, Xs, ys, W, model.n_classes)
+            weighted = np.vecdot(Xs, Xs) @ np.vecdot(R, R)
+            sums = (R.reshape(m, -1).T @ Xs).reshape(len(W), -1)  # m g, one row per probe
+            spread = weighted - np.vecdot(sums, sums) / m
+        if not np.isfinite(spread).all():  # max would drop a nan
+            raise ValueError("sigma2 is not finite in float64")
         worst = max(worst, *((m - b) / (b * (m - 1)) * spread / m).tolist())
     return worst

@@ -5,7 +5,9 @@ The cases are the three benchmark workloads at workload seeds 0 and 7, each from
 with and without ``--csv`` on ``configs/v5a_snr_control.json``; ``noisyfed sweep
 --axis E`` on ``configs/v5a_sweep.json``; and an sgd-mode ``run`` of the config
 ``SGD``, the one CLI path with no preset. They run in one child process with
-``workloads.THREAD_ENV`` (one BLAS thread), each in its own directory.
+``workloads.THREAD_ENV`` (one BLAS thread), each in its own directory, and with
+every RuntimeWarning an error, as the tests' own policy in ``pyproject.toml`` has
+it: a numpy warning on a pinned path fails the cases, with the child's stderr.
 
 ``tests/golden/<case>/`` holds what each case wrote, file by file, and its stdout as
 ``stdout.txt``; ``tests/golden/environment.json`` holds the numpy and BLAS that wrote
@@ -106,8 +108,10 @@ def run_cases() -> dict:
                                                       env.get("PYTHONPATH")]))
     plan = cases()
     with tempfile.TemporaryDirectory() as work:
-        subprocess.run([sys.executable, "-c", _CHILD, work, json.dumps(plan)], env=env,
-                       check=True, capture_output=True)
+        child = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _CHILD,
+                                work, json.dumps(plan)], env=env, capture_output=True, text=True)
+        if child.returncode:
+            raise RuntimeError(f"the golden cases failed:\n{child.stderr}")
         return {name: read_case(Path(work, name)) for name in plan}
 
 

@@ -111,7 +111,7 @@ def power_iteration_gram(X, tol):
         w = C @ v
         lam_new = float(v @ w)
         norm = np.linalg.norm(w)
-        if not math.isfinite(norm) and not np.isfinite(w).all():
+        if not math.isfinite(norm):
             return math.nan, it
         if norm == 0.0:
             return 0.0, it

@@ -364,6 +364,21 @@ class TestBadClassificationInput:
         assert capsys.readouterr().err == error
 
 
+    def test_overflowing_smoothness_exits_2(self, tmp_path, capsys):
+        # at separation 1e150 the Gram matrix is finite but its top eigenvalue has no
+        # finite square; with eta pinned the run used to exit 0 with L = 0, and without
+        # the pin it exited 2 naming gamma and L instead of the smoothness
+        error = "smoothness must be finite and >= 0, got nan"
+        for eta in (0.01, None):
+            doc = classification_doc("data", "cluster_separation", 1e150)
+            doc["fedavg"]["learning_rate_override"] = eta
+            cfgp = write_doc(tmp_path, doc)
+            out = tmp_path / "o"
+            assert main(["run", "--config", cfgp, "--out", str(out / "run")]) == 2
+            assert capsys.readouterr().err == f"error: {cfgp}: {error}\n"
+            assert not out.exists()
+
+
 class TestSweepCommand:
     def test_single_value_degenerates_to_three_runs(self, tmp_path):
         cfgp = write_doc(tmp_path, tiny_doc())
@@ -427,6 +442,46 @@ class TestBoundsCommand:
         got = dict(line.split(",") for line in
                    capsys.readouterr().out.strip().splitlines()[1:])
         assert float(got["term_downlink"]) > 10 * float(got["term_uplink"])
+
+
+def label_noise_docs(variance):
+    """tiny_doc, and an sgd-mode copy, with label noise of the given variance."""
+    fed = tiny_doc(data=dict(tiny_doc()["data"], label_noise_variance=variance))
+    return fed, dict(fed, mode="sgd", sgd={"T": 20, "eta": 0.05, "batch_size": 8})
+
+
+class TestNonFiniteBoundInputs:
+    """Label noise too large for float64, on 600 rows in shards of 60. At 1e306 the
+    metric statistics fit (y^T y / m per shard) but sigma^2's spread overflows, and a
+    sweep, which reports no bound, stays finite; from 1e307 y^T y overflows. These used
+    to exit 0: bounds printed f0 inf and sigma2 inf (1e306) or 0 (max dropped the nan
+    spread), and run wrote Infinity losses and a NaN std."""
+
+    SIGMA2, STATS = "sigma2 is not finite", "metric statistics are not finite"
+
+    @pytest.mark.parametrize("variance, messages", [
+        (1e306, {"run": SIGMA2, "bounds": SIGMA2, "sgd": STATS, "sweep": None}),
+        (1e307, {"run": STATS, "bounds": STATS, "sgd": STATS, "sweep": STATS}),
+        (1e308, {"run": STATS, "bounds": STATS, "sgd": STATS, "sweep": STATS})])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, variance, messages):
+        fed, sgd = label_noise_docs(variance)
+        fedp, sgdp = write_doc(tmp_path, fed), write_doc(tmp_path, sgd, "sgd.json")
+        out = tmp_path / "o"
+        argv = {"run": ["run", "--config", fedp, "--out", str(out / "run")],
+                "bounds": ["bounds", "--config", fedp],
+                "sgd": ["run", "--config", sgdp, "--out", str(out / "sgd")],
+                "sweep": ["sweep", "--config", fedp, "--axis", "r", "--values", "2,4",
+                          "--out", str(out / "sweep")]}
+        for name, message in messages.items():
+            code = main(argv[name])
+            err = capsys.readouterr().err
+            if message is None:
+                assert code == 0 and err == "", name
+                assert np.isfinite(np.loadtxt(out / "sweep_sweep_r.csv", delimiter=",",
+                                              skiprows=1, usecols=(3, 4))).all()
+                continue
+            assert code == 2 and err.startswith("error: ") and message in err, name
+            assert not out.exists(), name
 
 
 class TestPowerCommand:

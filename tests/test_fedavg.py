@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from noisyfed import backend, fedavg, streams
 from noisyfed.channel import NoiseSchedule, variance_at
 from noisyfed.config import parse_config
-from noisyfed.data import (SyntheticRegressionSpec, generate_classification,
+from noisyfed.data import (Dataset, SyntheticRegressionSpec, generate_classification,
                            generate_regression, partition_iid, partition_label_shard,
                            sample_batch)
 from noisyfed.experiment import (build_task, run_experiment, run_one_seed, run_sweep,
@@ -764,8 +764,8 @@ class TestReplicas:
     @given(R=st.integers(1, 4), r=st.integers(1, 40), P=st.integers(1, 200),
            log_scale=st.floats(-3, 3), seed=st.integers(0, 2**32 - 1))
     def test_stacked_reductions_equal_per_row_arithmetic(self, R, r, P, log_scale, seed):
-        # run_replicas takes the SNR dot products, the divergence norm and the
-        # client means over stacked rows; each must give the row-by-row bits
+        # run_replicas takes the SNR dot products and the client means over stacked
+        # rows, and each must give the row-by-row bits; so would a stacked divergence norm
         D = np.random.default_rng(seed).standard_normal((R, r, P)) * 10.0 ** log_scale
         dots = np.vecdot(D, D)
         means = D.mean(axis=1)
@@ -778,6 +778,91 @@ class TestReplicas:
     def test_no_channels_rejected(self, tiny_task):
         with pytest.raises(ValueError, match="pair"):
             run_replicas(tiny_config(), tiny_task, 0, [])
+
+
+def overflowing_task():
+    """60 x 3 mse rows scaled by 1e150, with the exact smoothness 1.27e300: a model of
+    norm about 1e10 overflows the loss. (smoothness_constant returns NaN at this scale:
+    lambda has no finite square.)"""
+    rng = np.random.default_rng(0)
+    X, y = rng.standard_normal((60, 3)) * 1e150, rng.standard_normal(60)
+    L = float(np.linalg.eigvalsh(X.T @ X / 60)[-1])
+    return Task(Dataset("mse_linear", X, y), LossModel("mse_linear", 3, smoothness=L),
+                partition_iid(60, 4, 0))
+
+
+def assert_same_halted_run(a, b):
+    """assert_same_run for runs whose final loss may be nan."""
+    assert_same_run(dataclasses.replace(a, final_loss=0.0), dataclasses.replace(b, final_loss=0.0))
+    assert np.array_equal(a.final_loss, b.final_loss, equal_nan=True)
+
+
+class TestHaltedRuns:
+    """Both halts, on a non-finite loss and on the norm guard, in both loops: the rows
+    they leave, the final params (the model the halting round started from), and no
+    warning, though the final loss overflows again."""
+
+    def test_replicas_halt_on_the_loss_and_on_the_norm(self):
+        # replica 0's uplink (1e10) moves its model to norm ~1e10 in round 0, so its
+        # round-1 loss is not finite; replica 1's downlink makes round 0's steps overflow.
+        # Every replica halts: k* would need zeta, whose L**2 overflows at this L
+        task = overflowing_task()
+        cfg = FedAvgConfig(n=4, r=2, E=1, K=6, gamma=18.0, batch_size=5)
+        off_u, off_d = NoiseSchedule("uplink"), NoiseSchedule("downlink")
+        channels = [(NoiseSchedule("uplink", "constant", 1e10), off_d),
+                    (off_u, NoiseSchedule("downlink", "constant", 1e10))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            runs = run_replicas(cfg, task, 1, channels)
+            alone = [run_noisy_fedavg(cfg, task, 1, *pair) for pair in channels]
+        lossy, normed = runs
+        assert (lossy.status, lossy.diverged_at, lossy.k_star) == ("diverged", 1, None)
+        first = lossy.metrics[0]
+        assert np.isfinite(first.train_loss) and not first.diverged
+        assert lossy.metrics[1] == fedavg.RoundMetrics(1, first.train_loss, first.grad_norm_sq,
+                                                       1e20, 0.0, None, None, diverged=True)
+        assert not np.isfinite(lossy.final_loss)
+        # round 0 by hand: the clients step from zero, then the scaled uplink mean
+        draws = keyed_stream_draws(cfg, task, 1, channels[:1])
+        model, X, y = task.model, task.dataset.X, task.dataset.y
+        accs = [backend.local_steps(model.kind, X, y, np.zeros(3), lossy.eta, rows)[1]
+                for rows in draws.rows[0]]
+        w1 = 0.0 - lossy.eta * np.mean(accs, axis=0) + (draws.uplink[0] * 1e10).mean(axis=0)
+        assert np.array_equal(lossy.final_params, w1) and 1e9 < np.linalg.norm(w1) < 1e12
+
+        assert (normed.status, normed.diverged_at, normed.k_star) == ("diverged", 0, None)
+        assert len(normed.metrics) == 1 and normed.metrics[0].diverged
+        assert np.array_equal(normed.final_params, np.zeros(3))
+        assert normed.final_loss == normed.metrics[0].train_loss
+        for res, one in zip(runs, alone):
+            assert_same_halted_run(res, one)
+
+    def test_sgd_halts_on_the_loss_and_on_the_norm(self):
+        # at eta = 1e-144 the step (~1e6 from the gradient and the 1e150 uplink) makes the
+        # next loss overflow; the 1e10 downlink makes the first gradient overflow
+        task = overflowing_task()
+        ds, model = task.dataset, task.model
+        eta = 1e-144
+        off_u, off_d = NoiseSchedule("uplink"), NoiseSchedule("downlink")
+        with warnings.catch_warnings(), pytest.warns(UserWarning, match="exceeds 1/L"):
+            warnings.simplefilter("error", RuntimeWarning)
+            lossy = run_noisy_sgd(model, ds, eta, 6, 5,
+                                  NoiseSchedule("uplink", "constant", 1e150), off_d, seed=1)
+            normed = run_noisy_sgd(model, ds, eta, 6, 5, off_u,
+                                   NoiseSchedule("downlink", "constant", 1e10), seed=1)
+        assert (lossy.status, lossy.diverged_at, lossy.k_star) == ("diverged", 1, None)
+        first = lossy.metrics[0]
+        assert lossy.metrics[1] == fedavg.RoundMetrics(1, first.train_loss, first.grad_norm_sq,
+                                                       1e150 ** 2, 0.0, None, None, diverged=True)
+        rows = np.sort(np.random.default_rng([1, 0, 0, _BATCH]).choice(60, 5, replace=False))
+        e = np.random.default_rng([1, 0, 0, fedavg._UPLINK]).standard_normal(3)
+        g = backend.batch_gradient(model.kind, ds.X, ds.y, np.zeros(3), rows)
+        w1 = np.zeros(3) - eta * (g + e * 1e150)
+        assert np.array_equal(lossy.final_params, w1) and 1e5 < np.linalg.norm(w1) < 1e12
+        assert not np.isfinite(lossy.final_loss)
+        assert (normed.status, normed.diverged_at, normed.k_star) == ("diverged", 0, None)
+        assert len(normed.metrics) == 1 and normed.metrics[0].diverged
+        assert np.array_equal(normed.final_params, np.zeros(3))
 
 
 class TestTask:

@@ -1,5 +1,7 @@
 """Loss, gradient, and smoothness checks against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +180,17 @@ class TestSmoothness:
             lam = _power_iteration_gram(X.view(CountingMatmul), 1e-8)
         assert np.isnan(lam)
         assert CountingMatmul.calls <= 3  # X^T X, then C v once
+
+    @pytest.mark.parametrize("scale", [1e100, 1e140, 1e150, 1e152])
+    def test_overflowing_norm_gives_nan(self, scale):
+        # C is finite and so is its top eigenvalue (eigvalsh: 1.3e200 to 1.1e304), but
+        # the iterate's squared norm overflows: such an L has no finite square. This
+        # used to go on with a finite iterate, divide it by inf and return 0.0
+        X = np.random.default_rng(0).standard_normal((60, 3)) * scale
+        assert np.isfinite(np.linalg.eigvalsh(X.T @ X / 60)[-1])
+        with np.errstate(over="ignore"):
+            assert math.isnan(power_iteration_gram(X, 1e-8)[0])
+        assert math.isnan(smoothness_constant(LossModel("mse_linear", dim=3), X))
 
     def test_gradient_lipschitz_bound(self):
         rng = np.random.default_rng(23)

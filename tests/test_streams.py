@@ -309,49 +309,76 @@ excls = st.integers(1, 2**32) | st.sampled_from([1, 2, 3, 641, 6_700_417, 2**16,
 
 class TestLemire:
     """_lemire's rejection mask, which runs numpy's test only on low words below excl,
-    against that test on every word: low < (2**32 - excl) % excl."""
+    and _swap_rejected's, which runs it on wrapping uint32 products, against that test
+    on every word: low < (2**32 - excl) % excl."""
 
     @staticmethod
-    def assert_equals_the_full_test(word, excl):
+    def full_test(word, excl):
         prod = word.astype(np.uint64) * excl
-        full = (prod & np.uint64(2**32 - 1)) < (np.uint64(2**32) - excl) % excl
+        return prod, (prod & np.uint64(2**32 - 1)) < (np.uint64(2**32) - excl) % excl
+
+    def assert_equals_the_full_test(self, word, excl):
+        """_lemire's draws and rejections, ``excl`` of ``word``'s shape."""
+        prod, full = self.full_test(word, excl)
         draws, rejected = streams._lemire(word, excl)
         assert np.array_equal(rejected, full)
         assert np.array_equal(draws, (prod >> np.uint64(32)).astype(np.int64))
         return int(full.sum())
 
+    def assert_swap_mask_equals_the_full_test(self, word):
+        """_swap_rejected's rejections of (b - 1, n) swap words, row i from [0, b - i)."""
+        _, full = self.full_test(word, np.arange(len(word) + 1, 1, -1, dtype=np.uint64)[:, None])
+        assert np.array_equal(streams._swap_rejected(word), full)
+        return int(full.sum())
+
     @settings(max_examples=200, deadline=None)
     @given(b=st.integers(2, 6), n=st.integers(1, 5), picks=st.booleans(), data=st.data())
     def test_rejections_equal_the_full_test(self, b, n, picks, data):
-        # the pick shape: (b, n) words, one excl each; the swap shape: (b - 1, n) words,
-        # one excl per row. Low words at and around excl - 1, excl, the threshold - 1 and
-        # the threshold, or any word
+        # the pick shape: (b, n) words, one excl each, through _lemire; the swap shape:
+        # (b - 1, n) words, row i's excl b - i, through _swap_rejected. Low words at and
+        # around excl - 1, excl, the threshold - 1 and the threshold, or any word
         shape = (b, n) if picks else (b - 1, n)
-        excl = np.array(data.draw(st.lists(excls, min_size=shape[0] * (n if picks else 1),
-                                           max_size=shape[0] * (n if picks else 1))),
-                        dtype=np.uint64).reshape(shape if picks else (b - 1, 1))
+        if picks:
+            excl = np.array(data.draw(st.lists(excls, min_size=b * n, max_size=b * n)),
+                            dtype=np.uint64).reshape(shape)
+        else:
+            excl = np.repeat(np.arange(b, 1, -1, dtype=np.uint64)[:, None], n, axis=1)
         word = np.empty(shape, dtype=np.uint32)
         for (q, j), cell in np.ndenumerate(word):
-            e = int(excl[q, j if picks else 0])
+            e = int(excl[q, j])
             target = data.draw(st.sampled_from([e - 1, e, (2**32 - e) % e - 1, (2**32 - e) % e]))
             low = min(max(target + data.draw(st.integers(-1, 1)), 0), 2**32 - 1)
             word[q, j] = data.draw(st.just(word_with_low(e, low)) | words32)
-        self.assert_equals_the_full_test(word, excl)
+        if picks:
+            self.assert_equals_the_full_test(word, excl)
+        else:
+            self.assert_swap_mask_equals_the_full_test(word)
 
     def test_every_threshold_edge_is_decided_alike(self):
-        # each edge excl, as picks and as swaps, at each low word around its two edges
+        # each edge excl, as a row and as a column of picks, at each low word around its
+        # two edges; then every swap excl 2..64, at its edges and on random words
         edges = [1, 2, 3, 641, 6_700_417, 2**16, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30,
                  2**32 - 1, 2**32]
+
+        def edge_lows(e):
+            t = (2**32 - e) % e
+            return sorted({min(max(x, 0), 2**32 - 1)
+                           for c in (e - 1, e, t - 1, t) for x in (c - 1, c, c + 1)})
+
         rejected = 0
         for e in edges:
-            t = (2**32 - e) % e
-            lows = sorted({min(max(x, 0), 2**32 - 1)
-                           for c in (e - 1, e, t - 1, t) for x in (c - 1, c, c + 1)})
-            word = np.array([[word_with_low(e, low) for low in lows]], dtype=np.uint32)
+            word = np.array([[word_with_low(e, low) for low in edge_lows(e)]], dtype=np.uint32)
             rejected += self.assert_equals_the_full_test(word, np.full(word.shape, e,
                                                                         dtype=np.uint64))
-            rejected += self.assert_equals_the_full_test(word.T.copy(), np.uint64([[e]]))
+            rejected += self.assert_equals_the_full_test(word.T.copy(), np.full(
+                word.T.shape, e, dtype=np.uint64))
         assert rejected > 0
+        rng = np.random.default_rng(0)
+        word = rng.integers(0, 2**32, (63, 20_000), dtype=np.uint32)  # swap rows, excl 64..2
+        for i, e in enumerate(range(64, 1, -1)):
+            lows = edge_lows(e)
+            word[i, :len(lows)] = [word_with_low(e, low) for low in lows]
+        assert self.assert_swap_mask_equals_the_full_test(word) > 0
 
 
 def test_outputs_equal_with_every_key_drawn_by_numpy(tmp_path, monkeypatch, capsys):

@@ -95,6 +95,13 @@ class TestTheorem2Bound:
             assert rep.term_uplink == pytest.approx(4 * eta * L * sum_U2 / (r * E * K),
                                                     rel=1e-12)
 
+    @pytest.mark.parametrize("field", ["sigma2", "f0", "sum_U2", "sum_N2", "L", "eta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, field, value):
+        # min(...) < 0 is False for a nan, so a nan sigma2 used to pass
+        with pytest.raises(ValueError, match="must be finite"):
+            v5a_params(**{field: value})
+
     def test_bound_positivity_and_decomposition_random(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
