@@ -3,8 +3,8 @@
 The cases are the three benchmark workloads at workload seeds 0 and 7, each from
 ``perfbench/workloads.py``'s ``config_text`` and ``cli_argv``; ``noisyfed bounds``
 with and without ``--csv`` on ``configs/v5a_snr_control.json``; ``noisyfed sweep
---axis E`` on ``configs/v5a_sweep.json``; and an sgd-mode ``run`` of the config
-``SGD``, the one CLI path with no preset. They run in one child process with
+--axis E`` on ``configs/v5a_sweep.json``; and sgd-mode ``run``s of the configs
+``SGD`` (mse) and ``SGD_SOFTMAX``, the CLI paths with no preset. They run in one child process with
 ``workloads.THREAD_ENV`` (one BLAS thread), each in its own directory, and with
 every RuntimeWarning an error, as the tests' own policy in ``pyproject.toml`` has
 it: a numpy warning on a pinned path fails the cases, with the child's stderr.
@@ -44,6 +44,16 @@ SGD = {"task": "regression_v5a", "mode": "sgd",
        "downlink": {"kind": "poly_decay", "base_std": 0.2, "decay_exponent": 0.5},
        "repeat_seeds": [1, 2]}
 
+# the same on softmax: its metrics read the weighted one-pass inputs of every row
+SGD_SOFTMAX = {"task": "classification_synth", "mode": "sgd",
+               "data": {"m": 1500, "d": 8, "seed": 11, "n_classes": 4,
+                        "cluster_separation": 3.0, "partition": "label_shard"},
+               "fedavg": {"n": 10, "r": 5, "E": 1, "K": 10, "gamma": 18.0, "batch_size": 16},
+               "sgd": {"T": 400, "eta": 0.1, "batch_size": 16},
+               "uplink": {"kind": "poly_decay", "base_std": 0.1, "decay_exponent": 0.5},
+               "downlink": {"kind": "constant", "base_std": 0.05},
+               "repeat_seeds": [1, 2]}
+
 _spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                ROOT / "perfbench" / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)
@@ -66,6 +76,8 @@ def cases() -> dict:
                                        "--values", "1,3", "--out", "out/sweep"])
     out["sgd_run"] = (json.dumps(SGD, indent=2) + "\n",
                       ["run", "--config", "config.json", "--out", "out/sgd"])
+    out["sgd_softmax_run"] = (json.dumps(SGD_SOFTMAX, indent=2) + "\n",
+                              ["run", "--config", "config.json", "--out", "out/sgd"])
     return out
 
 
