@@ -7,7 +7,7 @@ degrades federated training.
 
 from .backend import active_backend
 from .channel import (InfiniteBudgetError, NoiseSchedule, PolicyComparison,
-                      compare_policies, perturb, power_budget, variance_at)
+                      compare_policies, power_budget, variance_at)
 from .data import (ClientPartition, Dataset, SyntheticRegressionSpec,
                    generate_classification, generate_regression,
                    partition_iid, partition_label_shard, sample_batch)

@@ -1,9 +1,11 @@
-"""Channel noise schedules, Gaussian perturbation and power accounting.
+"""Channel noise schedules and power accounting.
 
 A schedule maps a communication round k to a per-coordinate noise variance.
 ``poly_decay`` divides the base variance by (k+1)**p, so round 0 is always
 defined, and can additionally divide by E**2 (the downlink control policy).
-Scale-down policies act on the variance, not the amplitude.
+Scale-down policies act on the variance, not the amplitude. The noise
+itself is drawn by the round loops (``fedavg._cohort_draws``): unit-variance
+draws of keyed streams, scaled by the square root of the round's variance.
 
 Power accounting treats a variance scale-down as an equivalent transmit
 amplification: realizing variance v(k) instead of the base variance costs a
@@ -15,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 DIRECTIONS = ("uplink", "downlink")
 KINDS = ("off", "constant", "poly_decay")
@@ -72,18 +72,6 @@ def variance_at(schedule: NoiseSchedule, k: int, E: int = 1) -> float:
         if schedule.e_squared_scaling:
             v /= float(E) ** 2
     return v
-
-
-def perturb(vector: np.ndarray, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """vector + i.i.d. zero-mean Gaussian noise of the given per-coordinate
-    variance. Variance 0 returns the values unchanged without consuming
-    randomness."""
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
-    vector = np.asarray(vector, dtype=np.float64)
-    if variance == 0.0:
-        return vector.copy()
-    return vector + rng.standard_normal(vector.shape) * np.sqrt(variance)
 
 
 def power_budget(schedule: NoiseSchedule, K: int, E: int = 1) -> float:

@@ -55,6 +55,8 @@ def _cmd_sweep(args) -> int:
     print(f"wrote {out['csv']}")
     for v, name, fl, exc in out["rows"]:
         print(f"{args.axis}={v:<4d} {name:<14s} final={_fmt(fl)} excess={_fmt(exc)}")
+    for v, name, seeds in out["diverged"]:
+        print(f"{args.axis}={v} {name}: diverged in seeds {seeds}")
     return 0
 
 

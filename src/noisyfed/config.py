@@ -185,11 +185,12 @@ def parse_config(text: str, source: str = "config") -> ExperimentConfig:
         fed = FedAvgConfig(**fvals)
     except ValueError as exc:
         raise ConfigError(f"{source}:{_line_of(text, 'fedavg')}: fedavg: {exc}") from exc
-    if data.partition == "iid" and data.m < fed.n:
-        raise ConfigError(f"{source}:{_line_of(text, 'n', 'fedavg')}: need m >= n clients")
-    if top["mode"] == "fedavg" and fed.n < 2:
-        raise ConfigError(f"{source}:{_line_of(text, 'n', 'fedavg')}: fedavg mode needs n >= 2 "
-                          "clients")
+    if top["mode"] == "fedavg":  # sgd mode runs on one shard of every row
+        if data.partition == "iid" and data.m < fed.n:
+            raise ConfigError(f"{source}:{_line_of(text, 'n', 'fedavg')}: need m >= n clients")
+        if fed.n < 2:
+            raise ConfigError(f"{source}:{_line_of(text, 'n', 'fedavg')}: fedavg mode needs "
+                              "n >= 2 clients")
 
     sgd = None
     if top["sgd"] is not None:

@@ -21,8 +21,8 @@ import numpy as np
 from . import fedavg
 from .channel import NoiseSchedule, variance_at
 from .config import ExperimentConfig
-from .data import (SyntheticRegressionSpec, generate_classification, generate_regression,
-                   partition_iid, partition_label_shard)
+from .data import (ClientPartition, SyntheticRegressionSpec, generate_classification,
+                   generate_regression, partition_iid, partition_label_shard)
 from .fedavg import RunResult, Task, kstar_weights, run_noisy_fedavg, run_noisy_sgd, step_size
 from .model import LossModel, smoothness_constant
 from .model import loss  # noqa: F401 (perfbench's hook table wraps experiment.loss)
@@ -34,6 +34,8 @@ def build_task(cfg: ExperimentConfig) -> Task:
 
     The dataset and partition depend only on the data seed, so repeat seeds
     share one Task and vary only client sampling, batches, and channel draws.
+    In sgd mode the partition is one shard of every row in order, whose
+    client 0 is the single machine; the fedavg block does not partition it.
     """
     d = cfg.data
     if cfg.task == "regression_v5a":
@@ -42,14 +44,15 @@ def build_task(cfg: ExperimentConfig) -> Task:
                                        normalize_hessian=d.normalize_hessian)
         dataset = generate_regression(spec, d.seed)
         model = LossModel(kind="mse_linear", dim=d.d)
-        partition = partition_iid(d.m, cfg.fedavg.n, d.seed)
     else:
         dataset = generate_classification(d.m, d.d, d.n_classes, d.cluster_separation, d.seed)
         model = LossModel(kind="softmax_linear", dim=d.n_classes * d.d, n_classes=d.n_classes)
-        if d.partition == "label_shard":
-            partition = partition_label_shard(dataset, cfg.fedavg.n, d.labels_per_client, d.seed)
-        else:
-            partition = partition_iid(d.m, cfg.fedavg.n, d.seed)
+    if cfg.mode == "sgd":
+        partition = ClientPartition([np.arange(len(dataset), dtype=np.int64)])
+    elif d.partition == "label_shard":
+        partition = partition_label_shard(dataset, cfg.fedavg.n, d.labels_per_client, d.seed)
+    else:
+        partition = partition_iid(d.m, cfg.fedavg.n, d.seed)
     model = dataclasses.replace(model, smoothness=smoothness_constant(model, dataset.X))
     return Task(dataset, model, partition)
 
@@ -58,8 +61,7 @@ def run_one_seed(cfg: ExperimentConfig, task: Task, seed: int) -> RunResult:
     """One repeat seed's run."""
     if cfg.mode == "sgd":
         s = cfg.sgd
-        return run_noisy_sgd(task.model, task.dataset, s.eta, s.T, s.batch_size,
-                             cfg.uplink, cfg.downlink, seed)
+        return run_noisy_sgd(task, s.eta, s.T, s.batch_size, cfg.uplink, cfg.downlink, seed)
     return run_noisy_fedavg(cfg.fedavg, task, seed, cfg.uplink, cfg.downlink)
 
 
@@ -203,7 +205,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
 
     axis is "r" or "E"; emits ``{prefix}_sweep_{axis}.csv`` with one row per
     (value, variant): the seed-mean final loss and its excess over the
-    noise-free mean at the same value. The three variants of each
+    noise-free mean at the same value. A mean over a diverged run is nan, and
+    so is an excess over one; ``diverged`` lists each such (value, variant)
+    with the seeds whose run diverged. The three variants of each
     (value, seed) run side by side in one ``fedavg.run_replicas`` call, on
     one set of cohort and batch draws. Repeated axis values are rejected. The
     CSV and its directory are written after every run, so a failed run leaves
@@ -226,18 +230,23 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
             raise ValueError(f"{axis}={v}: {exc}") from exc
 
     task = build_task(cfg)
-    rows = []
-    table = {}
+    rows, table, diverged = [], {}, []
     for v, fed in zip(values, points):
         variants = sweep_variants(dataclasses.replace(cfg, fedavg=fed))
         channels = [(c.uplink, c.downlink) for c in variants.values()]
         finals = {name: [] for name in variants}
+        halted = {name: [] for name in variants}
         for s in cfg.repeat_seeds:
             for name, res in zip(variants, fedavg.run_replicas(fed, task, s, channels)):
                 finals[name].append(res.final_loss)
-        means = {name: float(np.mean(fl)) for name, fl in finals.items()}
+                if res.status == "diverged":
+                    halted[name].append(s)
+        means = {name: np.nan if halted[name] else float(np.mean(fl))
+                 for name, fl in finals.items()}
         for name in variants:
             rows.append((v, name, means[name], means[name] - means["noise_free"]))
+            if halted[name]:
+                diverged.append((v, name, halted[name]))
         table[v] = means
 
     prefix = out_prefix or cfg.out_prefix
@@ -249,4 +258,5 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_prefix: str | None =
         fh.write("axis,value,variant,final_loss,excess\n")
         for v, name, fl, exc in rows:
             fh.write(f"{axis},{v},{name},{_fmt(fl)},{_fmt(exc)}\n")
-    return {"axis": axis, "values": values, "rows": rows, "csv": path, "table": table}
+    return {"axis": axis, "values": values, "rows": rows, "csv": path, "table": table,
+            "diverged": diverged}

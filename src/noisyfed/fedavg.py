@@ -25,30 +25,29 @@ call; the metrics, the aggregation, the SNRs, the divergence guard and k*
 stay per replica. Replica j's model is row j of one array all run, and a
 halted replica's row, never written again, is its final params. Each
 replica's result is bit-identical to running it alone, and
-``run_noisy_fedavg`` is the one-replica case. ``run_noisy_sgd`` differs
-from it only in its update rule and its uniform k*: the same guards halt
-it, and the same helpers build its halted row and its result.
+``run_noisy_fedavg`` is the one-replica case. ``run_noisy_sgd`` is client
+0 of a one-shard task and differs only in its update rule, its uplink SNR
+and its uniform k*: the same draws, metric inputs, guards, halted row and
+result helpers.
 
 Randomness is drawn from independent streams keyed by
 (master seed, round, client, purpose), so client order and channel on/off
 toggles never perturb unrelated draws; two runs with equal configs and
 seeds are bit-identical, and paired runs differing only in one channel
-share every other draw. ``round_draws`` makes all of a seed's draws up
-front, keyed by ``streams.key_rows`` and seeded in two passes: every
-round's cohort, its clients' batches (``streams.choices`` on each client's
-shard, bit-identical to numpy's own draws), held as the dataset rows the
-round loop reads, and unit-variance channel noise, (K, d) for the downlink
-and (K, r, d) for the uplink (``streams.normals``). Replicas share these
-draws: a round's downlink and uplink draws are scaled by each replica's
-own variance.
+share every other draw. Both loops make all of a seed's draws up front in
+``_cohort_draws``, from a (K, r) table of clients (``round_draws``' cohorts,
+or client 0 every round for SGD): their batches (``streams.choices`` on
+each client's shard, bit-identical to numpy's own draws), held as the
+dataset rows the loops read, and unit-variance channel noise, (K, d) for
+the downlink and (K, r, d) for the uplink (``streams.normals``). Replicas
+share these draws, each scaling them by its own variances.
 
 The reported train loss and gradient norm never feed back into training.
-For ``mse_linear`` both loops evaluate them in O(d^2) from per-client
-sufficient statistics built once per task, so they can differ from a
-row-by-row evaluation in the last digits. For ``softmax_linear`` they come
-from one weighted forward pass over every shard's rows, concatenated and
-validated once per task, which can differ from a per-shard evaluation in
-the last digits as well.
+Both loops evaluate them from ``Task.metric_inputs``: for ``mse_linear`` in
+O(d^2) from per-client sufficient statistics, which can differ from a
+row-by-row evaluation in the last digits; for ``softmax_linear`` in one
+weighted forward pass over every shard's rows, concatenated and validated
+once per task, which can differ from a per-shard evaluation as well.
 """
 
 from __future__ import annotations
@@ -212,60 +211,51 @@ class RoundDraws:
     uplink: np.ndarray | None
 
 
-def _seeded(seed: int, *columns):
-    """``streams.seed_keys`` of ``streams.key_rows(seed, *c)`` for each tuple c of
-    ``columns``, in one seeding pass; None where c is None. The rows are equally
-    long because every key is [seed, k, i, purpose]."""
-    rows = [streams.key_rows(seed, *c) for c in columns if c is not None]
-    keys = streams.seed_keys(np.concatenate(rows))
-    ends = np.cumsum([len(r) for r in rows]).tolist()
-    seeded = iter([keys[end - len(r):end] for r, end in zip(rows, ends)])
-    return [None if c is None else next(seeded) for c in columns]
-
-
 def round_draws(config: FedAvgConfig, task: Task, seed: int, channels=()) -> RoundDraws:
     """All K rounds' draws of the runs keyed like ``config`` and ``seed`` on
-    ``task``, for the (uplink, downlink) pairs ``channels``; ``streams.key_rows``
-    rejects a negative seed.
-
-    Round k's cohort is ``client_sample`` from stream (seed, k, 0, sample),
-    client i's E batches are successive ``sample_batch`` calls on stream
-    (seed, k, i, batch), and the channel noise is ``standard_normal(d)`` of
-    streams (seed, k, 0, downlink) and (seed, k, i, uplink), for each channel
-    some pair has on. Runs that differ only in their variances or learning
-    rate consume the same draws. The cohort keys are seeded first, since the
-    batch and uplink keys name the cohorts' clients; then the batch and
-    noise keys together. The batches' shard rows become dataset rows in
-    place, so the seed holds one (K, r, E, b) array.
-    """
+    ``task``, for the (uplink, downlink) pairs ``channels``: round k's cohort is
+    ``client_sample`` from stream (seed, k, 0, sample), seeded in a pass of its
+    own, since the other keys name the cohorts' clients; ``_cohort_draws``
+    makes the rest. ``streams.key_rows`` rejects a negative seed."""
     if task.partition.n_clients != config.n:
         raise ValueError("partition must have exactly n shards")
-    n, r, E, K, b = config.n, config.r, config.E, config.K, config.batch_size
-    if b > min(task.shard_sizes):
+    if config.batch_size > min(task.shard_sizes):
         raise ValueError("batch_size exceeds a client shard")
-    ks, d = np.arange(K), task.model.dim
-    cohort_keys = streams.seed_keys(streams.key_rows(seed, ks, 0, _SAMPLE))
-    cohorts = streams.choices(cohort_keys, n, r, 1)[:, 0]
-    rounds, clients = np.repeat(ks, r), cohorts.ravel()
+    cohort_keys = streams.seed_keys(streams.key_rows(seed, np.arange(config.K), 0, _SAMPLE))
+    cohorts = streams.choices(cohort_keys, config.n, config.r, 1)[:, 0]
+    return _cohort_draws(task, seed, cohorts, config.E, config.batch_size, channels)
+
+
+def _cohort_draws(task: Task, seed: int, cohorts: np.ndarray, E: int, b: int,
+                  channels=()) -> RoundDraws:
+    """Every keyed batch and channel-noise draw of the (K, r) table of clients
+    ``cohorts`` on ``task``, seeded in one pass: client i = cohorts[k, j]'s E
+    batches of b rows are successive ``sample_batch`` calls on its shard from
+    stream (seed, k, i, batch), and the unit noise is ``standard_normal(d)`` of
+    streams (seed, k, 0, downlink) and (seed, k, i, uplink), for each channel
+    some (uplink, downlink) pair of ``channels`` has on."""
+    (K, r), d = cohorts.shape, task.model.dim
+    ks, clients = np.arange(K), cohorts.ravel()
+    rounds, n = np.repeat(ks, r), K * r
     down = any(not link.off for _, link in channels)
     up = any(not link.off for link, _ in channels)
-    batch_keys, down_keys, up_keys = _seeded(seed, (rounds, clients, _BATCH),
-                                             (ks, 0, _DOWNLINK) if down else None,
-                                             (rounds, clients, _UPLINK) if up else None)
-    rows = streams.choices(batch_keys, np.array(task.shard_sizes)[clients], b, E)
+    columns = [(rounds, clients, _BATCH)] + [(ks, 0, _DOWNLINK)] * down \
+        + [(rounds, clients, _UPLINK)] * up
+    keys = streams.seed_keys(np.concatenate([streams.key_rows(seed, *c) for c in columns]))
+    rows = streams.choices(keys[:n], np.array(task.shard_sizes)[clients], b, E)
     rows += task.offsets[clients, None, None]
     # rows is both the index and the output: each slot's index is read before the slot
     # is written, and mode "clip" (every index is in range) leaves the output unbuffered,
     # so no second (K r, E, b) array is made
     np.take(task.row_map, rows, out=rows, mode="clip")
-    downlink = None if down_keys is None else _read_only(streams.normals(down_keys, d))
-    uplink = None if up_keys is None else _read_only(streams.normals(up_keys, d).reshape(K, r, d))
+    downlink = _read_only(streams.normals(keys[n:n + K], d)) if down else None
+    uplink = _read_only(streams.normals(keys[len(keys) - n:], d).reshape(K, r, d)) if up else None
     return RoundDraws(_read_only(cohorts), _read_only(rows.reshape(K, r, E, b)), downlink, uplink)
 
 
 def _metric_inputs(loss_model, X, y, shards):
     """What _global_metrics evaluates from, built once per task from the rows
-    (X, y) and ``shards``, a list of row indexers (index arrays or slices).
+    (X, y) and ``shards``, a list of int64 index arrays.
 
     For mse_linear: the client means A = mean_i X_i^T X_i / m_i,
     b = mean_i X_i^T y_i / m_i and c = mean_i y_i^T y_i / m_i. They are
@@ -276,18 +266,17 @@ def _metric_inputs(loss_model, X, y, shards):
     For softmax_linear: every shard's rows back to back, their int64 labels
     and a per-row weight 1/(n m_i), m_i the size of the row's shard, so one
     weighted pass over all rows gives the unweighted mean over clients. The
-    rows are gathered once, into the one copy of X the task keeps, and their
-    shape and label range are checked there, once per task. Built without
-    warnings; ValueError when a value is not finite (data too large for float64).
+    shards are concatenated once and their rows gathered once, into the one
+    copy of X the task keeps, and their shape and label range are checked
+    there, once per task. Built without warnings; ValueError when a value is
+    not finite (data too large for float64).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if loss_model.kind != "mse_linear":
-            index = np.arange(len(y))
-            parts = [index[s] for s in shards]  # slices as index arrays too
-            rows = np.concatenate(parts)
+            rows = np.concatenate(shards)
             Xs, ys = check_rows(loss_model, X[rows], y[rows])
-            sizes = np.array([len(p) for p in parts])
-            inputs = Xs, ys, np.repeat(1.0 / (len(parts) * sizes), sizes)
+            sizes = np.array([len(s) for s in shards])
+            inputs = Xs, ys, np.repeat(1.0 / (len(shards) * sizes), sizes)
         else:
             d = loss_model.dim
             A, b, c = np.zeros((d, d)), np.zeros(d), 0.0
@@ -455,43 +444,45 @@ def run_noisy_fedavg(config: FedAvgConfig, task: Task, seed: int,
     return run_replicas(config, task, seed, [(uplink, downlink)])[0]
 
 
-def run_noisy_sgd(loss_model: LossModel, dataset: Dataset, eta: float, T: int,
-                  batch_size: int, uplink: NoiseSchedule, downlink: NoiseSchedule,
-                  seed: int) -> RunResult:
+def run_noisy_sgd(task: Task, eta: float, T: int, batch_size: int, uplink: NoiseSchedule,
+                  downlink: NoiseSchedule, seed: int) -> RunResult:
     """Noisy single-machine SGD:
     w_{t+1} = w_t - eta * (e_t + batch_gradient(w_t + nu_t)).
 
+    SGD is client 0 of ``task``, whose one shard holds every row: step t reads
+    the draws of round t of a one-client federation with one local step,
+    from ``_cohort_draws``, so its batch comes from stream (seed, t, 0, batch)
+    and its unit noise from (seed, t, 0, uplink) and (seed, t, 0, downlink).
     The downlink draw perturbs the point where the stochastic gradient is
     evaluated; the uplink draw rides on the gradient itself inside the step.
-    Warns when eta exceeds 1/L. Metrics are measured at w_t over the whole
-    dataset, taken as one shard of the federated loop's evaluation.
+    Warns when eta exceeds 1/L. Metrics are measured at w_t from
+    ``task.metric_inputs``, as the federated loop's are.
 
     The rules around the update are ``run_replicas``': noise scaled before the
     loop, one errstate, the same halts and final params, and ``_finished``'s
     result. Only k* differs: it is uniform over the T steps.
     """
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    if task.partition.n_clients != 1:
+        raise ValueError("noisy SGD needs a task of one shard")
     if T < 1:
         raise ValueError("need T >= 1")
     if eta <= 0:
         raise ValueError("eta must be positive")
+    loss_model, dataset = task.model, task.dataset
     if batch_size < 1 or batch_size > len(dataset):
         raise ValueError("need 1 <= batch_size <= dataset size")
     L = loss_model.smoothness
     if L is not None and L > 0 and eta > 1.0 / L:
         warnings.warn(f"eta={eta:.6g} exceeds 1/L={1.0 / L:.6g}")
     d = loss_model.dim
-    ts = np.arange(T)
-    batch_keys, down_keys, up_keys = _seeded(seed, (ts, 0, _BATCH),
-                                             None if downlink.off else (ts, 0, _DOWNLINK),
-                                             None if uplink.off else (ts, 0, _UPLINK))
-    batches = streams.choices(batch_keys, len(dataset), batch_size, 1)[:, 0]
+    draws = _cohort_draws(task, seed, np.zeros((T, 1), np.int64), 1, batch_size,
+                          [(uplink, downlink)])
+    batches = draws.rows[:, 0, 0]
     V_up = [variance_at(uplink, t) for t in range(T)]
     V_dn = [variance_at(downlink, t) for t in range(T)]
-    down_noise = None if downlink.off else streams.normals(down_keys, d) * np.sqrt(V_dn)[:, None]
-    up_noise = None if uplink.off else streams.normals(up_keys, d) * np.sqrt(V_up)[:, None]
-    inputs = _metric_inputs(loss_model, dataset.X, dataset.y, [slice(None)])
+    down_noise = None if downlink.off else draws.downlink * np.sqrt(V_dn)[:, None]
+    up_noise = None if uplink.off else draws.uplink[:, 0] * np.sqrt(V_up)[:, None]
+    inputs = task.metric_inputs
 
     w = np.zeros(d)
     metrics: list[RoundMetrics] = []

@@ -14,14 +14,14 @@ import warnings
 import numpy as np
 import pytest
 
-from noisyfed.channel import NoiseSchedule, compare_policies, perturb
+from noisyfed.channel import NoiseSchedule, compare_policies, variance_at
 from noisyfed.data import (SyntheticRegressionSpec, generate_regression,
                            partition_iid, partition_label_shard,
                            generate_classification)
 from noisyfed.experiment import (_pweighted_grad, bound_inputs, build_task,
                                  run_experiment, run_one_seed, run_sweep,
                                  schedule_power_sums, sweep_variants)
-from noisyfed.fedavg import learning_rate, run_noisy_fedavg, sample_kstar
+from noisyfed.fedavg import learning_rate, round_draws, run_noisy_fedavg, sample_kstar
 from noisyfed.fedavg import FedAvgConfig, Task
 from noisyfed.model import LossModel, full_gradient, smoothness_constant
 from noisyfed.theory import (TheoryParams, bcd_gap, bcd_witness, fedavg_error_bound,
@@ -189,7 +189,7 @@ class TestAcceptance:
                       f"={cmp.uplink_ratio:.4f} (target 0.1330 +- 0.001); "
                       f"downlink ratio {cmp.downlink_ratio:.1f} = E^2")
 
-    def test_08_property_suite(self, tmp_path):
+    def test_08_property_suite(self, tmp_path, v5a_task):
         checks = {}
 
         # gradient vs central differences, 100 cases per model kind
@@ -219,10 +219,18 @@ class TestAcceptance:
         ok_p &= all(len(np.unique(ds.y[s])) <= 2 for s in part2.shards)
         checks["partition-laws"] = ok_p
 
-        # perturbation moments
-        z = perturb(np.zeros(100_000), 0.04, np.random.default_rng(11))
-        checks["noise-moments"] = (abs(z.mean()) <= 3 * 0.2 / np.sqrt(z.size)
-                                   and abs(z.var() - 0.04) / 0.04 < 0.05)
+        # the channel noise the federated loop adds: its unit draws on the reference task,
+        # scaled by v5a_constant_noise's variance 0.04 on each link
+        cfg = preset("v5a_constant_noise")
+        moments = []
+        for s in SEEDS:
+            draws = round_draws(cfg.fedavg, v5a_task, s, [(cfg.uplink, cfg.downlink)])
+            for z, schedule in ((draws.uplink, cfg.uplink), (draws.downlink, cfg.downlink)):
+                v = variance_at(schedule, 0, cfg.fedavg.E)
+                z = z * np.sqrt(v)  # 60 000 uplink and 6 000 downlink values
+                moments.append(abs(z.mean()) <= 3 * np.sqrt(v / z.size)
+                               and abs(z.var() - v) / v < 0.05)
+        checks["noise-moments"] = all(moments)
 
         # uniform round sampling at zero rate, chi-square at the 1% level
         rng = np.random.default_rng(13)

@@ -1,9 +1,9 @@
-"""Noise schedules, perturbation moments, and power accounting."""
+"""Noise schedules and power accounting."""
 
 import numpy as np
 import pytest
 
-from noisyfed.channel import (InfiniteBudgetError, NoiseSchedule, compare_policies, perturb,
+from noisyfed.channel import (InfiniteBudgetError, NoiseSchedule, compare_policies,
                               power_budget, variance_at)
 
 
@@ -68,30 +68,6 @@ class TestVarianceAt:
         assert variance_at(sched, 0, E=2) == 0.2 ** 2 / 4.0
         assert variance_at(sched, 1, E=2) == 0.2 ** 2 / 2.0 ** 1000 / 4.0
         assert [variance_at(sched, k, E=2) for k in (2, 9, 10**6)] == [0.0] * 3
-
-
-class TestPerturb:
-    def test_zero_variance_is_identity(self):
-        v = np.arange(5.0)
-        out = perturb(v, 0.0, np.random.default_rng(0))
-        assert np.array_equal(out, v)
-
-    def test_moments(self):
-        rng = np.random.default_rng(123)
-        n = 100_000
-        z = perturb(np.zeros(n), 0.04, rng)
-        assert abs(z.mean()) <= 3 * 0.2 / np.sqrt(n)
-        assert abs(z.var() - 0.04) / 0.04 < 0.05
-
-    def test_deterministic_under_fixed_state(self):
-        v = np.ones(8)
-        a = perturb(v, 0.5, np.random.default_rng(9))
-        b = perturb(v, 0.5, np.random.default_rng(9))
-        assert np.array_equal(a, b)
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            perturb(np.zeros(3), -0.1, np.random.default_rng(0))
 
 
 class TestPowerBudget:

@@ -422,6 +422,57 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: {cfgp}: repeated r values: [4, 2, 4]\n"
         assert not (tmp_path / "sw").exists()
 
+    def test_diverged_runs_read_nan(self, tmp_path, capsys):
+        # 1e306 label noise diverges every run, at a finite final loss: the six rows used
+        # to average those into final=5.53562219638e+305 excess=0
+        doc = tiny_doc(data={"m": 600, "d": 5, "seed": 3, "label_noise_variance": 1e306},
+                       fedavg={"n": 6, "r": 2, "E": 1, "K": 5, "gamma": 18.0, "batch_size": 4},
+                       uplink={"kind": "constant", "base_std": 0.1},
+                       downlink={"kind": "constant", "base_std": 0.1}, repeat_seeds=[1, 2, 3])
+        cfgp = write_doc(tmp_path, doc)
+        assert main(["sweep", "--config", cfgp, "--axis", "r", "--values", "2,4",
+                     "--out", str(tmp_path / "sw" / "s")]) == 0
+        rows = (tmp_path / "sw" / "s_sweep_r.csv").read_text().splitlines()[1:]
+        assert len(rows) == 6 and all(row.endswith(",nan,nan") for row in rows)
+        assert capsys.readouterr().out.splitlines()[-6:] == [
+            f"r={v} {name}: diverged in seeds [1, 2, 3]"
+            for v in (2, 4) for name in ("noise_free", "uplink_only", "downlink_only")]
+
+    def test_one_diverged_variant_leaves_the_others_finite(self, tmp_path, capsys):
+        # an uplink of std 1e14 moves the model past norm 1e12 in round 0
+        cfgp = write_doc(tmp_path, tiny_doc(uplink={"kind": "constant", "base_std": 1e14}))
+        assert main(["sweep", "--config", cfgp, "--axis", "r", "--values", "4",
+                     "--out", str(tmp_path / "sw" / "s")]) == 0
+        rows = (tmp_path / "sw" / "s_sweep_r.csv").read_text().splitlines()[1:]
+        table = {row.split(",")[2]: [float(v) for v in row.split(",")[3:]] for row in rows}
+        assert np.isnan(table.pop("uplink_only")).all()
+        assert np.isfinite(list(table.values())).all() and table["noise_free"][1] == 0.0
+        assert capsys.readouterr().out.splitlines()[-1] == "r=4 uplink_only: diverged in seeds [1, 2]"
+
+
+class TestSgdMode:
+    """sgd mode runs on one shard of every row, so the fedavg block does not partition
+    its data. It used to: n above m exited 2 with "need m >= n clients", and a label
+    shard cut into more slices than a class has rows with "class 0 has too few
+    examples to slice"."""
+
+    @pytest.mark.parametrize("task, data, n", [
+        ("regression_v5a", {"m": 50, "d": 5, "seed": 3}, 60),
+        ("classification_synth", {"m": 40, "d": 3, "seed": 3, "n_classes": 4,
+                                  "cluster_separation": 2.0, "partition": "label_shard",
+                                  "labels_per_client": 2}, 30)])
+    def test_fedavg_n_does_not_partition(self, tmp_path, task, data, n):
+        out = tmp_path / "o"
+        written = []
+        for clients in (n, 10):
+            doc = tiny_doc(task=task, mode="sgd", data=data,
+                           fedavg=dict(tiny_doc()["fedavg"], n=clients),
+                           sgd={"T": 20, "eta": 0.05, "batch_size": 4})
+            cfgp = write_doc(tmp_path, doc)
+            assert main(["run", "--config", cfgp, "--out", str(out / "run")]) == 0
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert written[0] == written[1] and len(written[0]) == 3
+
 
 class TestBoundsCommand:
     def test_noise_free_total_is_leading_plus_variance(self, tmp_path, capsys):
@@ -453,9 +504,10 @@ def label_noise_docs(variance):
 class TestNonFiniteBoundInputs:
     """Label noise too large for float64, on 600 rows in shards of 60. At 1e306 the
     metric statistics fit (y^T y / m per shard) but sigma^2's spread overflows, and a
-    sweep, which reports no bound, stays finite; from 1e307 y^T y overflows. These used
-    to exit 0: bounds printed f0 inf and sigma2 inf (1e306) or 0 (max dropped the nan
-    spread), and run wrote Infinity losses and a NaN std."""
+    sweep, which reports no bound, exits 0 with every run diverged, so every row reads
+    nan; from 1e307 y^T y overflows. These used to exit 0: bounds printed f0 inf and
+    sigma2 inf (1e306) or 0 (max dropped the nan spread), and run wrote Infinity losses
+    and a NaN std."""
 
     SIGMA2, STATS = "sigma2 is not finite", "metric statistics are not finite"
 
@@ -477,8 +529,8 @@ class TestNonFiniteBoundInputs:
             err = capsys.readouterr().err
             if message is None:
                 assert code == 0 and err == "", name
-                assert np.isfinite(np.loadtxt(out / "sweep_sweep_r.csv", delimiter=",",
-                                              skiprows=1, usecols=(3, 4))).all()
+                assert np.isnan(np.loadtxt(out / "sweep_sweep_r.csv", delimiter=",",
+                                           skiprows=1, usecols=(3, 4))).all()
                 continue
             assert code == 2 and err.startswith("error: ") and message in err, name
             assert not out.exists(), name

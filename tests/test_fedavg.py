@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from noisyfed import backend, fedavg, streams
 from noisyfed.channel import NoiseSchedule, variance_at
 from noisyfed.config import parse_config
-from noisyfed.data import (Dataset, SyntheticRegressionSpec, generate_classification,
-                           generate_regression, partition_iid, partition_label_shard,
-                           sample_batch)
+from noisyfed.data import (ClientPartition, Dataset, SyntheticRegressionSpec,
+                           generate_classification, generate_regression, partition_iid,
+                           partition_label_shard, sample_batch)
 from noisyfed.experiment import (build_task, run_experiment, run_one_seed, run_sweep,
                                  sweep_variants)
 from noisyfed.fedavg import (_BATCH, _SAMPLE, FedAvgConfig, Task, _global_metrics,
@@ -477,6 +477,11 @@ class TestQuadraticMetrics:
         assert res.final_loss == pytest.approx(f_ref, rel=1e-10, abs=0.0)
 
 
+def one_shard(dataset, model):
+    """The task noisy SGD runs on: one shard of every row, in order."""
+    return Task(dataset, model, ClientPartition([np.arange(len(dataset))]))
+
+
 def softmax_case(m, d, C, seed):
     dataset = generate_classification(m, d, C, 2.0, seed)
     return dataset, LossModel("softmax_linear", dim=C * d, n_classes=C)
@@ -529,13 +534,13 @@ class TestSoftmaxMetrics:
         y = dataset.y.copy()
         y[7] = 2
         with pytest.raises(ValueError, match="labels"):
-            _metric_inputs(model, dataset.X, y, [slice(0, 20), slice(20, None)])
+            _metric_inputs(model, dataset.X, y, [np.arange(20), np.arange(20, 40)])
         with pytest.raises(ValueError):
-            _metric_inputs(model, dataset.X[:, :2], dataset.y, [slice(0, 20)])
+            _metric_inputs(model, dataset.X[:, :2], dataset.y, [np.arange(20)])
 
     def test_bad_params_rejected_when_evaluated(self):
         dataset, model = softmax_case(40, 3, 2, seed=1)
-        inputs = _metric_inputs(model, dataset.X, dataset.y, [slice(None)])
+        inputs = _metric_inputs(model, dataset.X, dataset.y, [np.arange(40)])
         for w in (np.full(model.dim, np.nan), np.zeros(model.dim + 1)):
             with pytest.raises(ValueError, match="params"):
                 _global_metrics(model, inputs, w)
@@ -544,7 +549,7 @@ class TestSoftmaxMetrics:
         dataset, probe = softmax_case(300, 4, 3, seed=2)
         model = LossModel("softmax_linear", dim=12, n_classes=3,
                           smoothness=smoothness_constant(probe, dataset.X))
-        res = run_noisy_sgd(model, dataset, 0.1, 15, 20, NoiseSchedule("uplink"),
+        res = run_noisy_sgd(one_shard(dataset, model), 0.1, 15, 20, NoiseSchedule("uplink"),
                             NoiseSchedule("downlink", "constant", 0.1), seed=3)
         f_ref = loss(model, res.final_params, dataset.X, dataset.y)
         assert res.final_loss == pytest.approx(f_ref, rel=1e-12, abs=0.0)
@@ -842,13 +847,14 @@ class TestHaltedRuns:
         # next loss overflow; the 1e10 downlink makes the first gradient overflow
         task = overflowing_task()
         ds, model = task.dataset, task.model
+        task = one_shard(ds, model)
         eta = 1e-144
         off_u, off_d = NoiseSchedule("uplink"), NoiseSchedule("downlink")
         with warnings.catch_warnings(), pytest.warns(UserWarning, match="exceeds 1/L"):
             warnings.simplefilter("error", RuntimeWarning)
-            lossy = run_noisy_sgd(model, ds, eta, 6, 5,
+            lossy = run_noisy_sgd(task, eta, 6, 5,
                                   NoiseSchedule("uplink", "constant", 1e150), off_d, seed=1)
-            normed = run_noisy_sgd(model, ds, eta, 6, 5, off_u,
+            normed = run_noisy_sgd(task, eta, 6, 5, off_u,
                                    NoiseSchedule("downlink", "constant", 1e10), seed=1)
         assert (lossy.status, lossy.diverged_at, lossy.k_star) == ("diverged", 1, None)
         first = lossy.metrics[0]
@@ -972,20 +978,21 @@ class TestRunNoisySgd:
                                                          label_noise_variance=0.05), seed=5)
         model = LossModel("mse_linear", dim=30,
                           smoothness=smoothness_constant(LossModel("mse_linear", dim=30), ds.X))
-        return ds, model
+        return one_shard(ds, model)
 
     def test_noise_free_descends(self):
-        ds, model = self._task()
+        task = self._task()
         off_u, off_d = NoiseSchedule("uplink"), NoiseSchedule("downlink")
-        res = run_noisy_sgd(model, ds, 0.05, 300, 32, off_u, off_d, seed=1)
+        res = run_noisy_sgd(task, 0.05, 300, 32, off_u, off_d, seed=1)
         losses = [m.train_loss for m in res.metrics]
         assert losses[-1] < 0.1 * losses[0]
 
     def test_vanishing_rate_stays_near_start(self):
-        ds, model = self._task()
+        task = self._task()
+        ds, model = task.dataset, task.model
         off_u, off_d = NoiseSchedule("uplink"), NoiseSchedule("downlink")
         eta, T = 1e-9, 50
-        res = run_noisy_sgd(model, ds, eta, T, 32, off_u, off_d, seed=2)
+        res = run_noisy_sgd(task, eta, T, 32, off_u, off_d, seed=2)
         g0 = np.linalg.norm(full_gradient(model, np.zeros(30), ds.X, ds.y))
         assert np.linalg.norm(res.final_params) <= eta * T * (g0 + 1.0)
 
@@ -993,7 +1000,7 @@ class TestRunNoisySgd:
         # measured on this task: the gradient-evaluation perturbation passes
         # through the batch Hessian, which amplifies it well beyond the
         # additive uplink term at the same variance
-        ds, model = self._task()
+        task = self._task()
         off_u, off_d = NoiseSchedule("uplink"), NoiseSchedule("downlink")
         up = NoiseSchedule("uplink", "constant", 0.2)
         dn = NoiseSchedule("downlink", "constant", 0.2)
@@ -1003,15 +1010,16 @@ class TestRunNoisySgd:
             g2 = [m.grad_norm_sq for m in res.metrics]
             return float(np.mean(g2[3 * T // 4:]))
 
-        t_nf = tail(run_noisy_sgd(model, ds, 0.05, T, 16, off_u, off_d, seed=3))
-        t_up = tail(run_noisy_sgd(model, ds, 0.05, T, 16, up, off_d, seed=3))
-        t_dn = tail(run_noisy_sgd(model, ds, 0.05, T, 16, off_u, dn, seed=3))
+        t_nf = tail(run_noisy_sgd(task, 0.05, T, 16, off_u, off_d, seed=3))
+        t_up = tail(run_noisy_sgd(task, 0.05, T, 16, up, off_d, seed=3))
+        t_dn = tail(run_noisy_sgd(task, 0.05, T, 16, off_u, dn, seed=3))
         assert t_up > t_nf
         assert t_dn - t_nf > 1.3 * (t_up - t_nf)
 
     def test_final_loss_matches_row_path(self):
-        ds, model = self._task()
-        res = run_noisy_sgd(model, ds, 0.05, 20, 32, NoiseSchedule("uplink"),
+        task = self._task()
+        ds, model = task.dataset, task.model
+        res = run_noisy_sgd(task, 0.05, 20, 32, NoiseSchedule("uplink"),
                             NoiseSchedule("downlink", "constant", 0.1), seed=4)
         f_ref = loss(model, res.final_params, ds.X, ds.y)
         assert res.final_loss == pytest.approx(f_ref, rel=1e-10, abs=0.0)
@@ -1024,14 +1032,14 @@ class TestRunNoisySgd:
         # m = b draws nothing first; m = 10 001 with b = 201 is numpy's tail shuffle
         m, b = m_b
         ds = generate_regression(SyntheticRegressionSpec(m=m, d=1), seed=0)
-        model = LossModel("mse_linear", dim=1, smoothness=1.0)
+        task = one_shard(ds, LossModel("mse_linear", dim=1, smoothness=1.0))
         seen = []
         real = backend.batch_gradient
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(backend, "batch_gradient",
                        lambda kind, X, y, w, rows, *a: seen.append(rows) or real(
                            kind, X, y, w, rows, *a))
-            run_noisy_sgd(model, ds, 1e-3, T, b, NoiseSchedule("uplink"),
+            run_noisy_sgd(task, 1e-3, T, b, NoiseSchedule("uplink"),
                           NoiseSchedule("downlink"), seed)
         assert len(seen) == T
         for t, rows in enumerate(seen):
@@ -1041,11 +1049,12 @@ class TestRunNoisySgd:
     @pytest.mark.parametrize("seed", [7, 2**40])
     def test_both_channels_equal_a_keyed_stream_oracle(self, seed):
         # the oracle takes each step's batch and channel noise from its own numpy stream
-        ds, model = self._task()
+        task = self._task()
+        ds, model = task.dataset, task.model
         up = NoiseSchedule("uplink", "poly_decay", 0.2, 0.5)
         dn = NoiseSchedule("downlink", "constant", 0.1)
         eta, T, b = 0.05, 6, 16
-        res = run_noisy_sgd(model, ds, eta, T, b, up, dn, seed)
+        res = run_noisy_sgd(task, eta, T, b, up, dn, seed)
         w = np.zeros(model.dim)
         for t in range(T):
             def stream(purpose):
@@ -1061,24 +1070,57 @@ class TestRunNoisySgd:
 
     def test_divergence_guard_does_not_warn(self):
         # at eta = 1e200 the first step's norm overflows to inf: the guard's signal
-        ds, model = self._task()
+        task = self._task()
         off_u, off_d = NoiseSchedule("uplink"), NoiseSchedule("downlink")
         with pytest.warns(UserWarning, match="exceeds 1/L"), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            res = run_noisy_sgd(model, ds, 1e200, 10, 16, off_u, off_d, seed=0)
+            res = run_noisy_sgd(task, 1e200, 10, 16, off_u, off_d, seed=0)
         assert res.status == "diverged" and res.diverged_at == 0
 
     def test_warns_above_inverse_smoothness(self):
-        ds, model = self._task()
+        task = self._task()
         off_u, off_d = NoiseSchedule("uplink"), NoiseSchedule("downlink")
         with pytest.warns(UserWarning):
-            run_noisy_sgd(model, ds, 1.5, 2, 16, off_u, off_d, seed=0)
+            run_noisy_sgd(task, 1.5, 2, 16, off_u, off_d, seed=0)
 
     def test_negative_seed_rejected(self):
-        ds, model = self._task()
+        task = self._task()
         with pytest.raises(ValueError, match="seed"):
-            run_noisy_sgd(model, ds, 0.01, 2, 16, NoiseSchedule("uplink"),
+            run_noisy_sgd(task, 0.01, 2, 16, NoiseSchedule("uplink"),
                           NoiseSchedule("downlink"), seed=-1)
+
+    def test_two_shard_task_rejected(self, tiny_task):
+        two = Task(tiny_task.dataset, tiny_task.model, partition_iid(300, 2, seed=0))
+        with pytest.raises(ValueError, match="one shard"):
+            run_noisy_sgd(two, 0.01, 2, 16, NoiseSchedule("uplink"), NoiseSchedule("downlink"), 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+           m=st.integers(1, 60), b_frac=st.floats(0.0, 1.0), T=st.integers(1, 5),
+           up=st.booleans(), down=st.booleans())
+    def test_draws_are_a_one_client_federations(self, seed, m, b_frac, T, up, down):
+        # SGD is client 0 of its one-shard task: the batches and unit noise it consumes
+        # are round_draws' for n = r = E = 1 and K = T on that task
+        b = 1 + round(b_frac * (m - 1))
+        task = one_shard(generate_regression(SyntheticRegressionSpec(m=m, d=1), seed=1),
+                         LossModel("mse_linear", dim=1, smoothness=1.0))
+        channels = [(schedule("uplink", "constant" if up else "off"),
+                     schedule("downlink", "constant" if down else "off"))]
+        made, seen = [], []
+        real_draws, real_gradient = fedavg._cohort_draws, backend.batch_gradient
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fedavg, "_cohort_draws", lambda *a: made.append(real_draws(*a)) or made[-1])
+            mp.setattr(backend, "batch_gradient",
+                       lambda kind, X, y, w, rows, *a: seen.append(rows) or real_gradient(
+                           kind, X, y, w, rows, *a))
+            run_noisy_sgd(task, 1e-3, T, b, *channels[0], seed)
+        cfg = FedAvgConfig(n=1, r=1, E=1, K=T, gamma=18.0, batch_size=b)
+        want = round_draws(cfg, task, seed, channels)
+        assert len(made) == 1
+        for got, exp in zip(dataclasses.astuple(made[0]), dataclasses.astuple(want)):
+            assert (got is None) == (exp is None)
+            assert exp is None or np.array_equal(got, exp)
+        assert np.array_equal(np.array(seen), want.rows[:, 0, 0])
 
 
 class TestPresetIntegration:
