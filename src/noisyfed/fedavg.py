@@ -227,7 +227,7 @@ def round_draws(config: FedAvgConfig, task: Task, seed: int, channels=()) -> Rou
 
 
 def _cohort_draws(task: Task, seed: int, cohorts: np.ndarray, E: int, b: int,
-                  channels=()) -> RoundDraws:
+                  channels) -> RoundDraws:
     """Every keyed batch and channel-noise draw of the (K, r) table of clients
     ``cohorts`` on ``task``, seeded in one pass: client i = cohorts[k, j]'s E
     batches of b rows are successive ``sample_batch`` calls on its shard from
