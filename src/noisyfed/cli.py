@@ -69,7 +69,7 @@ def _cmd_bounds(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc
     report = fedavg_error_bound(params)
-    mr = min_rounds(cfg.fedavg.r, cfg.fedavg.gamma)
+    mr = min_rounds(params.r, params.gamma)
     pairs = [
         ("leading", report.leading),
         ("term_uplink", report.term_uplink),
@@ -85,8 +85,8 @@ def _cmd_bounds(args) -> int:
         ("sum_U2", params.sum_U2),
         ("sum_N2", params.sum_N2),
         ("min_rounds", mr),
-        ("K", cfg.fedavg.K),
-        ("K_meets_min_rounds", int(cfg.fedavg.K >= mr)),
+        ("K", params.K),
+        ("K_meets_min_rounds", int(params.K >= mr)),
     ]
     if args.csv:
         print("quantity,value")
@@ -95,8 +95,8 @@ def _cmd_bounds(args) -> int:
     else:
         for k, v in pairs:
             print(f"{k:<20s} {_fmt(v)}")
-        if cfg.fedavg.K < mr:
-            print(f"warning: K={cfg.fedavg.K} is below min_rounds={_fmt(mr)}")
+        if params.K < mr:
+            print(f"warning: K={params.K} is below min_rounds={_fmt(mr)}")
     return 0
 
 

@@ -112,8 +112,8 @@ def bound_inputs(cfg: ExperimentConfig, task: Task, probe_params=None) -> Theory
     f0, _ = fedavg._global_metrics(model, task.metric_inputs, w0)
     sigma2 = empirical_sigma2(task, probes, fb.batch_size)
     sum_u2, sum_n2 = schedule_power_sums(cfg, model.dim)
-    return TheoryParams(n=fb.n, r=fb.r, E=fb.E, K=fb.K, gamma=fb.gamma,
-                        L=model.smoothness, eta=step_size(fb, model.smoothness),
+    return TheoryParams(n=fb.n, r=fb.r, E=fb.E, K=fb.K, L=model.smoothness,
+                        eta=step_size(fb, model.smoothness),
                         sigma2=sigma2, f0=f0, sum_U2=sum_u2, sum_N2=sum_n2)
 
 

@@ -112,11 +112,11 @@ def full_gradient(model: LossModel, params, X, y) -> np.ndarray:
     return backend.batch_gradient(model.kind, X, y, params, idx, model.n_classes)
 
 
-def _power_iteration_gram(X: np.ndarray, tol: float) -> float:
+def _power_iteration_gram(X: np.ndarray) -> float:
     """Top eigenvalue of (1/m) X^T X by power iteration on the Gram matrix.
 
     Deterministic start vector; the stopping threshold is two orders
-    tighter than the requested tolerance because successive Rayleigh
+    tighter than the tolerance ``tol`` because successive Rayleigh
     differences understate the true error when the spectrum is flat.
     Returns NaN as soon as the norm of an iterate C v is not finite, which
     a non-finite C gives at once and a finite one whose top eigenvalue is
@@ -127,6 +127,7 @@ def _power_iteration_gram(X: np.ndarray, tol: float) -> float:
     float64 vector without its wrapper.
     """
     m, d = X.shape
+    tol = 1e-8  # relative tolerance of the eigenvalue
     with np.errstate(over="ignore", invalid="ignore"):
         C = (X.T @ X) / m
         v = np.full(d, 1.0 / np.sqrt(d))
@@ -146,7 +147,7 @@ def _power_iteration_gram(X: np.ndarray, tol: float) -> float:
     return lam
 
 
-def smoothness_constant(model: LossModel, X, tol: float = 1e-8) -> float:
+def smoothness_constant(model: LossModel, X) -> float:
     """Gradient-Lipschitz bound of the mean loss over the dataset.
 
     mse_linear: the exact constant, the top eigenvalue of (1/m) X^T X.
@@ -155,7 +156,7 @@ def smoothness_constant(model: LossModel, X, tol: float = 1e-8) -> float:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("dataset must be a non-empty (m, d) array")
-    lam = _power_iteration_gram(X, tol)
+    lam = _power_iteration_gram(X)
     if model.kind == "softmax_linear":
         return 0.5 * lam
     return lam

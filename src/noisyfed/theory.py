@@ -7,6 +7,12 @@ averaging with the geometric round-sampling distribution, the quadratic
 counterexample showing bounded-client-dissimilarity fails, and the exact
 stochastic-gradient variance sigma^2 of the client shards.
 
+The federated bound is stated at the run's learning rate eta alone. The
+theorem's prescribed rate eta = sqrt(r/K) / (gamma L E) with gamma > 4 ties
+gamma to eta, so a run at any eta is the prescribed-rate run for
+gamma = sqrt(r/K) / (eta L E), and the bound applies when that gamma
+exceeds 4: eta below sqrt(r/K) / (4 L E).
+
 Noise totals everywhere are TOTAL expected squared norms, i.e. dimension
 times the per-coordinate variance.
 """
@@ -75,11 +81,12 @@ def zeta3(eta: float, L: float, E: float, n: int, r: int) -> float:
 
 @dataclass(frozen=True)
 class TheoryParams:
+    """The federated bound's inputs at the run's rate eta; an eta the
+    theorem does not cover (gamma <= 4) is rejected."""
     n: int
     r: int
     E: int
     K: int
-    gamma: float
     L: float
     eta: float
     sigma2: float = 0.0      # stochastic-gradient variance bound
@@ -92,15 +99,22 @@ class TheoryParams:
             raise ValueError("need n >= 2 and 1 <= r <= n")
         if self.E < 1 or self.K < 1:
             raise ValueError("need E >= 1 and K >= 1")
-        if self.gamma <= 4:
-            raise ValueError("gamma must exceed 4")
         if min(self.L, self.eta) <= 0:
             raise ValueError("L and eta must be positive")
-        if not all(map(math.isfinite, (self.gamma, self.L, self.eta, self.sigma2, self.f0,
+        if not all(map(math.isfinite, (self.L, self.eta, self.sigma2, self.f0,
                                        self.sum_U2, self.sum_N2))):
-            raise ValueError("gamma, L, eta, sigma2, f0 and noise sums must be finite")
+            raise ValueError("L, eta, sigma2, f0 and noise sums must be finite")
         if min(self.sigma2, self.f0, self.sum_U2, self.sum_N2) < 0:
             raise ValueError("sigma2, f0 and noise sums must be >= 0")
+        if self.gamma <= 4:
+            limit = math.sqrt(self.r / self.K) / (4.0 * self.L * self.E)
+            raise ValueError(f"eta={self.eta:.6g} must be below sqrt(r/K) / (4 L E) = "
+                             f"{limit:.6g} for the bound to apply")
+
+    @property
+    def gamma(self) -> float:
+        """The rate constant whose prescribed rate is eta: sqrt(r/K) / (eta L E)."""
+        return math.sqrt(self.r / self.K) / (self.eta * self.L * self.E)
 
 
 @dataclass(frozen=True)
@@ -119,50 +133,31 @@ class BoundReport:
 
 
 def fedavg_error_bound(p: TheoryParams) -> BoundReport:
-    """Bound on the expected squared gradient at the sampled round.
+    """Bound on the expected squared gradient at the sampled round, at the rate p.eta.
 
     The decomposition is
-      leading   8 gamma L f0 / sqrt(rK)
-      uplink    4 / (gamma E^2 K sqrt(rK)) * sum_U2
-      variance  (4 / (gamma E)) sqrt(r/K) *
-                [ (1/(gamma n)) sqrt(r/K) (1 + 2nE/3 + n) + 1/r + (n-r)/(r(n-1)) ] * sigma2
-      downlink  (4 L^2 / (E K)) * C(gamma, E, r, K, n) * sum_N2
-    where C expands the downlink recursion coefficient at the prescribed
-    learning rate (it equals zeta3 evaluated there, which tests cross-check).
-    Warns when K is below the minimum-round requirement or when the supplied
-    eta is not the prescribed rate.
+      leading   8 f0 / (eta E K)
+      uplink    4 eta L sum_U2 / (r E K)
+      variance  4 eta L zeta2 sigma2
+      downlink  (4 L^2 / (E K)) zeta3 sum_N2
+    with zeta2 and zeta3 the recursion constants at eta. At the prescribed
+    rate of p.gamma these are the theorem's terms in gamma form, e.g. the
+    leading term 8 gamma L f0 / sqrt(rK). Warns when K is below the
+    minimum-round requirement of p.gamma.
     """
-    n, r, E, K, g, L = p.n, p.r, p.E, p.K, p.gamma, p.L
-    eta_star = learning_rate(g, L, E, r, K)
-    kmin = min_rounds(r, g)
-    if p.K < kmin:
-        warnings.warn(f"K={p.K} is below the minimum-round requirement {kmin:.4g}")
-    if not np.isclose(p.eta, eta_star, rtol=1e-9):
-        warnings.warn(f"eta={p.eta:.6g} differs from the prescribed rate {eta_star:.6g}")
-
-    srk = np.sqrt(r / K)
-    part = (n - r) / (r * (n - 1))
-    leading = 8.0 * g * L * p.f0 / np.sqrt(r * K)
-    term_up = 4.0 / (g * E**2 * K * np.sqrt(r * K)) * p.sum_U2
-    term_var = (4.0 / (g * E)) * srk * (
-        (1.0 / (g * n)) * srk * (1.0 + 2.0 * n * E / 3.0 + n) + 1.0 / r + part
-    ) * p.sigma2
-    down_coef = 1.0 + 4.0 * E + (2.0 / (g * E)) * srk * (
-        1.0 + 2.0 * E**2 * (
-            (3.0 / (g * E**2)) * srk
-            + 2.0 * (2.0 + (3.0 / (g**2 * E**2)) * (r / K))
-            * ((2.0 / (3.0 * g)) * srk + part)
-        )
-    )
-    term_down = (4.0 * L**2 / (E * K)) * down_coef * p.sum_N2
+    n, r, E, K, L, eta = p.n, p.r, p.E, p.K, p.L, p.eta
+    kmin = min_rounds(r, p.gamma)
+    if K < kmin:
+        warnings.warn(f"K={K} is below the minimum-round requirement {kmin:.4g}")
+    z2, z3 = zeta2(eta, L, E, n, r), zeta3(eta, L, E, n, r)
     return BoundReport(
-        leading=float(leading),
-        term_uplink=float(term_up),
-        term_sgd_variance=float(term_var),
-        term_downlink=float(term_down),
-        zeta=zeta(p.eta, L, E, n, r),
-        zeta2=zeta2(p.eta, L, E, n, r),
-        zeta3=zeta3(p.eta, L, E, n, r),
+        leading=8.0 * p.f0 / (eta * E * K),
+        term_uplink=4.0 * eta * L * p.sum_U2 / (r * E * K),
+        term_sgd_variance=4.0 * eta * L * z2 * p.sigma2,
+        term_downlink=(4.0 * L**2 / (E * K)) * z3 * p.sum_N2,
+        zeta=zeta(eta, L, E, n, r),
+        zeta2=z2,
+        zeta3=z3,
     )
 
 

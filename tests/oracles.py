@@ -2,8 +2,10 @@
 of ``noisyfed.streams`` and ``noisyfed.fedavg.round_draws`` are checked against, a
 central-difference gradient for the model's analytic one, the power iteration with
 ``np.linalg.norm`` that ``noisyfed.model._power_iteration_gram`` must match bit for bit,
-and two for ``noisyfed.theory.empirical_sigma2``'s exact sigma^2: a Monte-Carlo
-estimate from trial batches and the direct sum over a stack of row gradients.
+two for ``noisyfed.theory.empirical_sigma2``'s exact sigma^2: a Monte-Carlo
+estimate from trial batches and the direct sum over a stack of row gradients, and the
+federated bound's terms as the paper prints them, in gamma form at the prescribed
+rate, for ``noisyfed.theory.fedavg_error_bound``'s eta form.
 
 A key is any sequence of non-negative ints, such as ``[seed, k, i, purpose]``
 or a row of ``streams.key_rows``; both seed ``np.random.default_rng`` alike.
@@ -180,3 +182,25 @@ def centered_sigma2(task, probe_params, batch_size):
             spread = float(np.sum((G - G.mean(axis=0)) ** 2))
             worst = max(worst, (m - b) / (b * (m - 1)) * spread / m)
     return worst
+
+
+def gamma_form_bound(n, r, E, K, gamma, L, f0, sigma2, sum_U2, sum_N2):
+    """(leading, uplink, variance, downlink): the federated bound's terms at the
+    prescribed rate sqrt(r/K) / (gamma L E), written out in gamma as the paper prints
+    them, with the variance and downlink recursion constants expanded by hand."""
+    srk = math.sqrt(r / K)
+    part = (n - r) / (r * (n - 1))
+    leading = 8.0 * gamma * L * f0 / math.sqrt(r * K)
+    uplink = 4.0 / (gamma * E**2 * K * math.sqrt(r * K)) * sum_U2
+    variance = (4.0 / (gamma * E)) * srk * (
+        (1.0 / (gamma * n)) * srk * (1.0 + 2.0 * n * E / 3.0 + n) + 1.0 / r + part
+    ) * sigma2
+    down_coef = 1.0 + 4.0 * E + (2.0 / (gamma * E)) * srk * (
+        1.0 + 2.0 * E**2 * (
+            (3.0 / (gamma * E**2)) * srk
+            + 2.0 * (2.0 + (3.0 / (gamma**2 * E**2)) * (r / K))
+            * ((2.0 / (3.0 * gamma)) * srk + part)
+        )
+    )
+    downlink = (4.0 * L**2 / (E * K)) * down_coef * sum_N2
+    return leading, uplink, variance, downlink

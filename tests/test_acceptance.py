@@ -135,8 +135,9 @@ class TestAcceptance:
         """Log-log slope of the bound's uplink term along the sweep's axis.
 
         The sweep pins eta, so the run at each axis point is the
-        prescribed-rate run for gamma_eff = sqrt(r/K) / (eta L E); the bound
-        is evaluated there. Returns the slope and the gamma_eff range.
+        prescribed-rate run for gamma_eff = sqrt(r/K) / (eta L E),
+        ``TheoryParams.gamma``; the bound is evaluated at eta. Returns the
+        slope and the gamma_eff range.
         """
         base = preset("v5a_sweep")
         eta, L = base.fedavg.learning_rate_override, model.smoothness
@@ -145,15 +146,13 @@ class TestAcceptance:
             fb = dataclasses.replace(base.fedavg, **{sweep["axis"]: v})
             cfg = sweep_variants(dataclasses.replace(base, fedavg=fb))["uplink_only"]
             sum_u2, _ = schedule_power_sums(cfg, model.dim)
-            gamma = float(np.sqrt(fb.r / fb.K) / (eta * L * fb.E))
+            params = TheoryParams(n=fb.n, r=fb.r, E=fb.E, K=fb.K, L=L, eta=eta, sum_U2=sum_u2)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # the bound must apply at every point
-                term = fedavg_error_bound(TheoryParams(
-                    n=fb.n, r=fb.r, E=fb.E, K=fb.K, gamma=gamma, L=L, eta=eta,
-                    sum_U2=sum_u2)).term_uplink
+                term = fedavg_error_bound(params).term_uplink
             xs.append(np.log(v))
             ys.append(np.log(term))
-            gammas.append(gamma)
+            gammas.append(params.gamma)
         return float(np.polyfit(xs, ys, 1)[0]), min(gammas), max(gammas)
 
     def _check_uplink_slope(self, num, sweep, model, half_width):

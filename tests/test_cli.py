@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -493,6 +494,39 @@ class TestBoundsCommand:
         got = dict(line.split(",") for line in
                    capsys.readouterr().out.strip().splitlines()[1:])
         assert float(got["term_downlink"]) > 10 * float(got["term_uplink"])
+
+    @staticmethod
+    def pinned_sweep(tmp_path, eta):
+        doc = json.loads((CONFIGS / "v5a_sweep.json").read_text())
+        doc["fedavg"]["learning_rate_override"] = eta
+        return write_doc(tmp_path, doc)
+
+    def test_pinned_rate_report_is_at_that_rate(self, tmp_path, capsys):
+        # at eta = 0.002 the sweep runs at gamma = sqrt(r/K) / (eta L E) = 31.6; the report
+        # used to print the zetas at 0.002 but its terms at the configured gamma's rate
+        # 0.00351, with a rate-mismatch warning
+        cfgp = self.pinned_sweep(tmp_path, 0.002)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", "--config", cfgp, "--csv"]) == 0
+        got = {k: float(v) for k, v in (line.split(",") for line in
+                                         capsys.readouterr().out.strip().splitlines()[1:])}
+        eta, E, K = got["eta"], 5, got["K"]
+        assert eta == 0.002
+        assert got["leading"] == pytest.approx(8 * got["f0"] / (eta * E * K), rel=1e-10)
+        assert got["term_uplink"] == pytest.approx(4 * eta * got["sum_U2"] / (10 * E * K),
+                                                   rel=1e-10)
+        assert got["total"] == pytest.approx(196.848563265, rel=1e-11)
+        assert got["min_rounds"] == pytest.approx(0.04, rel=1e-10)
+
+    def test_rate_the_theorem_does_not_cover_exits_2(self, tmp_path, capsys):
+        # at eta = 0.02 gamma is 3.16: this used to print a report anyway
+        cfgp = self.pinned_sweep(tmp_path, 0.02)
+        assert main(["bounds", "--config", cfgp]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {cfgp}: eta=0.02 must be below sqrt(r/K) / (4 L E) = "
+                       f"0.0158114 for the bound to apply\n")
 
 
 def label_noise_docs(variance):

@@ -785,6 +785,51 @@ class TestReplicas:
             run_replicas(tiny_config(), tiny_task, 0, [])
 
 
+class TestLinkModel:
+    """The noisy-minus-noise-free gap of a quadratic run, against its linear recursion.
+
+    For mse_linear a local step is affine in w, so client i's E steps map w to
+    P_i w + q_i with P_i = M_E ... M_1 and M_e = I - (eta / b) X_e^T X_e. Under
+    reading A of the link model, the one the loop runs today (the downlink draw
+    nu_k persists in the model the cohort steps from; the cohort-mean uplink
+    draw e_k is added after eta, at parameter scale), the gap between a noisy
+    run and its noise-free twin on the same draws is delta_0 = 0,
+    delta_{k+1} = Pbar_k (delta_k + nu_k) + e_k, with Pbar_k the cohort mean of
+    the P_i. A change of either injection point changes this recursion together
+    with the loop.
+    """
+
+    @pytest.mark.parametrize("n, r, E, b, K, seed", [
+        (4, 2, 2, 5, 6, 1), (5, 5, 1, 4, 8, 3), (6, 3, 3, 2, 5, 2**33 + 7)])
+    def test_noise_gap_follows_the_recursion(self, n, r, E, b, K, seed):
+        ds = generate_regression(SyntheticRegressionSpec(m=60, d=3, label_noise_variance=0.1),
+                                 seed=4)
+        probe = LossModel("mse_linear", dim=3)
+        task = Task(ds, dataclasses.replace(probe, smoothness=smoothness_constant(probe, ds.X)),
+                    partition_iid(60, n, seed=4))
+        cfg = FedAvgConfig(n=n, r=r, E=E, K=K, gamma=18.0, batch_size=b)
+        up = NoiseSchedule("uplink", "poly_decay", 0.3, 0.5)
+        dn = NoiseSchedule("downlink", "poly_decay", 0.2, 1.0, e_squared_scaling=True)
+        channels = [(up, dn), (NoiseSchedule("uplink"), NoiseSchedule("downlink"))]
+        noisy, free = run_replicas(cfg, task, seed, channels)
+        assert noisy.status == free.status == "completed"
+
+        draws, eta, X = round_draws(cfg, task, seed, channels), noisy.eta, ds.X
+        delta = np.zeros(3)
+        for k in range(K):
+            Pbar = np.zeros((3, 3))
+            for batches in draws.rows[k]:
+                P = np.eye(3)
+                for rows in batches:
+                    Xe = X[rows]
+                    P = (np.eye(3) - (eta / b) * Xe.T @ Xe) @ P
+                Pbar += P / r
+            nu = draws.downlink[k] * np.sqrt(variance_at(dn, k, E))
+            e = draws.uplink[k].mean(axis=0) * np.sqrt(variance_at(up, k, E))
+            delta = Pbar @ (delta + nu) + e
+        np.testing.assert_allclose(noisy.final_params - free.final_params, delta, rtol=1e-12)
+
+
 def overflowing_task():
     """60 x 3 mse rows scaled by 1e150, with the exact smoothness 1.27e300: a model of
     norm about 1e10 overflows the loss. (smoothness_constant returns NaN at this scale:

@@ -10,6 +10,7 @@ from noisyfed.data import partition_iid
 from noisyfed.fedavg import Task, learning_rate
 from noisyfed.theory import (TheoryParams, bcd_gap, bcd_witness, empirical_sigma2,
                              sgd_error_bound, fedavg_error_bound, zeta, zeta2, zeta3)
+from oracles import gamma_form_bound
 
 
 class TestZetas:
@@ -37,7 +38,7 @@ class TestZetas:
 
 
 def v5a_params(**overrides):
-    base = dict(n=50, r=10, E=5, K=100, gamma=18.0, L=1.0,
+    base = dict(n=50, r=10, E=5, K=100, L=1.0,
                 eta=learning_rate(18.0, 1.0, 5, 10, 100),
                 sigma2=0.0, f0=1.0, sum_U2=0.0, sum_N2=0.0)
     base.update(overrides)
@@ -63,23 +64,43 @@ class TestTheorem2Bound:
         assert b == pytest.approx(2 * a, rel=1e-12)
 
     def test_coefficients_match_recursion_constants(self):
-        # the variance and downlink coefficients must equal the recursion
-        # constants evaluated at the prescribed rate: two encodings, one value
-        p = v5a_params(sigma2=1.0, sum_N2=1.0, sum_U2=1.0)
-        report = fedavg_error_bound(p)
-        assert report.term_sgd_variance == pytest.approx(
-            4 * p.eta * p.L * zeta2(p.eta, p.L, p.E, p.n, p.r), rel=1e-12)
-        assert report.term_downlink == pytest.approx(
-            (4 * p.L**2 / (p.E * p.K)) * zeta3(p.eta, p.L, p.E, p.n, p.r), rel=1e-12)
-        assert report.term_uplink == pytest.approx(
-            4 * p.eta * p.L / (p.r * p.E * p.K), rel=1e-12)
+        # the eta form, with zeta2 and zeta3 as its coefficients, against the paper's
+        # gamma form at the prescribed rate, expanded by hand: two encodings, one value
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            n = int(rng.integers(2, 100))
+            r = int(rng.integers(1, n + 1))
+            E, K = int(rng.integers(1, 20)), int(rng.integers(1, 500))
+            gamma, L = float(rng.uniform(4.1, 40.0)), float(rng.uniform(0.1, 4.0))
+            terms = dict(f0=float(rng.uniform(0, 10)), sigma2=float(rng.uniform(0, 10)),
+                         sum_U2=float(rng.uniform(0, 10)), sum_N2=float(rng.uniform(0, 10)))
+            p = TheoryParams(n=n, r=r, E=E, K=K, L=L, eta=learning_rate(gamma, L, E, r, K),
+                             **terms)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # K below min_rounds
+                rep = fedavg_error_bound(p)
+            got = (rep.leading, rep.term_uplink, rep.term_sgd_variance, rep.term_downlink)
+            assert got == pytest.approx(gamma_form_bound(n, r, E, K, gamma, L, **terms),
+                                        rel=1e-12)
 
-    def test_warns_on_rate_mismatch_and_short_horizon(self):
-        with pytest.warns(UserWarning):
-            fedavg_error_bound(v5a_params(eta=0.01))
-        with pytest.warns(UserWarning):
-            fedavg_error_bound(TheoryParams(n=50, r=40, E=5, K=1, gamma=4.5, L=1.0,
-                                        eta=learning_rate(4.5, 1.0, 5, 40, 1), f0=1.0))
+    @settings(max_examples=200, deadline=None)
+    @given(gamma=st.floats(4.0 + 1e-9, 1e6), L=st.floats(1e-3, 1e3), E=st.integers(1, 50),
+           r=st.integers(1, 100), K=st.integers(1, 10_000))
+    def test_gamma_round_trips_through_the_prescribed_rate(self, gamma, L, E, r, K):
+        # a gamma within a few ulps of 4 may come back at 4 and be rejected
+        p = TheoryParams(n=max(r, 2), r=r, E=E, K=K, L=L, eta=learning_rate(gamma, L, E, r, K))
+        assert p.gamma == pytest.approx(gamma, rel=1e-12)
+
+    @pytest.mark.parametrize("eta_over_limit", [1.0 + 1e-9, 1.5, 100.0])
+    def test_rate_the_theorem_does_not_cover_rejected(self, eta_over_limit):
+        limit = np.sqrt(10 / 100) / (4 * 1.0 * 5)  # gamma = 4 at v5a's r, K, L and E
+        with pytest.raises(ValueError, match=r"must be below sqrt\(r/K\) / \(4 L E\) = 0\.0158114"):
+            v5a_params(eta=eta_over_limit * limit)
+
+    def test_warns_on_short_horizon(self):
+        with pytest.warns(UserWarning, match="minimum-round requirement"):
+            fedavg_error_bound(TheoryParams(n=50, r=40, E=5, K=1, L=1.0,
+                                            eta=learning_rate(4.5, 1.0, 5, 40, 1), f0=1.0))
 
     def test_pinned_rate_uplink_term_at_effective_gamma(self):
         # a run at pinned eta is the prescribed-rate run for
@@ -87,8 +108,8 @@ class TestTheorem2Bound:
         # 4 eta L sum_U2 / (r E K), which goes as 1/(rE) along either axis
         eta, L, K, n, sum_U2 = learning_rate(18.0, 1.0, 5, 10, 100), 1.0, 100, 50, 24.0
         for r, E in ((5, 5), (10, 1)):
-            gamma = np.sqrt(r / K) / (eta * L * E)
-            p = TheoryParams(n=n, r=r, E=E, K=K, gamma=gamma, L=L, eta=eta, sum_U2=sum_U2)
+            p = TheoryParams(n=n, r=r, E=E, K=K, L=L, eta=eta, sum_U2=sum_U2)
+            assert p.gamma == pytest.approx(np.sqrt(r / K) / (eta * L * E), rel=1e-15)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 rep = fedavg_error_bound(p)
@@ -109,13 +130,10 @@ class TestTheorem2Bound:
             r = int(rng.integers(1, n + 1))
             E = int(rng.integers(1, 20))
             K = int(rng.integers(1, 500))
-            gamma = float(rng.uniform(4.1, 40.0))
-            p = TheoryParams(n=n, r=r, E=E, K=K, gamma=gamma, L=float(rng.uniform(0.1, 4)),
-                             eta=learning_rate(gamma, 1.0, E, r, K),
+            gamma, L = float(rng.uniform(4.1, 40.0)), float(rng.uniform(0.1, 4))
+            p = TheoryParams(n=n, r=r, E=E, K=K, L=L, eta=learning_rate(gamma, L, E, r, K),
                              sigma2=float(rng.uniform(0, 10)), f0=float(rng.uniform(0, 10)),
                              sum_U2=float(rng.uniform(0, 10)), sum_N2=float(rng.uniform(0, 10)))
-            import warnings
-
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 rep = fedavg_error_bound(p)
