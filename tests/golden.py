@@ -3,8 +3,9 @@
 The cases are the three benchmark workloads at workload seeds 0 and 7, each from
 ``perfbench/workloads.py``'s ``config_text`` and ``cli_argv``; ``noisyfed bounds``
 with and without ``--csv`` on ``configs/v5a_snr_control.json``; ``noisyfed sweep
---axis E`` on ``configs/v5a_sweep.json``; and sgd-mode ``run``s of the configs
-``SGD`` (mse) and ``SGD_SOFTMAX``, the CLI paths with no preset. They run in one child process with
+--axis E`` on ``configs/v5a_sweep.json``; ``noisyfed bounds`` at a pinned rate on the
+config ``PINNED_BOUNDS``; and sgd-mode ``run``s of the configs ``SGD`` (mse) and
+``SGD_SOFTMAX``, the CLI paths with no preset. They run in one child process with
 ``workloads.THREAD_ENV`` (one BLAS thread), each in its own directory, and with
 every RuntimeWarning an error, as the tests' own policy in ``pyproject.toml`` has
 it: a numpy warning on a pinned path fails the cases, with the child's stderr.
@@ -44,6 +45,16 @@ SGD = {"task": "regression_v5a", "mode": "sgd",
        "downlink": {"kind": "poly_decay", "base_std": 0.2, "decay_exponent": 0.5},
        "repeat_seeds": [1, 2]}
 
+# the sweep preset's task and schedules at the pinned rate 0.002 (gamma 31.6): the bound
+# report stated at that rate
+PINNED_BOUNDS = {"task": "regression_v5a", "mode": "fedavg",
+                 "data": {"m": 15000, "d": 60, "seed": 2024, "label_noise_variance": 0.05},
+                 "fedavg": {"n": 50, "r": 10, "E": 5, "K": 100, "gamma": 18.0,
+                            "batch_size": 16, "learning_rate_override": 0.002},
+                 "uplink": {"kind": "constant", "base_std": 0.2},
+                 "downlink": {"kind": "constant", "base_std": 0.2},
+                 "repeat_seeds": [1, 2, 3]}
+
 # the same on softmax: its metrics read the weighted one-pass inputs of every row
 SGD_SOFTMAX = {"task": "classification_synth", "mode": "sgd",
                "data": {"m": 1500, "d": 8, "seed": 11, "n_classes": 4,
@@ -71,6 +82,8 @@ def cases() -> dict:
     snr = str(ROOT / "configs" / "v5a_snr_control.json")
     out["bounds_v5a_snr_control"] = (None, ["bounds", "--config", snr])
     out["bounds_csv_v5a_snr_control"] = (None, ["bounds", "--config", snr, "--csv"])
+    out["bounds_pinned_eta"] = (json.dumps(PINNED_BOUNDS, indent=2) + "\n",
+                                ["bounds", "--config", "config.json"])
     sweep = str(ROOT / "configs" / "v5a_sweep.json")
     out["sweep_E_v5a_sweep"] = (None, ["sweep", "--config", sweep, "--axis", "E",
                                        "--values", "1,3", "--out", "out/sweep"])
