@@ -113,8 +113,9 @@ class TheoryParams:
 
     @property
     def gamma(self) -> float:
-        """The rate constant whose prescribed rate is eta: sqrt(r/K) / (eta L E)."""
-        return math.sqrt(self.r / self.K) / (self.eta * self.L * self.E)
+        """The rate constant whose prescribed rate is eta: sqrt(r/K) / (eta L E), inf
+        where eta L E underflows to 0."""
+        return math.sqrt(self.r / self.K) / self.eta / (self.L * self.E)
 
 
 @dataclass(frozen=True)

@@ -502,9 +502,8 @@ class TestBoundsCommand:
         return write_doc(tmp_path, doc)
 
     def test_pinned_rate_report_is_at_that_rate(self, tmp_path, capsys):
-        # at eta = 0.002 the sweep runs at gamma = sqrt(r/K) / (eta L E) = 31.6; the report
-        # used to print the zetas at 0.002 but its terms at the configured gamma's rate
-        # 0.00351, with a rate-mismatch warning
+        # at eta = 0.002 the sweep runs at gamma = sqrt(r/K) / (eta L E) = 31.6, not at its
+        # configured gamma 18: every term and min_rounds are at that rate, and nothing warns
         cfgp = self.pinned_sweep(tmp_path, 0.002)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -520,7 +519,7 @@ class TestBoundsCommand:
         assert got["min_rounds"] == pytest.approx(0.04, rel=1e-10)
 
     def test_rate_the_theorem_does_not_cover_exits_2(self, tmp_path, capsys):
-        # at eta = 0.02 gamma is 3.16: this used to print a report anyway
+        # at eta = 0.02 gamma is 3.16, where the theorem gives no bound
         cfgp = self.pinned_sweep(tmp_path, 0.02)
         assert main(["bounds", "--config", cfgp]) == 2
         out, err = capsys.readouterr()

@@ -94,8 +94,15 @@ class TestTheorem2Bound:
     @pytest.mark.parametrize("eta_over_limit", [1.0 + 1e-9, 1.5, 100.0])
     def test_rate_the_theorem_does_not_cover_rejected(self, eta_over_limit):
         limit = np.sqrt(10 / 100) / (4 * 1.0 * 5)  # gamma = 4 at v5a's r, K, L and E
-        with pytest.raises(ValueError, match=r"must be below sqrt\(r/K\) / \(4 L E\) = 0\.0158114"):
+        message = r"must be below sqrt\(r/K\) / \(4 L E\) = 0\.0158114 for the bound to apply"
+        with pytest.raises(ValueError, match=message):
             v5a_params(eta=eta_over_limit * limit)
+
+    def test_underflowing_rate_gives_infinite_gamma(self):
+        # eta L E is 0.0 in float64 here, so gamma must not divide by that product
+        p = TheoryParams(n=2, r=1, E=1, K=1, L=0.4, eta=5e-324, f0=1.0)
+        assert p.gamma == np.inf
+        assert fedavg_error_bound(p).leading == np.inf
 
     def test_warns_on_short_horizon(self):
         with pytest.warns(UserWarning, match="minimum-round requirement"):
@@ -109,7 +116,6 @@ class TestTheorem2Bound:
         eta, L, K, n, sum_U2 = learning_rate(18.0, 1.0, 5, 10, 100), 1.0, 100, 50, 24.0
         for r, E in ((5, 5), (10, 1)):
             p = TheoryParams(n=n, r=r, E=E, K=K, L=L, eta=eta, sum_U2=sum_U2)
-            assert p.gamma == pytest.approx(np.sqrt(r / K) / (eta * L * E), rel=1e-15)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 rep = fedavg_error_bound(p)
