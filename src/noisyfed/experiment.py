@@ -5,8 +5,9 @@ round, train_loss, grad_norm_sq, uplink_var, downlink_var, snr_up,
 snr_down, diverged; numeric fields carry 12 significant digits, SNR fields
 are empty while the channel is off, and the diverged flag is 0/1. A
 ``{prefix}_summary.json`` aggregates final losses, sampled round indices,
-and, for federated runs at the prescribed learning rate, the error-bound
-report evaluated with the measured initial loss and the exact
+and, for federated runs at a learning rate the theorem covers (prescribed or
+pinned, gamma = sqrt(r/K) / (eta L E) above 4), the error-bound report at
+that rate, evaluated with the measured initial loss and the exact
 stochastic-gradient variance. Outputs are byte-deterministic for a fixed config.
 """
 
@@ -26,7 +27,8 @@ from .data import (ClientPartition, SyntheticRegressionSpec, generate_classifica
 from .fedavg import RunResult, Task, kstar_weights, run_noisy_fedavg, run_noisy_sgd, step_size
 from .model import LossModel, smoothness_constant
 from .model import loss  # noqa: F401 (perfbench's hook table wraps experiment.loss)
-from .theory import TheoryParams, empirical_sigma2, fedavg_error_bound, min_rounds
+from .theory import (TheoryParams, empirical_sigma2, fedavg_error_bound, min_rounds,
+                     rate_constant)
 
 
 def build_task(cfg: ExperimentConfig) -> Task:
@@ -121,9 +123,12 @@ def run_experiment(cfg: ExperimentConfig, out_prefix: str | None = None,
                    seed_override: int | None = None) -> dict:
     """Execute one run per repeat seed and write metrics plus a summary.
 
-    Returns the summary document. Divergence is recorded, not an error. The
-    bound report is computed before any file is written, so a ValueError
-    from its inputs leaves no output behind.
+    Returns the summary document. Divergence is recorded, not an error. In
+    fedavg mode ``min_rounds``, ``K_meets_min_rounds`` and ``bound_report``
+    are taken at the run's own eta, whether prescribed or pinned, and are all
+    None where the theorem does not cover it (gamma <= 4). The bound report
+    is computed before any file is written, so a ValueError from its inputs
+    leaves no output behind.
     """
     prefix = out_prefix or cfg.out_prefix
     seeds = [seed_override] if seed_override is not None else list(cfg.repeat_seeds)
@@ -133,12 +138,11 @@ def run_experiment(cfg: ExperimentConfig, out_prefix: str | None = None,
 
     finals = np.array([r.final_loss for r in results], dtype=float)
     fb = cfg.fedavg
-    theory_eta = cfg.mode == "fedavg" and fb.learning_rate_override is None
     summary = {
         "task": cfg.task,
         "mode": cfg.mode,
         "eta": results[0].eta,
-        "theory_eta": theory_eta,
+        "theory_eta": cfg.mode == "fedavg" and fb.learning_rate_override is None,
         "seeds": seeds,
         "final_loss": {
             "per_seed": {str(s): float(r.final_loss) for s, r in zip(seeds, results)},
@@ -150,30 +154,25 @@ def run_experiment(cfg: ExperimentConfig, out_prefix: str | None = None,
         "diverged_at": {str(s): r.diverged_at for s, r in zip(seeds, results)},
         "metrics_files": paths,
     }
+    report = None
     if cfg.mode == "fedavg":
-        mr = min_rounds(fb.r, fb.gamma)
-        summary["min_rounds"] = mr
-        summary["K_meets_min_rounds"] = fb.K >= mr
-    if theory_eta:
-        probes = [np.zeros(task.model.dim)] + [r.final_params for r in results]
-        params = bound_inputs(cfg, task, probes)
-        report = fedavg_error_bound(params)
-        pweighted = {str(s): _pweighted_grad(r, report.zeta, fb.K) for s, r in zip(seeds, results)}
-        vals = [v for v in pweighted.values() if v is not None]
-        summary["bound_report"] = {
-            "leading": report.leading,
-            "term_uplink": report.term_uplink,
-            "term_sgd_variance": report.term_sgd_variance,
-            "term_downlink": report.term_downlink,
-            "total": report.total,
-            "zeta": report.zeta, "zeta2": report.zeta2, "zeta3": report.zeta3,
-            "f0": params.f0, "sigma2": params.sigma2,
-            "sum_U2": params.sum_U2, "sum_N2": params.sum_N2,
-            "p_weighted_grad_norm_sq": pweighted,
-            "bound_holds": bool(vals) and max(vals) <= report.total,
-        }
-    else:
-        summary["bound_report"] = None
+        summary["min_rounds"] = summary["K_meets_min_rounds"] = None
+        if rate_constant(results[0].eta, task.model.smoothness, fb.E, fb.r, fb.K) > 4:
+            probes = [np.zeros(task.model.dim)] + [r.final_params for r in results]
+            params = bound_inputs(cfg, task, probes)
+            bound = fedavg_error_bound(params)
+            mr = min_rounds(fb.r, params.gamma)
+            summary["min_rounds"], summary["K_meets_min_rounds"] = mr, fb.K >= mr
+            pweighted = {str(s): _pweighted_grad(r, bound.zeta, fb.K)
+                         for s, r in zip(seeds, results)}
+            vals = [v for v in pweighted.values() if v is not None]
+            report = dataclasses.asdict(bound) | {
+                "f0": params.f0, "sigma2": params.sigma2,
+                "sum_U2": params.sum_U2, "sum_N2": params.sum_N2,
+                "p_weighted_grad_norm_sq": pweighted,
+                "bound_holds": bool(vals) and max(vals) <= bound.total,
+            }
+    summary["bound_report"] = report
 
     outdir = os.path.dirname(prefix)
     if outdir:

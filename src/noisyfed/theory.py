@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,6 +40,12 @@ def learning_rate(gamma: float, L: float, E: int, r: int, K: int) -> float:
     if min(gamma, L) <= 0 or min(E, r, K) < 1:
         raise ValueError("gamma, L must be positive and E, r, K >= 1")
     return float(np.sqrt(r / K) / (gamma * L * E))
+
+
+def rate_constant(eta: float, L: float, E: int, r: int, K: int) -> float:
+    """The gamma whose prescribed rate is eta: sqrt(r/K) / (eta L E), inf where eta L E
+    underflows to 0."""
+    return math.sqrt(r / K) / eta / (L * E)
 
 
 def min_rounds(r: int, gamma: float) -> float:
@@ -113,9 +119,7 @@ class TheoryParams:
 
     @property
     def gamma(self) -> float:
-        """The rate constant whose prescribed rate is eta: sqrt(r/K) / (eta L E), inf
-        where eta L E underflows to 0."""
-        return math.sqrt(self.r / self.K) / self.eta / (self.L * self.E)
+        return rate_constant(self.eta, self.L, self.E, self.r, self.K)
 
 
 @dataclass(frozen=True)
@@ -124,13 +128,14 @@ class BoundReport:
     term_uplink: float
     term_sgd_variance: float
     term_downlink: float
+    total: float = field(init=False)
     zeta: float
     zeta2: float
     zeta3: float
 
-    @property
-    def total(self) -> float:
-        return self.leading + self.term_uplink + self.term_sgd_variance + self.term_downlink
+    def __post_init__(self):
+        object.__setattr__(self, "total", self.leading + self.term_uplink
+                           + self.term_sgd_variance + self.term_downlink)
 
 
 def fedavg_error_bound(p: TheoryParams) -> BoundReport:

@@ -19,13 +19,11 @@ from noisyfed.data import (SyntheticRegressionSpec, generate_regression,
                            partition_iid, partition_label_shard,
                            generate_classification)
 from noisyfed.experiment import (_pweighted_grad, bound_inputs, build_task,
-                                 run_experiment, run_one_seed, run_sweep,
-                                 schedule_power_sums, sweep_variants)
+                                 run_experiment, run_one_seed, run_sweep, sweep_variants)
 from noisyfed.fedavg import learning_rate, round_draws, run_noisy_fedavg, sample_kstar
 from noisyfed.fedavg import FedAvgConfig, Task
 from noisyfed.model import LossModel, full_gradient, smoothness_constant
-from noisyfed.theory import (TheoryParams, bcd_gap, bcd_witness, fedavg_error_bound,
-                             zeta)
+from noisyfed.theory import bcd_gap, bcd_witness, fedavg_error_bound, zeta
 from oracles import finite_difference_gradient
 from presets import preset
 
@@ -131,33 +129,31 @@ class TestAcceptance:
         return float(np.polyfit(xs, ys, 1)[0])
 
     @staticmethod
-    def _predicted_uplink_slope(sweep, model):
+    def _predicted_uplink_slope(sweep, task):
         """Log-log slope of the bound's uplink term along the sweep's axis.
 
         The sweep pins eta, so the run at each axis point is the
         prescribed-rate run for gamma_eff = sqrt(r/K) / (eta L E),
-        ``TheoryParams.gamma``; the bound is evaluated at eta. Returns the
-        slope and the gamma_eff range.
+        ``TheoryParams.gamma``; the bound is ``bound_inputs``' at eta, on the
+        uplink-only variant. Returns the slope and the gamma_eff range.
         """
         base = preset("v5a_sweep")
-        eta, L = base.fedavg.learning_rate_override, model.smoothness
         xs, ys, gammas = [], [], []
         for v in sweep["values"]:
             fb = dataclasses.replace(base.fedavg, **{sweep["axis"]: v})
             cfg = sweep_variants(dataclasses.replace(base, fedavg=fb))["uplink_only"]
-            sum_u2, _ = schedule_power_sums(cfg, model.dim)
-            params = TheoryParams(n=fb.n, r=fb.r, E=fb.E, K=fb.K, L=L, eta=eta, sum_U2=sum_u2)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # the bound must apply at every point
+                params = bound_inputs(cfg, task)
                 term = fedavg_error_bound(params).term_uplink
             xs.append(np.log(v))
             ys.append(np.log(term))
             gammas.append(params.gamma)
         return float(np.polyfit(xs, ys, 1)[0]), min(gammas), max(gammas)
 
-    def _check_uplink_slope(self, num, sweep, model, half_width):
+    def _check_uplink_slope(self, num, sweep, task, half_width):
         slope = self._slope(sweep, "uplink_only")
-        pred, g_lo, g_hi = self._predicted_uplink_slope(sweep, model)
+        pred, g_lo, g_hi = self._predicted_uplink_slope(sweep, task)
         lo, hi = pred - half_width, pred + half_width
         ok = lo <= slope <= hi
         assert report(num, f"uplink excess slope vs {sweep['axis']}", ok,
@@ -166,7 +162,7 @@ class TestAcceptance:
                       f"gamma_eff in [{g_lo:.1f}, {g_hi:.1f}])")
 
     def test_06a_sweep_slope_uplink_vs_r(self, sweeps, v5a_task):
-        self._check_uplink_slope("6a", sweeps[0], v5a_task.model, 0.3)
+        self._check_uplink_slope("6a", sweeps[0], v5a_task, 0.3)
 
     def test_06b_sweep_slope_downlink_vs_r(self, sweeps):
         slope = self._slope(sweeps[0], "downlink_only")
@@ -175,7 +171,7 @@ class TestAcceptance:
                       f"slope={slope:.3f}, window [-0.15, 0.15] (prediction 0)")
 
     def test_06c_sweep_slope_uplink_vs_e(self, sweeps, v5a_task):
-        self._check_uplink_slope("6c", sweeps[1], v5a_task.model, 0.6)
+        self._check_uplink_slope("6c", sweeps[1], v5a_task, 0.6)
 
     def test_07_power_budget(self):
         cmp = compare_policies(100, 5)

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from noisyfed.cli import main
 from noisyfed.config import (TASKS, ConfigError, SgdBlock, canonical_dict, load_config,
                              parse_config, serialize)
-from noisyfed.theory import learning_rate
+from noisyfed.theory import BoundReport, learning_rate
 from presets import CONFIGS, preset
 
 REPO = Path(__file__).resolve().parents[1]
@@ -292,6 +292,42 @@ class TestRunCommand:
         assert main(["run", "--config", cfgp, "--out", out]) == 0
         rows = (tmp_path / "d" / "run_seed1.csv").read_text().splitlines()
         assert rows[-1].endswith(",1")  # sentinel row carries the diverged flag
+        # gamma = sqrt(r/K) / (eta L E) is below 4 here, where the theorem gives no bound
+        summary = json.loads((tmp_path / "d" / "run_summary.json").read_text())
+        assert [summary[k] for k in ("min_rounds", "K_meets_min_rounds", "bound_report")] \
+            == [None, None, None]
+
+    def test_pinned_rate_run_reports_the_bound_at_that_rate(self, tmp_path, capsys):
+        # at eta = 0.01 the run is at gamma = sqrt(4/8) / (0.01 L 2) = 35.4, not at its
+        # configured gamma 18; it used to report min_rounds at 18 (0.0494) and no bound
+        doc = tiny_doc()
+        doc["fedavg"]["learning_rate_override"] = 0.01
+        cfgp = write_doc(tmp_path, doc)
+        assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o" / "run")]) == 0
+        summary = json.loads((tmp_path / "o" / "run_summary.json").read_text())
+        assert summary["theory_eta"] is False
+        assert summary["min_rounds"] == pytest.approx(0.0128, rel=1e-10)
+        assert summary["K_meets_min_rounds"] is True
+        capsys.readouterr()
+        assert main(["bounds", "--config", cfgp, "--csv"]) == 0
+        got = {k: float(v) for k, v in (line.split(",") for line in
+                                         capsys.readouterr().out.strip().splitlines()[1:])}
+        report = summary["bound_report"]
+        # sigma2, and so the variance term and the total, also probe the runs' final models
+        for key in ("leading", "term_uplink", "term_downlink", "zeta", "zeta2", "zeta3"):
+            assert report[key] == pytest.approx(got[key], rel=1e-11), key
+        assert got["min_rounds"] == pytest.approx(summary["min_rounds"], rel=1e-11)
+
+    def test_report_fields_are_the_bound_reports(self, tmp_path, capsys):
+        cfgp = write_doc(tmp_path, tiny_doc())
+        assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o" / "run")]) == 0
+        summary = json.loads((tmp_path / "o" / "run_summary.json").read_text())
+        names = [f.name for f in dataclasses.fields(BoundReport)]
+        assert list(summary["bound_report"])[:len(names)] == names
+        capsys.readouterr()
+        assert main(["bounds", "--config", cfgp, "--csv"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows[:len(names)]] == names
 
     @pytest.mark.parametrize("command", ["run", "bounds"])
     def test_base_std_whose_square_overflows_exits_2(self, tmp_path, capsys, command):
@@ -517,6 +553,18 @@ class TestBoundsCommand:
                                                    rel=1e-10)
         assert got["total"] == pytest.approx(196.848563265, rel=1e-11)
         assert got["min_rounds"] == pytest.approx(0.04, rel=1e-10)
+
+    def test_short_horizon_warns_once_on_stderr(self, tmp_path, capsys):
+        # min_rounds is 159.3 at gamma 4.5 and r = 8; the report used to say so twice,
+        # as a UserWarning on stderr and as a "warning:" line on stdout
+        doc = tiny_doc()
+        doc["fedavg"] = dict(doc["fedavg"], r=8, K=2, gamma=4.5)
+        cfgp = write_doc(tmp_path, doc)
+        with pytest.warns(UserWarning, match="159.3"):
+            assert main(["bounds", "--config", cfgp]) == 0
+        out = capsys.readouterr().out
+        assert "warning:" not in out
+        assert "K_meets_min_rounds   0" in out.splitlines()
 
     def test_rate_the_theorem_does_not_cover_exits_2(self, tmp_path, capsys):
         # at eta = 0.02 gamma is 3.16, where the theorem gives no bound

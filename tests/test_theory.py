@@ -145,7 +145,11 @@ class TestTheorem2Bound:
                 rep = fedavg_error_bound(p)
             parts = [rep.leading, rep.term_uplink, rep.term_sgd_variance, rep.term_downlink]
             assert all(x >= 0 for x in parts)
-            assert rep.total == pytest.approx(sum(parts), rel=1e-12)
+            assert rep.total == sum(parts)
+            eta, T = float(rng.uniform(1e-3, 1.0 / L)), int(rng.integers(1, 500))
+            sgd = sgd_error_bound(eta, L, T, *rng.uniform(0, 10, size=5).tolist())
+            assert sgd.total == sum([sgd.leading, sgd.term_uplink, sgd.term_sgd_variance,
+                                     sgd.term_downlink])
 
 
 class TestTheorem1Bound:
