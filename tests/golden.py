@@ -3,12 +3,13 @@
 The cases are the three benchmark workloads at workload seeds 0 and 7, each from
 ``perfbench/workloads.py``'s ``config_text`` and ``cli_argv``; ``noisyfed bounds``
 with and without ``--csv`` on ``configs/v5a_snr_control.json``; ``noisyfed sweep
---axis E`` on ``configs/v5a_sweep.json``; ``noisyfed bounds`` at a pinned rate on the
-config ``PINNED_BOUNDS``; and sgd-mode ``run``s of the configs ``SGD`` (mse) and
-``SGD_SOFTMAX``, the CLI paths with no preset. They run in one child process with
-``workloads.THREAD_ENV`` (one BLAS thread), each in its own directory, and with
-every RuntimeWarning an error, as the tests' own policy in ``pyproject.toml`` has
-it: a numpy warning on a pinned path fails the cases, with the child's stderr.
+--axis E`` on ``configs/v5a_sweep.json``; ``noisyfed bounds``, and ``noisyfed run
+--seed-override 1``, at a pinned rate on the config ``PINNED_BOUNDS``; and sgd-mode
+``run``s of the configs ``SGD`` (mse) and ``SGD_SOFTMAX``, the CLI paths with no
+preset. They run in one child process with ``workloads.THREAD_ENV`` (one BLAS
+thread), each in its own directory, and with every RuntimeWarning an error, as the
+tests' own policy in ``pyproject.toml`` has it: a numpy warning on a pinned path
+fails the cases, with the child's stderr.
 
 ``tests/golden/<case>/`` holds what each case wrote, file by file, and its stdout as
 ``stdout.txt``; ``tests/golden/environment.json`` holds the numpy and BLAS that wrote
@@ -46,7 +47,7 @@ SGD = {"task": "regression_v5a", "mode": "sgd",
        "repeat_seeds": [1, 2]}
 
 # the sweep preset's task and schedules at the pinned rate 0.002 (gamma 31.6): the bound
-# report stated at that rate
+# report, and a run's summary, stated at that rate
 PINNED_BOUNDS = {"task": "regression_v5a", "mode": "fedavg",
                  "data": {"m": 15000, "d": 60, "seed": 2024, "label_noise_variance": 0.05},
                  "fedavg": {"n": 50, "r": 10, "E": 5, "K": 100, "gamma": 18.0,
@@ -84,6 +85,9 @@ def cases() -> dict:
     out["bounds_csv_v5a_snr_control"] = (None, ["bounds", "--config", snr, "--csv"])
     out["bounds_pinned_eta"] = (json.dumps(PINNED_BOUNDS, indent=2) + "\n",
                                 ["bounds", "--config", "config.json"])
+    out["run_pinned_eta"] = (json.dumps(PINNED_BOUNDS, indent=2) + "\n",
+                             ["run", "--config", "config.json", "--out", "out/pinned",
+                              "--seed-override", "1"])
     sweep = str(ROOT / "configs" / "v5a_sweep.json")
     out["sweep_E_v5a_sweep"] = (None, ["sweep", "--config", sweep, "--axis", "E",
                                        "--values", "1,3", "--out", "out/sweep"])
