@@ -8,7 +8,8 @@ Subcommands:
   bcd-demo  print the witness violating any bounded-dissimilarity constant
 
 Exit codes: 0 success (divergence inside a run is data, not failure),
-2 invalid configuration, 3 I/O failure.
+2 invalid configuration, 3 I/O failure. A warning is printed to stderr as one
+``warning: …`` line.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
 
 from .config import ConfigError, load_config
 from .channel import compare_policies
@@ -164,8 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    python_form, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -174,6 +181,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = python_form
 
 
 if __name__ == "__main__":

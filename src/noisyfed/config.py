@@ -1,12 +1,13 @@
 """Experiment configuration: JSON schema and validation.
 
-A config file is one JSON object. Each block's keys, types, defaults and
-order come from its dataclass (``DataConfig``, ``FedAvgConfig``,
-``SgdBlock``, ``NoiseSchedule``). Unknown keys anywhere are rejected, numbers
-must be finite, every nested invariant is checked before any run starts, and
-validation errors carry a best-effort line reference into the source text.
-Parsing then serializing yields a canonical document with every defaulted
-field explicit.
+A config file is one JSON object. Its top-level keys, types, defaults and
+order come from ``ExperimentConfig``, as each block's come from its dataclass
+(``DataConfig``, ``FedAvgConfig``, ``SgdBlock``, ``NoiseSchedule``). Unknown
+and repeated keys anywhere are rejected, numbers must be finite (an integer
+too large for a float is not), every nested invariant is checked before any
+run starts, and validation errors carry a best-effort line reference into the
+source text. Parsing then serializing yields a canonical document with every
+defaulted field explicit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
 from typing import get_args, get_type_hints
 
@@ -49,18 +50,22 @@ class SgdBlock:
     eta: float
     batch_size: int
 
+    def __post_init__(self):
+        if self.T < 1 or self.eta <= 0 or self.batch_size < 1:
+            raise ValueError("need T >= 1, eta > 0, batch_size >= 1")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     task: str
-    mode: str
+    mode: str = "fedavg"
     data: DataConfig
     fedavg: FedAvgConfig
-    uplink: NoiseSchedule
-    downlink: NoiseSchedule
-    repeat_seeds: tuple
-    out_prefix: str
     sgd: SgdBlock | None = None
+    uplink: NoiseSchedule = NoiseSchedule("uplink")
+    downlink: NoiseSchedule = NoiseSchedule("downlink")
+    repeat_seeds: tuple
+    out_prefix: str = "out/run"
 
 
 def _line_of(text: str, key: str, block: str | None = None) -> int:
@@ -77,30 +82,40 @@ def _line_of(text: str, key: str, block: str | None = None) -> int:
 
 @cache
 def _schema(cls) -> dict:
-    """Key -> (types, required, default) for each field of a block's dataclass.
+    """Key -> (JSON types, required, default) for each field of a dataclass. A block
+    reads as an object, or as null where it has a default; a tuple reads as a list.
 
     A schedule's direction is not a key: it is the name of its block.
     """
     hints = get_type_hints(cls)
-    return {f.name: (get_args(hints[f.name]) or hints[f.name], f.default is MISSING, f.default)
-            for f in fields(cls) if f.name != "direction"}
+    schema = {}
+    for f in fields(cls):
+        kinds = tuple(dict if is_dataclass(kind) else list if kind is tuple else kind
+                      for kind in get_args(hints[f.name]) or (hints[f.name],))
+        nullable = (type(None),) if dict in kinds and f.default is not MISSING else ()
+        schema[f.name] = (kinds + nullable, f.default is MISSING, f.default)
+    schema.pop("direction", None)
+    return schema
 
 
 def _take(block: dict, allowed: dict, where: str, text: str, source: str) -> dict:
-    """Pop known keys with type coercion; reject anything left over."""
+    """Pop known keys with type coercion, null reading as the default; reject
+    anything left over."""
     block_key = None if where == "top" else where
     out = {}
-    for key, (types, required, default) in allowed.items():
+    for key, (kinds, required, default) in allowed.items():
         if key in block:
             val = block.pop(key)
-            kinds = types if isinstance(types, tuple) else (types,)
             if float in kinds and isinstance(val, int) and not isinstance(val, bool):
-                val = float(val)
+                try:
+                    val = float(val)
+                except OverflowError:  # beyond float range
+                    val = math.inf
             if not isinstance(val, kinds) or (isinstance(val, bool) and bool not in kinds):
                 raise ConfigError(f"{source}:{_line_of(text, key, block_key)}: {where}.{key} has wrong type")
             if isinstance(val, float) and not math.isfinite(val):
                 raise ConfigError(f"{source}:{_line_of(text, key, block_key)}: {where}.{key} must be finite")
-            out[key] = val
+            out[key] = default if val is None else val
         elif required:
             raise ConfigError(f"{source}:{_line_of(text, where)}: missing required key {where}.{key}")
         else:
@@ -111,37 +126,33 @@ def _take(block: dict, allowed: dict, where: str, text: str, source: str) -> dic
     return out
 
 
-def _parse_schedule(block, direction, text, source) -> NoiseSchedule:
-    if block is None:
-        block = {}
+def _parse_block(cls, block, where: str, text: str, source: str, **fixed):
+    """A block's dataclass from its JSON object, its checks failing at the block's
+    line; a value ``_take`` already read as the block's default passes through."""
     if not isinstance(block, dict):
-        raise ConfigError(f"{source}:{_line_of(text, direction)}: {direction} must be an object")
-    vals = _take(dict(block), _schema(NoiseSchedule), direction, text, source)
+        return block
+    vals = _take(block, _schema(cls), where, text, source)
     try:
-        return NoiseSchedule(direction=direction, **vals)
+        return cls(**vals, **fixed)
     except ValueError as exc:
-        raise ConfigError(f"{source}:{_line_of(text, direction)}: {direction}: {exc}") from exc
+        raise ConfigError(f"{source}:{_line_of(text, where)}: {where}: {exc}") from exc
 
 
 def parse_config(text: str, source: str = "config") -> ExperimentConfig:
+    def unique_keys(pairs: list) -> dict:
+        keys = [key for key, _ in pairs]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ConfigError(f"{source}:{_line_of(text, key)}: duplicate key {key}")
+        return dict(pairs)
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}:1: top level must be an object")
-
-    top = _take(dict(raw), {
-        "task": (str, True, None),
-        "mode": (str, False, "fedavg"),
-        "data": (dict, True, None),
-        "fedavg": (dict, True, None),
-        "sgd": ((dict, type(None)), False, None),
-        "uplink": ((dict, type(None)), False, None),
-        "downlink": ((dict, type(None)), False, None),
-        "repeat_seeds": (list, True, None),
-        "out_prefix": (str, False, "out/run"),
-    }, "top", text, source)
+    top = _take(raw, _schema(ExperimentConfig), "top", text, source)
 
     if top["task"] not in TASKS:
         raise ConfigError(f"{source}:{_line_of(text, 'task')}: task must be one of {TASKS}")
@@ -156,35 +167,30 @@ def parse_config(text: str, source: str = "config") -> ExperimentConfig:
     if min(seeds) < 0:
         raise ConfigError(f"{source}:{_line_of(text, 'repeat_seeds')}: repeat_seeds must be >= 0")
 
-    dvals = _take(dict(top["data"]), _schema(DataConfig), "data", text, source)
-    if dvals["seed"] < 0:
+    data = _parse_block(DataConfig, top["data"], "data", text, source)
+    if data.seed < 0:
         raise ConfigError(f"{source}:{_line_of(text, 'seed', 'data')}: data.seed must be >= 0")
-    if dvals["partition"] not in PARTITIONS:
+    if data.partition not in PARTITIONS:
         raise ConfigError(f"{source}:{_line_of(text, 'partition', 'data')}: partition must be one of {PARTITIONS}")
     if top["task"] == "regression_v5a":
-        if dvals["partition"] != "iid":
+        if data.partition != "iid":
             raise ConfigError(f"{source}:{_line_of(text, 'partition', 'data')}: regression data is partitioned iid")
-        if dvals["m"] < dvals["d"] or dvals["d"] < 1:
+        if data.m < data.d or data.d < 1:
             raise ConfigError(f"{source}:{_line_of(text, 'm', 'data')}: need m >= d >= 1")
-        if dvals["label_noise_variance"] < 0:
+        if data.label_noise_variance < 0:
             raise ConfigError(f"{source}:{_line_of(text, 'label_noise_variance', 'data')}: variance must be >= 0")
     else:
-        if dvals["n_classes"] < 2:
+        if data.n_classes < 2:
             raise ConfigError(f"{source}:{_line_of(text, 'n_classes', 'data')}: classification needs n_classes >= 2")
-        if dvals["m"] < dvals["n_classes"]:
+        if data.m < data.n_classes:
             raise ConfigError(f"{source}:{_line_of(text, 'm', 'data')}: need m >= n_classes")
-        if dvals["d"] < 1:
+        if data.d < 1:
             raise ConfigError(f"{source}:{_line_of(text, 'd', 'data')}: need d >= 1")
-        if dvals["labels_per_client"] < 1:
+        if data.labels_per_client < 1:
             raise ConfigError(f"{source}:{_line_of(text, 'labels_per_client', 'data')}: "
                               "need labels_per_client >= 1")
-    data = DataConfig(**dvals)
 
-    fvals = _take(dict(top["fedavg"]), _schema(FedAvgConfig), "fedavg", text, source)
-    try:
-        fed = FedAvgConfig(**fvals)
-    except ValueError as exc:
-        raise ConfigError(f"{source}:{_line_of(text, 'fedavg')}: fedavg: {exc}") from exc
+    fed = _parse_block(FedAvgConfig, top["fedavg"], "fedavg", text, source)
     if top["mode"] == "fedavg":  # sgd mode runs on one shard of every row
         if data.partition == "iid" and data.m < fed.n:
             raise ConfigError(f"{source}:{_line_of(text, 'n', 'fedavg')}: need m >= n clients")
@@ -192,21 +198,13 @@ def parse_config(text: str, source: str = "config") -> ExperimentConfig:
             raise ConfigError(f"{source}:{_line_of(text, 'n', 'fedavg')}: fedavg mode needs "
                               "n >= 2 clients")
 
-    sgd = None
-    if top["sgd"] is not None:
-        svals = _take(dict(top["sgd"]), _schema(SgdBlock), "sgd", text, source)
-        if svals["T"] < 1 or svals["eta"] <= 0 or svals["batch_size"] < 1:
-            raise ConfigError(f"{source}:{_line_of(text, 'sgd')}: sgd needs T >= 1, eta > 0, batch_size >= 1")
-        sgd = SgdBlock(**svals)
+    sgd = _parse_block(SgdBlock, top["sgd"], "sgd", text, source)
     if top["mode"] == "sgd" and sgd is None:
         raise ConfigError(f"{source}:{_line_of(text, 'mode')}: mode sgd requires an sgd block")
 
-    return ExperimentConfig(
-        task=top["task"], mode=top["mode"], data=data, fedavg=fed,
-        uplink=_parse_schedule(top["uplink"], "uplink", text, source),
-        downlink=_parse_schedule(top["downlink"], "downlink", text, source),
-        repeat_seeds=tuple(seeds), out_prefix=top["out_prefix"], sgd=sgd,
-    )
+    for key in ("uplink", "downlink"):
+        top[key] = _parse_block(NoiseSchedule, top[key], key, text, source, direction=key)
+    return ExperimentConfig(**dict(top, data=data, fedavg=fed, sgd=sgd, repeat_seeds=tuple(seeds)))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -218,23 +216,14 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text, source=str(path))
 
 
-def _block(obj) -> dict | None:
-    return None if obj is None else {key: getattr(obj, key) for key in _schema(type(obj))}
-
-
-def canonical_dict(cfg: ExperimentConfig) -> dict:
-    """Every field explicit, fixed key order; parse(serialize(cfg)) == cfg."""
-    return {
-        "task": cfg.task,
-        "mode": cfg.mode,
-        "data": _block(cfg.data),
-        "fedavg": _block(cfg.fedavg),
-        "sgd": _block(cfg.sgd),
-        "uplink": _block(cfg.uplink),
-        "downlink": _block(cfg.downlink),
-        "repeat_seeds": list(cfg.repeat_seeds),
-        "out_prefix": cfg.out_prefix,
-    }
+def canonical_dict(cfg) -> dict:
+    """Every field of a config or of a block explicit, in field order, with blocks
+    as objects and tuples as lists; parse(serialize(cfg)) == cfg."""
+    out = {}
+    for key in _schema(type(cfg)):
+        val = getattr(cfg, key)
+        out[key] = canonical_dict(val) if is_dataclass(val) else list(val) if isinstance(val, tuple) else val
+    return out
 
 
 def serialize(cfg: ExperimentConfig) -> str:

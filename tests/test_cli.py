@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -157,6 +160,39 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sgd"):
             parse_config(json.dumps(tiny_doc(mode="sgd")))
 
+    @pytest.mark.parametrize("field", ["T", "eta", "batch_size"])
+    def test_sgd_block_checks_its_fields(self, field):
+        with pytest.raises(ValueError, match=r"^need T >= 1, eta > 0, batch_size >= 1$"):
+            SgdBlock(**dict({"T": 5, "eta": 0.01, "batch_size": 8}, **{field: 0}))
+
+    def test_sgd_check_points_at_its_block(self):
+        text = json.dumps(tiny_doc(mode="sgd", sgd={"T": 5, "eta": 0, "batch_size": 8}), indent=1)
+        with pytest.raises(ConfigError, match=r"^config:\d+: sgd: need T >= 1, eta > 0, "
+                                              r"batch_size >= 1$") as info:
+            parse_config(text)
+        line = int(str(info.value).split(":")[1])
+        assert text.splitlines()[line - 1].strip().startswith('"sgd":')
+
+    def test_omitted_keys_read_as_their_defaults(self):
+        omitted = {key: val for key, val in tiny_doc().items()
+                   if key in ("task", "data", "fedavg", "repeat_seeds")}
+        spelled = dict(omitted, mode="fedavg", sgd=None, uplink={"kind": "off"},
+                       downlink=None, out_prefix="out/run")
+        cfg = parse_config(json.dumps(omitted))
+        assert cfg == parse_config(json.dumps(spelled))
+        assert serialize(cfg) == serialize(parse_config(json.dumps(spelled)))
+
+    @pytest.mark.parametrize("entry", ['"task": "regression_v5a",', '"seed": 3,', '"K": 8,',
+                                       '"kind": "constant",'], ids=lambda e: e.split('"')[1])
+    def test_duplicate_key_rejected_with_line(self, entry):
+        # json.loads keeps the last of two values; a config must say which one it means
+        text = json.dumps(tiny_doc(), indent=1).replace(entry, f"{entry}\n{entry}", 1)
+        key = entry.split('"')[1]
+        with pytest.raises(ConfigError, match=rf"^config:\d+: duplicate key {key}$") as info:
+            parse_config(text)
+        line = int(str(info.value).split(":")[1])
+        assert text.splitlines()[line - 1].strip() == entry
+
     @settings(max_examples=200, deadline=None)
     @given(doc=config_docs())
     def test_round_trip_of_any_valid_document(self, doc):
@@ -225,6 +261,8 @@ class TestRunCommand:
         ("fedavg", "learning_rate_override", float("nan")),
         ("data", "label_noise_variance", float("nan")),
         ("fedavg", "gamma", float("inf")),
+        # an integer past float range used to escape float() as an OverflowError
+        pytest.param("uplink", "base_std", 10**400, id="uplink-base_std-401_digits"),
     ])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, block, key, value):
         doc = tiny_doc()
@@ -236,6 +274,24 @@ class TestRunCommand:
         assert err.startswith(f"error: {cfgp}:") and f"{block}.{key} must be finite" in err
         line = int(err.split(":")[2])
         assert f'"{key}"' in (tmp_path / "config.json").read_text().splitlines()[line - 1]
+        assert not out.exists()
+
+    def test_duplicate_key_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # a second "K": 3 after "K": 100 used to run at K = 3 and exit 0
+        lines = (CONFIGS / "v5a_uplink_only.json").read_text().splitlines(keepends=True)
+        at = next(i for i, ln in enumerate(lines) if ln.strip() == '"K": 100,')
+        lines.insert(at + 1, lines[at].replace("100", "3"))
+        cfgp = tmp_path / "config.json"
+        cfgp.write_text("".join(lines))
+        out = tmp_path / "o"
+        for argv in (["bounds"], ["run", "--out", str(out / "run")]):
+            assert main([*argv, "--config", str(cfgp)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert re.fullmatch(rf"error: {re.escape(str(cfgp))}:(\d+): duplicate key K\n",
+                                captured.err)
+            line = int(captured.err.split(":")[2])
+            assert lines[line - 1].strip().startswith('"K":')
         assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
@@ -565,6 +621,20 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert "warning:" not in out
         assert "K_meets_min_rounds   0" in out.splitlines()
+
+    def test_short_horizon_warning_is_one_cli_line(self, tmp_path):
+        # in a child process, since pytest records warnings rather than printing them;
+        # it used to print theory.py's path, "UserWarning" and the warnings.warn line
+        doc = tiny_doc(out_prefix=str(tmp_path / "o" / "run"))
+        doc["fedavg"] = dict(doc["fedavg"], r=8, K=2, gamma=4.5)
+        cfgp = write_doc(tmp_path, doc)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        for command in ("bounds", "run"):
+            child = subprocess.run([sys.executable, "-m", "noisyfed.cli", command,
+                                    "--config", cfgp], env=env, capture_output=True, text=True)
+            assert child.returncode == 0, command
+            assert child.stderr == "warning: K=2 is below the minimum-round requirement 159.3\n"
 
     def test_rate_the_theorem_does_not_cover_exits_2(self, tmp_path, capsys):
         # at eta = 0.02 gamma is 3.16, where the theorem gives no bound
