@@ -4,8 +4,9 @@ A schedule maps a communication round k to a per-coordinate noise variance.
 ``poly_decay`` divides the base variance by (k+1)**p, so round 0 is always
 defined, and can additionally divide by E**2 (the downlink control policy).
 Scale-down policies act on the variance, not the amplitude. The noise
-itself is drawn by the round loops (``fedavg._cohort_draws``): unit-variance
-draws of keyed streams, scaled by the square root of the round's variance.
+itself is drawn by the round loops one block of rounds at a time
+(``fedavg._draw_blocks``): unit-variance draws of keyed streams, scaled by
+the square root of the round's variance before the block's rounds run.
 
 Power accounting treats a variance scale-down as an equivalent transmit
 amplification: realizing variance v(k) instead of the base variance costs a

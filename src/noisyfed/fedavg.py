@@ -16,10 +16,10 @@ centralized gradient descent.
 There is one round loop, ``run_replicas``: it steps R replicas that share
 a task, a seed and their draws and differ only in their (uplink, downlink)
 schedules, such as a sweep's three channel variants. Before its rounds it
-computes, per replica, every array the rounds read that no model changes:
-the K rounds' uplink and downlink variances, the downlink noise scaled by
-its variance, (K, d), and the client mean of the scaled uplink noise,
-(K, d). The rounds then do only model-dependent work. Each round gathers
+computes each replica's K uplink and downlink variances, and before each
+block of rounds (see below), per replica, the block's downlink noise scaled
+by its variance, (B, d), and the client mean of its scaled uplink noise,
+(B, d). The rounds then do only model-dependent work. Each round gathers
 the batch rows once and steps all live replicas' cohorts in one local_steps
 call; the metrics, the aggregation, the SNRs, the divergence guard and k*
 stay per replica. Replica j's model is row j of one array all run, and a
@@ -34,13 +34,19 @@ Randomness is drawn from independent streams keyed by
 (master seed, round, client, purpose), so client order and channel on/off
 toggles never perturb unrelated draws; two runs with equal configs and
 seeds are bit-identical, and paired runs differing only in one channel
-share every other draw. Both loops make all of a seed's draws up front in
-``_cohort_draws``, from a (K, r) table of clients (``round_draws``' cohorts,
-or client 0 every round for SGD): their batches (``streams.choices`` on
-each client's shard, bit-identical to numpy's own draws), held as the
-dataset rows the loops read, and unit-variance channel noise, (K, d) for
-the downlink and (K, r, d) for the uplink (``streams.normals``). Replicas
-share these draws, each scaling them by its own variances.
+share every other draw. Both loops draw from a (K, r) table of clients
+(``_cohorts``, drawn for all K rounds, or client 0 every round for SGD)
+one block of rounds at a time, through ``_draw_blocks``: it seeds every
+batch and channel-noise key of all K rounds in one pass (``_draw_keys``,
+64 B a key), then ``_cohort_draws`` makes a block's batches
+(``streams.choices`` on each client's shard, bit-identical to numpy's own
+draws), held as the dataset rows the loops read, and its unit-variance
+channel noise, (B, d) for the downlink and (B, r, d) for the uplink
+(``streams.normals``). A block holds the rounds whose batch draws fill one
+``streams.choices`` block, and a loop drops it before the next is drawn,
+so a run's draw memory does not grow with K r beyond its keys. Replicas
+share these draws, each scaling them by its own variances; ``round_draws``
+is the one block of all K rounds.
 
 The reported train loss and gradient norm never feed back into training.
 Both loops evaluate them from ``Task.metric_inputs``: for ``mse_linear`` in
@@ -199,12 +205,13 @@ class Task:
 
 @dataclass(frozen=True)
 class RoundDraws:
-    """Every draw of one seed's runs, read-only: (K, r) ``cohorts`` and (K, r, E, b)
-    ``rows``, both int64, and unit-variance noise, ``downlink`` (K, d) by round and
-    ``uplink`` (K, r, d); row [k, j] of ``rows`` and ``uplink`` is client
-    ``cohorts[k, j]``'s. ``rows`` holds dataset rows: each step's batch of the
-    client's shard rows, sorted, then mapped through ``Task.row_map``. The noise
-    arrays are None when no run has that channel on."""
+    """The draws of a block of a seed's rounds, read-only: (B, r) ``cohorts`` and
+    (B, r, E, b) ``rows``, both int64, and unit-variance noise, ``downlink`` (B, d)
+    by round and ``uplink`` (B, r, d); row [k, j] of ``rows`` and ``uplink`` is
+    client ``cohorts[k, j]``'s. ``rows`` holds dataset rows: each step's batch of
+    the client's shard rows, sorted, then mapped through ``Task.row_map``. The noise
+    arrays are None when no run has that channel on. ``round_draws`` gives the
+    block of all K rounds."""
     cohorts: np.ndarray
     rows: np.ndarray
     downlink: np.ndarray | None
@@ -213,44 +220,78 @@ class RoundDraws:
 
 def round_draws(config: FedAvgConfig, task: Task, seed: int, channels=()) -> RoundDraws:
     """All K rounds' draws of the runs keyed like ``config`` and ``seed`` on
-    ``task``, for the (uplink, downlink) pairs ``channels``: round k's cohort is
-    ``client_sample`` from stream (seed, k, 0, sample), seeded in a pass of its
-    own, since the other keys name the cohorts' clients; ``_cohort_draws``
-    makes the rest. ``streams.key_rows`` rejects a negative seed."""
+    ``task``, for the (uplink, downlink) pairs ``channels``, as one block: the
+    [0, K) case of ``_cohort_draws``, the drawer the runs read block by block."""
+    cohorts = _cohorts(config, task, seed)
+    return _cohort_draws(task, _draw_keys(seed, cohorts, channels), cohorts,
+                         config.E, config.batch_size, 0, config.K)
+
+
+def _cohorts(config: FedAvgConfig, task: Task, seed: int) -> np.ndarray:
+    """The (K, r) int64 table of every round's cohort: round k's is ``client_sample``
+    from stream (seed, k, 0, sample), seeded in a pass of its own, since the other
+    keys name the cohorts' clients. Checks the shard count and the batch size;
+    ``streams.key_rows`` rejects a negative seed."""
     if task.partition.n_clients != config.n:
         raise ValueError("partition must have exactly n shards")
     if config.batch_size > min(task.shard_sizes):
         raise ValueError("batch_size exceeds a client shard")
     cohort_keys = streams.seed_keys(streams.key_rows(seed, np.arange(config.K), 0, _SAMPLE))
-    cohorts = streams.choices(cohort_keys, config.n, config.r, 1)[:, 0]
-    return _cohort_draws(task, seed, cohorts, config.E, config.batch_size, channels)
+    return streams.choices(cohort_keys, config.n, config.r, 1)[:, 0]
 
 
-def _cohort_draws(task: Task, seed: int, cohorts: np.ndarray, E: int, b: int,
-                  channels) -> RoundDraws:
-    """Every keyed batch and channel-noise draw of the (K, r) table of clients
-    ``cohorts`` on ``task``, seeded in one pass: client i = cohorts[k, j]'s E
-    batches of b rows are successive ``sample_batch`` calls on its shard from
-    stream (seed, k, i, batch), and the unit noise is ``standard_normal(d)`` of
-    streams (seed, k, 0, downlink) and (seed, k, i, uplink), for each channel
-    some (uplink, downlink) pair of ``channels`` has on."""
-    (K, r), d = cohorts.shape, task.model.dim
-    ks, clients = np.arange(K), cohorts.ravel()
-    rounds, n = np.repeat(ks, r), K * r
+def _draw_keys(seed: int, cohorts: np.ndarray, channels) -> tuple:
+    """The seeded keys of every batch and channel-noise stream of the (K, r) table
+    of clients ``cohorts``, in one pass: (batch, downlink, uplink), the batch and
+    uplink keys (K r,) by round, then cohort slot, and the downlink keys (K,); a
+    channel's keys are None when no (uplink, downlink) pair of ``channels`` has it
+    on. Client i = cohorts[k, j]'s keys are (seed, k, i, batch) and (seed, k, i,
+    uplink); round k's downlink key is (seed, k, 0, downlink)."""
+    (K, r), ks = cohorts.shape, np.arange(cohorts.shape[0])
+    rounds, clients, n = np.repeat(ks, r), cohorts.ravel(), K * r
     down = any(not link.off for _, link in channels)
     up = any(not link.off for link, _ in channels)
     columns = [(rounds, clients, _BATCH)] + [(ks, 0, _DOWNLINK)] * down \
         + [(rounds, clients, _UPLINK)] * up
     keys = streams.seed_keys(np.concatenate([streams.key_rows(seed, *c) for c in columns]))
-    rows = streams.choices(keys[:n], np.array(task.shard_sizes)[clients], b, E)
+    return keys[:n], keys[n:n + K] if down else None, keys[len(keys) - n:] if up else None
+
+
+def _cohort_draws(task: Task, keys: tuple, cohorts: np.ndarray, E: int, b: int,
+                  k0: int, k1: int) -> RoundDraws:
+    """The draws of rounds [k0, k1) of the (K, r) table of clients ``cohorts`` on
+    ``task``, from slices of ``_draw_keys``' ``keys``: client i = cohorts[k, j]'s E
+    batches of b rows are successive ``sample_batch`` calls on its shard from its
+    batch stream (``streams.choices``, bit-identical to numpy's own draws), and the
+    unit noise is ``standard_normal(d)`` of its uplink stream and of round k's
+    downlink stream (``streams.normals``)."""
+    r, d, B = cohorts.shape[1], task.model.dim, k1 - k0
+    batch, down, up = keys
+    clients, slots = cohorts[k0:k1].ravel(), slice(k0 * r, k1 * r)
+    rows = streams.choices(batch[slots], np.array(task.shard_sizes)[clients], b, E)
     rows += task.offsets[clients, None, None]
     # rows is both the index and the output: each slot's index is read before the slot
     # is written, and mode "clip" (every index is in range) leaves the output unbuffered,
-    # so no second (K r, E, b) array is made
+    # so no second (B r, E, b) array is made
     np.take(task.row_map, rows, out=rows, mode="clip")
-    downlink = _read_only(streams.normals(keys[n:n + K], d)) if down else None
-    uplink = _read_only(streams.normals(keys[len(keys) - n:], d).reshape(K, r, d)) if up else None
-    return RoundDraws(_read_only(cohorts), _read_only(rows.reshape(K, r, E, b)), downlink, uplink)
+    downlink = None if down is None else _read_only(streams.normals(down[k0:k1], d))
+    uplink = None if up is None else _read_only(streams.normals(up[slots], d).reshape(B, r, d))
+    return RoundDraws(_read_only(cohorts[k0:k1]), _read_only(rows.reshape(B, r, E, b)),
+                      downlink, uplink)
+
+
+def _draw_blocks(task: Task, seed: int, cohorts: np.ndarray, E: int, b: int, channels):
+    """(k0, ``_cohort_draws`` of rounds [k0, k1)) for blocks that tile [0, K) in
+    order, after one ``_draw_keys`` pass for all K rounds. A block holds
+    max(1, streams._ROWS // (E r)) rounds, those whose batch draws fill one
+    ``streams.choices`` block, so a block's batches take one ``streams.words``
+    call (``choices`` splits a round of more than _ROWS draws itself). Each
+    block is drawn when the loop asks for it; a loop that drops its block before
+    asking keeps one block's arrays alive."""
+    K, r = cohorts.shape
+    keys, size = _draw_keys(seed, cohorts, channels), max(1, streams._ROWS // (E * r))
+    for k0 in range(0, K, size):
+        yield k0, _cohort_draws(task, keys, cohorts, E, b, k0, min(K, k0 + size))
 
 
 def _metric_inputs(loss_model, X, y, shards):
@@ -335,10 +376,11 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
     """Run K rounds of noisy federated averaging from master ``seed``, once per
     (uplink, downlink) schedule pair of ``channels``, in lockstep.
 
-    The replicas share the task, the seed and the round draws: each round
-    gathers its batch rows once and steps every live replica's cohort in one
-    ``backend.local_steps`` call, and each replica scales the shared channel
-    noise by its own schedule, for all K rounds before the first. Each result
+    The replicas share the task, the seed and the round draws, read one
+    block of rounds at a time from ``_draw_blocks``: each round gathers its
+    batch rows once and steps every live replica's cohort in one
+    ``backend.local_steps`` call, and each replica scales the block's shared
+    channel noise by its own schedule before the block's first round. Each result
     is bit-identical to a run of its pair alone. Metrics row k is measured at
     the round-k starting model over all n client shards. Batch rows are
     consumed in index order inside the local steps so that full-batch
@@ -348,10 +390,10 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
     "diverged" in round k on a non-finite round-k loss (row k is then
     ``_halted_row``'s) or a next model of norm above 1e12 (row k is flagged);
     the others step on. Row j is never written again, so the result
-    (``_finished``) holds its round-k starting model. One round_draws call
-    makes every draw and checks the seed, the shard count and the batch size.
-    It needs n >= 2 clients, because k*'s weights (``zeta``) do, and checks
-    that first.
+    (``_finished``) holds its round-k starting model; once every replica has
+    halted, no further block is drawn. ``_cohorts`` draws the cohorts and checks
+    the seed, the shard count and the batch size before any round. It needs
+    n >= 2 clients, because k*'s weights (``zeta``) do, and checks that first.
     """
     loss_model, dataset = task.model, task.dataset
     if loss_model.smoothness is None:
@@ -361,25 +403,15 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
     channels = list(channels)
     if not channels:
         raise ValueError("need at least one (uplink, downlink) pair")
-    draws = round_draws(config, task, seed, channels)
+    cohorts = _cohorts(config, task, seed)
 
     n, r, E, K = config.n, config.r, config.E, config.K
     L = loss_model.smoothness
     eta = step_size(config, L)
     d = loss_model.dim
     inputs = task.metric_inputs
-
-    # what the rounds read that no model changes, per replica: its variances by round,
-    # its scaled downlink noise and its client-mean uplink noise, (K, d) each and None
-    # when that link is silent all run; a mean is np.mean's arithmetic, unwrapped. The
-    # uplink is scaled round by round: one (K, r, d) product raised sweep_r's peak RSS
-    # (r = 40) by about 6 MiB in most benchmark runs
     V_up = [[variance_at(up, k, E) for k in range(K)] for up, _ in channels]
     V_dn = [[variance_at(down, k, E) for k in range(K)] for _, down in channels]
-    down_noise = [draws.downlink * np.sqrt(v)[:, None] if any(v) else None for v in V_dn]
-    up_means = [np.stack([np.add.reduce(draws.uplink[k] * s, axis=0)
-                          for k, s in enumerate(np.sqrt(v))]) / r if any(v) else None
-                for v in V_up]
 
     R = len(channels)
     metrics = [[] for _ in channels]
@@ -390,44 +422,60 @@ def run_replicas(config: FedAvgConfig, task: Task, seed: int, channels) -> list[
     # its final loss before the guards below stop it: those values are their signal, not
     # a fault to warn about, so the whole loop runs under one errstate
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            evals = {j: _global_metrics(loss_model, inputs, W[j])
-                     for j in range(R) if halted[j] is None}
-            for j, (f, _) in evals.items():
-                if not math.isfinite(f):
-                    metrics[j].append(_halted_row(metrics[j], k, V_up[j][k], V_dn[j][k]))
-                    halted[j] = k
-            live = [j for j in evals if halted[j] is None]
-            if not live:
+        for k0, draws in _draw_blocks(task, seed, cohorts, E, config.batch_size, channels):
+            # what the block's rounds read that no model changes, per replica: its scaled
+            # downlink noise and its client-mean uplink noise, (B, d) each and None when
+            # that link is silent all block; a mean is np.mean's arithmetic, unwrapped. The
+            # uplink is scaled round by round, so no (B, r, d) product is made
+            block = slice(k0, k0 + len(draws.rows))
+            down_noise = [draws.downlink * np.sqrt(v[block])[:, None] if any(v[block])
+                          else None for v in V_dn]
+            up_means = [np.stack([np.add.reduce(u * s, axis=0)
+                                  for u, s in zip(draws.uplink, np.sqrt(v[block]))]) / r
+                        if any(v[block]) else None for v in V_up]
+            for k in range(block.start, block.stop):
+                evals = {j: _global_metrics(loss_model, inputs, W[j])
+                         for j in range(R) if halted[j] is None}
+                for j, (f, _) in evals.items():
+                    if not math.isfinite(f):
+                        metrics[j].append(_halted_row(metrics[j], k, V_up[j][k], V_dn[j][k]))
+                        halted[j] = k
+                live = [j for j in evals if halted[j] is None]
+                if not live:
+                    break
+
+                W_recv = W[live]
+                for a, j in enumerate(live):
+                    if V_dn[j][k] > 0:
+                        W_recv[a] += down_noise[j][k - k0]
+                # a lone replica steps from a 1-D start: the (1, P) form costs it a few
+                # percent
+                w_ends, accs = backend.local_steps(loss_model.kind, dataset.X, dataset.y,
+                                                   W_recv[0] if len(live) == 1 else W_recv,
+                                                   eta, draws.rows[k - k0], loss_model.n_classes)
+                w_ends, accs = w_ends.reshape(len(live), r, d), accs.reshape(len(live), r, d)
+                W_next = W_recv - eta * (np.add.reduce(accs, axis=1) / r)
+
+                for a, j in enumerate(live):
+                    v_up, v_dn, w, w_next = V_up[j][k], V_dn[j][k], W[j], W_next[a]
+                    snr_up = None
+                    if v_up > 0:
+                        w_next += up_means[j][k - k0]
+                        delta = W_recv[a] - w_ends[a]
+                        snr_up = float(np.add.reduce(np.vecdot(delta, delta) / (d * v_up)) / r)
+                    # the norm is nan or inf when a coordinate is, so this also catches those
+                    ok = np.sqrt(np.vecdot(w_next, w_next)) <= DIVERGENCE_NORM
+                    metrics[j].append(RoundMetrics(
+                        k, *evals[j], v_up, v_dn, snr_up,
+                        float(w @ w) / (d * v_dn) if v_dn > 0 else None, diverged=not ok))
+                    if ok:
+                        w[:] = w_next
+                    else:
+                        halted[j] = k
+            # the next block is drawn with this one dropped, so one block's arrays are alive
+            del draws, down_noise, up_means
+            if None not in halted:
                 break
-
-            W_recv = W[live]
-            for a, j in enumerate(live):
-                if V_dn[j][k] > 0:
-                    W_recv[a] += down_noise[j][k]
-            # a lone replica steps from a 1-D start: the (1, P) form costs it a few percent
-            w_ends, accs = backend.local_steps(loss_model.kind, dataset.X, dataset.y,
-                                               W_recv[0] if len(live) == 1 else W_recv, eta,
-                                               draws.rows[k], loss_model.n_classes)
-            w_ends, accs = w_ends.reshape(len(live), r, d), accs.reshape(len(live), r, d)
-            W_next = W_recv - eta * (np.add.reduce(accs, axis=1) / r)
-
-            for a, j in enumerate(live):
-                v_up, v_dn, w, w_next = V_up[j][k], V_dn[j][k], W[j], W_next[a]
-                snr_up = None
-                if v_up > 0:
-                    w_next += up_means[j][k]
-                    delta = W_recv[a] - w_ends[a]
-                    snr_up = float(np.add.reduce(np.vecdot(delta, delta) / (d * v_up)) / r)
-                # the norm is nan or inf when a coordinate is, so this also catches those
-                ok = np.sqrt(np.vecdot(w_next, w_next)) <= DIVERGENCE_NORM
-                metrics[j].append(RoundMetrics(
-                    k, *evals[j], v_up, v_dn, snr_up,
-                    float(w @ w) / (d * v_dn) if v_dn > 0 else None, diverged=not ok))
-                if ok:
-                    w[:] = w_next
-                else:
-                    halted[j] = k
 
         k_star = None
         if None in halted:
@@ -451,16 +499,18 @@ def run_noisy_sgd(task: Task, eta: float, T: int, batch_size: int, uplink: Noise
 
     SGD is client 0 of ``task``, whose one shard holds every row: step t reads
     the draws of round t of a one-client federation with one local step,
-    from ``_cohort_draws``, so its batch comes from stream (seed, t, 0, batch)
-    and its unit noise from (seed, t, 0, uplink) and (seed, t, 0, downlink).
+    from ``_draw_blocks`` in blocks of streams._ROWS steps, so its batch comes
+    from stream (seed, t, 0, batch) and its unit noise from (seed, t, 0,
+    uplink) and (seed, t, 0, downlink).
     The downlink draw perturbs the point where the stochastic gradient is
     evaluated; the uplink draw rides on the gradient itself inside the step.
     Warns when eta exceeds 1/L. Metrics are measured at w_t from
     ``task.metric_inputs``, as the federated loop's are.
 
-    The rules around the update are ``run_replicas``': noise scaled before the
-    loop, one errstate, the same halts and final params, and ``_finished``'s
-    result. Only k* differs: it is uniform over the T steps.
+    The rules around the update are ``run_replicas``': noise scaled before each
+    block, one block alive at a time, one errstate, the same halts and final
+    params, and ``_finished``'s result. Only k* differs: it is uniform over the
+    T steps.
     """
     if task.partition.n_clients != 1:
         raise ValueError("noisy SGD needs a task of one shard")
@@ -475,36 +525,40 @@ def run_noisy_sgd(task: Task, eta: float, T: int, batch_size: int, uplink: Noise
     if L is not None and L > 0 and eta > 1.0 / L:
         warnings.warn(f"eta={eta:.6g} exceeds 1/L={1.0 / L:.6g}")
     d = loss_model.dim
-    draws = _cohort_draws(task, seed, np.zeros((T, 1), np.int64), 1, batch_size,
-                          [(uplink, downlink)])
-    batches = draws.rows[:, 0, 0]
     V_up = [variance_at(uplink, t) for t in range(T)]
     V_dn = [variance_at(downlink, t) for t in range(T)]
-    down_noise = None if downlink.off else draws.downlink * np.sqrt(V_dn)[:, None]
-    up_noise = None if uplink.off else draws.uplink[:, 0] * np.sqrt(V_up)[:, None]
     inputs = task.metric_inputs
 
     w = np.zeros(d)
     metrics: list[RoundMetrics] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
-            train_loss, gns = _global_metrics(loss_model, inputs, w)
-            v_up, v_dn = V_up[t], V_dn[t]
-            if not math.isfinite(train_loss):
-                metrics.append(_halted_row(metrics, t, v_up, v_dn))
+        for t0, draws in _draw_blocks(task, seed, np.zeros((T, 1), np.int64), 1, batch_size,
+                                      [(uplink, downlink)]):
+            batches = draws.rows[:, 0, 0]
+            block = slice(t0, t0 + len(batches))
+            down_noise = None if downlink.off else draws.downlink * np.sqrt(V_dn[block])[:, None]
+            up_noise = None if uplink.off else draws.uplink[:, 0] * np.sqrt(V_up[block])[:, None]
+            for t in range(block.start, block.stop):
+                train_loss, gns = _global_metrics(loss_model, inputs, w)
+                v_up, v_dn = V_up[t], V_dn[t]
+                if not math.isfinite(train_loss):
+                    metrics.append(_halted_row(metrics, t, v_up, v_dn))
+                    break
+                point = w + down_noise[t - t0] if v_dn > 0 else w
+                g = backend.batch_gradient(loss_model.kind, dataset.X, dataset.y, point,
+                                           batches[t - t0], loss_model.n_classes)
+                w_next = w - eta * (g + up_noise[t - t0] if v_up > 0 else g)
+                ok = np.sqrt(np.vecdot(w_next, w_next)) <= DIVERGENCE_NORM
+                metrics.append(RoundMetrics(t, train_loss, gns, v_up, v_dn,
+                                            float(g @ g) / (d * v_up) if v_up > 0 else None,
+                                            float(w @ w) / (d * v_dn) if v_dn > 0 else None,
+                                            diverged=not ok))
+                if not ok:
+                    break
+                w = w_next
+            del draws, batches, down_noise, up_noise  # as run_replicas drops its block
+            if metrics[-1].diverged:
                 break
-            point = w + down_noise[t] if v_dn > 0 else w
-            g = backend.batch_gradient(loss_model.kind, dataset.X, dataset.y, point, batches[t],
-                                       loss_model.n_classes)
-            w_next = w - eta * (g + up_noise[t] if v_up > 0 else g)
-            ok = np.sqrt(np.vecdot(w_next, w_next)) <= DIVERGENCE_NORM
-            metrics.append(RoundMetrics(t, train_loss, gns, v_up, v_dn,
-                                        float(g @ g) / (d * v_up) if v_up > 0 else None,
-                                        float(w @ w) / (d * v_dn) if v_dn > 0 else None,
-                                        diverged=not ok))
-            if not ok:
-                break
-            w = w_next
 
         div_at = t if metrics[-1].diverged else None
         k_star = sample_kstar(0.0, T, _stream(seed, 0, 0, _KSTAR)) if div_at is None else None

@@ -17,10 +17,10 @@ from noisyfed.data import (ClientPartition, Dataset, SyntheticRegressionSpec,
                            partition_label_shard, sample_batch)
 from noisyfed.experiment import (build_task, run_experiment, run_one_seed, run_sweep,
                                  sweep_variants)
-from noisyfed.fedavg import (_BATCH, _SAMPLE, FedAvgConfig, Task, _global_metrics,
-                             _metric_inputs, _stream, client_sample, kstar_weights,
-                             learning_rate, round_draws, run_noisy_fedavg, run_noisy_sgd,
-                             run_replicas, sample_kstar)
+from noisyfed.fedavg import (_BATCH, _SAMPLE, FedAvgConfig, RoundDraws, Task,
+                             _global_metrics, _metric_inputs, _stream, client_sample,
+                             kstar_weights, learning_rate, round_draws, run_noisy_fedavg,
+                             run_noisy_sgd, run_replicas, sample_kstar)
 from noisyfed.model import LossModel, full_gradient, loss, smoothness_constant
 from noisyfed.theory import min_rounds
 from oracles import client_batches, keyed_stream_batches, keyed_stream_draws
@@ -296,7 +296,7 @@ class TestRunNoisyFedavg:
         cfg = tiny_config(n=1, r=1, batch_size=8)
         assert round_draws(cfg, task, 0).rows.shape == (3, 1, 1, 8)  # draws still take n = 1
         drawn = []
-        monkeypatch.setattr(fedavg, "round_draws", lambda *args: drawn.append(args))
+        monkeypatch.setattr(fedavg, "_cohorts", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match="need n >= 2"):
             run_noisy_fedavg(cfg, task, 0)
         assert drawn == []
@@ -562,6 +562,18 @@ def assert_same_run(a, b):
         (b.k_star, b.status, b.diverged_at, b.final_loss)
 
 
+def assert_same_draws(got, want):
+    for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(want), strict=True):
+        assert (a is None) == (b is None)
+        assert b is None or np.array_equal(a, b)
+
+
+def joined(blocks):
+    """One RoundDraws of ``blocks``' draws, concatenated by round."""
+    fields = zip(*(dataclasses.astuple(draws) for draws in blocks))
+    return RoundDraws(*(None if f[0] is None else np.concatenate(f) for f in fields))
+
+
 def ragged_task(kind, n, per, extra, d, seed):
     """n iid shards of per and per + 1 rows; softmax tasks have 3 classes."""
     m = n * per + extra % n
@@ -591,10 +603,7 @@ class TestSharedDraws:
 
     @staticmethod
     def assert_keyed_stream_draws(draws, cfg, task, seed, channels=()):
-        reference = keyed_stream_draws(cfg, task, seed, channels)
-        for got, want in zip(dataclasses.astuple(draws), dataclasses.astuple(reference)):
-            assert (got is None) == (want is None)
-            assert want is None or np.array_equal(got, want)
+        assert_same_draws(draws, keyed_stream_draws(cfg, task, seed, channels))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
@@ -677,24 +686,99 @@ class TestSharedDraws:
         self.assert_keyed_stream_draws(draws, cfg, task, seed, channels)
 
     def test_round_loop_draws_nothing_itself(self, monkeypatch):
-        # every draw of run_replicas comes from its one round_draws call
+        # every streams call of run_replicas happens inside _cohorts or a step of
+        # _draw_blocks, here in blocks of one round (E r = 8 = _ROWS), and the run equals
+        # an unpatched one, drawn in one block of all K rounds
         cfg = sweep_config()
         task, seed = build_task(cfg), cfg.repeat_seeds[0]
         channels = [(v.uplink, v.downlink) for v in sweep_variants(cfg).values()]
         want = run_replicas(cfg.fedavg, task, seed, channels)
-        made = []
+        inside, starts = [], []
 
-        def drawn_then_closed(*args):
-            made.append(round_draws(*args))
-            for name in ("choices", "normals", "words", "seed_keys", "key_rows"):
-                monkeypatch.setattr(streams, name, None)
-            return made[-1]
-        monkeypatch.setattr(fedavg, "round_draws", drawn_then_closed)
+        def guarded(real):
+            def call(*args):
+                assert inside, f"streams.{real.__name__} called outside the drawers"
+                return real(*args)
+            return call
+        for name in ("choices", "normals", "words", "seed_keys", "key_rows"):
+            monkeypatch.setattr(streams, name, guarded(getattr(streams, name)))
+
+        def cohorts(*args, real=fedavg._cohorts):
+            inside.append(real)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+
+        def draw_blocks(*args, real=fedavg._draw_blocks):
+            blocks = real(*args)
+            while True:
+                inside.append(blocks)
+                block = next(blocks, None)
+                inside.pop()
+                if block is None:
+                    return
+                starts.append(block[0])
+                yield block
+        monkeypatch.setattr(streams, "_ROWS", 8)
+        monkeypatch.setattr(fedavg, "_cohorts", cohorts)
+        monkeypatch.setattr(fedavg, "_draw_blocks", draw_blocks)
         got = run_replicas(cfg.fedavg, task, seed, channels)
-        assert len(made) == 1
-        assert made[0].uplink is not None and made[0].downlink is not None
+        assert starts == list(range(cfg.fedavg.K))
         for a, b in zip(got, want):
             assert_same_run(a, b)
+
+    @pytest.mark.parametrize("n, r, E, K, b, sizes, words_calls", [
+        (20, 10, 5, 100, 4, [40, 40, 20], 3),  # reference's shape: a ragged last block
+        (60, 50, 50, 3, 1, [1, 1, 1], 6),  # E r = 2 500 > _ROWS: choices splits each round
+    ])
+    def test_blocks_tile_the_rounds_and_equal_round_draws(self, monkeypatch, n, r, E, K, b,
+                                                          sizes, words_calls):
+        m = n * (b + 2) + 3
+        task = Task(generate_regression(SyntheticRegressionSpec(m=m, d=2), seed=2),
+                    LossModel("mse_linear", dim=2), partition_iid(m, n, seed=2))
+        cfg = FedAvgConfig(n=n, r=r, E=E, K=K, gamma=18.0, batch_size=b)
+        channels = [(schedule("uplink", "constant"), schedule("downlink", "constant"))]
+        want, cohorts = round_draws(cfg, task, 6, channels), fedavg._cohorts(cfg, task, 6)
+        calls, real = [], streams.words
+        monkeypatch.setattr(streams, "words", lambda keys, n: calls.append(n) or real(keys, n))
+        blocks = list(fedavg._draw_blocks(task, 6, cohorts, E, b, channels))
+        assert len(calls) == words_calls
+        assert [k0 for k0, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+        assert [len(draws.rows) for _, draws in blocks] == sizes
+        assert_same_draws(joined(draws for _, draws in blocks), want)
+
+    def test_rejection_in_a_later_block_redraws_only_its_stream(self, monkeypatch):
+        # test_rejection_redraws_only_its_stream's forced rejection, on the first key of
+        # the second block: blocks of 2 rounds (_ROWS 32 // E r 15), one words call each
+        partition = partition_iid(1003, 16, seed=5)
+        cfg = FedAvgConfig(n=16, r=5, E=3, K=5, gamma=18.0, batch_size=8)
+        task = Task(generate_regression(SyntheticRegressionSpec(m=1003, d=2), seed=5),
+                    LossModel("mse_linear", dim=2), partition)
+        cohorts = fedavg._cohorts(cfg, task, 9)
+        calls, real = [], streams.words
+
+        def with_rejection(keys, n):
+            calls.append(len(keys))
+            words = real(keys, n)
+            if len(calls) == 2:
+                words = words.copy()
+                words[0, 0] = 0
+            return words
+        redrawn = []
+        real_rng = np.random.default_rng
+
+        def spy(key):
+            redrawn.append(tuple(key[1:]))
+            return real_rng(key)
+        monkeypatch.setattr(streams, "_ROWS", 32)
+        monkeypatch.setattr(streams, "words", with_rejection)
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        blocks = list(fedavg._draw_blocks(task, 9, cohorts, cfg.E, cfg.batch_size, ()))
+        monkeypatch.undo()
+        assert calls == [10, 10, 5]
+        assert redrawn == [(2, int(cohorts[2, 0]), _BATCH)]
+        self.assert_keyed_stream_draws(joined(draws for _, draws in blocks), cfg, task, 9)
 
     def test_sweep_table_equals_unshared_runs(self, tmp_path):
         cfg = sweep_config()
@@ -1016,6 +1100,24 @@ class TestDrawMemory:
         draws, peak = traced_peak(lambda: round_draws(cfg, task, 1))
         assert peak < 1.9 * draws.rows.nbytes
 
+    def test_run_peak_grows_with_K_by_its_keys_alone(self):
+        # a run draws its rows and noise one block of rounds at a time, so its traced peak
+        # grows with K only by what it keeps per round: 2r + 1 seeded keys of 64 B (about
+        # 200 B more each while the one seeding pass runs), the variances and the metrics
+        # row. Bound: 300 B per extra key from K = 100 to 800. Rows and noise drawn for
+        # all K rounds up front read 1 298 B per key here (19.1 MB); blocks read 84 B
+        ds = generate_regression(SyntheticRegressionSpec(m=3000, d=2), seed=0)
+        task = Task(ds, LossModel("mse_linear", dim=2, smoothness=1.0),
+                    partition_iid(3000, 20, 0))
+        channels = [(schedule("uplink", "constant"), schedule("downlink", "constant"))]
+        r, peaks = 10, {}
+        for K in (100, 800):
+            cfg = FedAvgConfig(n=20, r=r, E=5, K=K, gamma=18.0, batch_size=64)
+            run_replicas(cfg, task, 1, channels)  # the task's cached arrays, untraced
+            (run,), peaks[K] = traced_peak(lambda: run_replicas(cfg, task, 1, channels))
+            assert run.status == "completed"
+        assert peaks[800] - peaks[100] < 300 * (800 - 100) * (2 * r + 1)
+
 
 class TestRunNoisySgd:
     def _task(self):
@@ -1162,10 +1264,32 @@ class TestRunNoisySgd:
         cfg = FedAvgConfig(n=1, r=1, E=1, K=T, gamma=18.0, batch_size=b)
         want = round_draws(cfg, task, seed, channels)
         assert len(made) == 1
-        for got, exp in zip(dataclasses.astuple(made[0]), dataclasses.astuple(want)):
-            assert (got is None) == (exp is None)
-            assert exp is None or np.array_equal(got, exp)
+        assert_same_draws(made[0], want)
         assert np.array_equal(np.array(seen), want.rows[:, 0, 0])
+
+    def test_steps_across_blocks_equal_round_draws(self):
+        # E = r = 1: a block holds _ROWS steps, so T = 2 _ROWS + 404 reads three blocks;
+        # together they are round_draws', and the run equals a loop over round_draws
+        task = one_shard(generate_regression(SyntheticRegressionSpec(m=40, d=2), seed=1),
+                         LossModel("mse_linear", dim=2, smoothness=1.0))
+        up, down = schedule("uplink", "poly_decay"), schedule("downlink", "constant")
+        eta, T, b, seed = 1e-3, 2 * streams._ROWS + 404, 3, 8
+        made, real_draws = [], fedavg._cohort_draws
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fedavg, "_cohort_draws", lambda *a: made.append(real_draws(*a)) or made[-1])
+            res = run_noisy_sgd(task, eta, T, b, up, down, seed)
+        cfg = FedAvgConfig(n=1, r=1, E=1, K=T, gamma=18.0, batch_size=b)
+        want = round_draws(cfg, task, seed, [(up, down)])
+        assert [len(draws.rows) for draws in made] == [streams._ROWS, streams._ROWS, 404]
+        assert_same_draws(joined(made), want)
+        ds, w = task.dataset, np.zeros(2)
+        for t in range(T):
+            g = backend.batch_gradient("mse_linear", ds.X, ds.y,
+                                       w + want.downlink[t] * np.sqrt(variance_at(down, t)),
+                                       want.rows[t, 0, 0])
+            w = w - eta * (g + want.uplink[t, 0] * np.sqrt(variance_at(up, t)))
+        assert res.status == "completed" and len(res.metrics) == T
+        assert np.array_equal(res.final_params, w)
 
 
 class TestPresetIntegration:
